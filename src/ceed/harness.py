@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean, median
@@ -209,6 +208,9 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
                 for i in range(spec.trials)
             ]
             if spec.workers > 0:
+                # imported here: the pool module is a third of the package's import time
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=spec.workers) as pool:
                     trials = tuple(pool.map(_run_trial, jobs))
             else:

@@ -62,6 +62,9 @@ class GeneratorUnit:
     emissions: Mapping[Gas, tuple[float, float, float]]
 
     def __post_init__(self) -> None:
+        coeffs = [c for curve in (self.cost, *self.emissions.values()) for c in curve]
+        if not all(math.isfinite(v) for v in (self.p_min, self.p_max, *coeffs)):
+            raise ValueError(f"unit {self.id}: limits and coefficients must be finite")
         if self.p_min < 0:
             raise ValueError(f"unit {self.id}: p_min must be >= 0, got {self.p_min}")
         if not self.p_min < self.p_max:
@@ -97,6 +100,8 @@ class LossMatrix:
         arr = np.array(b, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"loss matrix must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("loss matrix entries must be finite")
         scale = float(np.max(np.abs(arr))) or 1.0
         asym = float(np.max(np.abs(arr - arr.T)))
         if asym > LOSS_SYMMETRY_TOL * scale:
@@ -153,6 +158,8 @@ class DispatchProblem:
             raise ValueError(f"k1 and k2 must be 0 or 1, got k1={self.k1} k2={self.k2}")
         if self.k1 + self.k2 < 1:
             raise ValueError("at least one of k1, k2 must be 1")
+        if not math.isfinite(self.demand):
+            raise ValueError(f"demand must be finite, got {self.demand}")
         if self.losses is not None and self.losses.size != len(units):
             raise ValueError(
                 f"loss matrix is {self.losses.size}x{self.losses.size} "

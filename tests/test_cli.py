@@ -63,6 +63,27 @@ def test_infeasible_demand_exits_2(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_infeasible_lossy_demand_exits_2(tmp_path, capsys):
+    # 2 x 150 MW deliver at most 300 - 2 * 150^2 * 5e-4 = 277.5 MW after losses
+    path = write_problem(tmp_path, b_matrix=[[5e-4, 0.0], [0.0, 5e-4]])
+    doc = json.loads(path.read_text())
+    for unit in doc["units"]:
+        unit["p_min"], unit["p_max"] = 10.0, 150.0
+    path.write_text(json.dumps(doc))
+    for solver in ("pso", "ga"):
+        code = main(["solve", "--problem", str(path), "--demand", "290", "--solver", solver,
+                     "--trials", "1", "--iterations", "5"])
+        assert code == EXIT_INFEASIBLE
+        assert "residual -12.5 MW" in capsys.readouterr().err
+
+
+def test_non_finite_demand_exits_1(tmp_path, capsys):
+    path = write_problem(tmp_path)
+    code = main(["penalty", "--problem", str(path), "--demand", "nan"])
+    assert code == EXIT_ERROR
+    assert "finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["penalty", "--problem", str(tmp_path / "nope.json"), "--demand", "100"])
     assert code == EXIT_ERROR

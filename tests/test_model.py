@@ -185,6 +185,23 @@ def test_unit_rejects_inverted_limits():
         make_unit(7, 100.0, 50.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_unit(1, 10.0, float("inf")),
+        lambda: make_unit(1, float("nan"), 100.0),
+        lambda: make_unit(1, 10.0, 100.0, cost=(0.0, float("nan"), 0.001)),
+        lambda: make_unit(1, 10.0, 100.0, sox=(2.0, float("inf"), 0.0008)),
+        lambda: LossMatrix([[1e-4, float("nan")], [float("nan"), 1e-4]]),
+        lambda: make_problem([make_unit(1, 10.0, 100.0)], demand=float("nan")),
+    ],
+    ids=["p_max", "p_min", "cost", "emission", "loss_matrix", "demand"],
+)
+def test_non_finite_inputs_are_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_problem_rejects_demand_outside_capacity():
     units = [make_unit(1, 50.0, 300.0), make_unit(2, 50.0, 300.0)]
     with pytest.raises(InfeasibleError):
