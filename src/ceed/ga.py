@@ -4,6 +4,12 @@ Each unit's power is a gene of `bits_per_gene` bits decoded onto
 [p_min, p_max], so the limit constraint holds by construction; the decoded
 vector is balance-repaired before evaluation.  Fitness rescales objectives
 into [0, 1] within each generation, the best individual always at 1.
+
+The operators act on a whole population at once, so one generation is a
+fixed number of array operations whatever its size.  Its draws from the
+run's one seeded Generator come in this order: the roulette spins, the pool
+shuffle, the crossover coins and cut points of every pair, then the
+mutation mask of every child bit.
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ class GaConfig:
     bits_per_gene: int = 16
     elitism: int = 1
     seed: int = 0
-    # literal single-site reading of mutation instead of per-bit flips
-    single_site_mutation: bool = False
 
     def __post_init__(self) -> None:
         if self.individuals < 1:
@@ -78,43 +82,35 @@ def fitness_scale(objectives: np.ndarray) -> np.ndarray:
     return (worst - objectives) / (worst - best)
 
 
-def roulette_select(fitness: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn with probability fitness / sum(fitness); all-zero -> uniform."""
+def roulette_select(fitness: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n indices, each drawn with probability fitness / sum(fitness); all-zero -> uniform."""
     total = float(fitness.sum())
     if total <= 0.0:
-        return int(rng.integers(len(fitness)))
-    wheel = np.cumsum(fitness)
-    spin = rng.random() * total
-    return int(np.searchsorted(wheel, spin, side="right").clip(max=len(fitness) - 1))
+        return rng.integers(len(fitness), size=n)
+    spins = rng.random(n) * total
+    return np.searchsorted(np.cumsum(fitness), spins, side="right").clip(max=len(fitness) - 1)
 
 
 def crossover(
-    parent_a: np.ndarray,
-    parent_b: np.ndarray,
+    parents_a: np.ndarray,
+    parents_b: np.ndarray,
     rng: np.random.Generator,
     config: GaConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point suffix exchange with probability p_crossover."""
-    if parent_a.shape != parent_b.shape:
-        raise ValueError(f"parent lengths differ: {parent_a.shape} vs {parent_b.shape}")
-    child_a, child_b = parent_a.copy(), parent_b.copy()
-    length = child_a.shape[0]
-    if length > 1 and rng.random() < config.p_crossover:
-        site = int(rng.integers(1, length))
-        child_a[site:], child_b[site:] = parent_b[site:].copy(), parent_a[site:].copy()
-    return child_a, child_b
+    """Single-point suffix exchange between row k of each, per pair with probability p_crossover."""
+    if parents_a.shape != parents_b.shape:
+        raise ValueError(f"parent shapes differ: {parents_a.shape} vs {parents_b.shape}")
+    pairs, length = parents_a.shape
+    crossed = rng.random(pairs) < config.p_crossover
+    site = rng.integers(1, length, pairs)
+    swap = (np.arange(length) >= site[:, None]) & crossed[:, None]
+    return np.where(swap, parents_b, parents_a), np.where(swap, parents_a, parents_b)
 
 
-def mutate(child: np.ndarray, rng: np.random.Generator, config: GaConfig) -> np.ndarray:
-    """Per-bit flips at p_mutation; the single-site variant flips at most one bit."""
-    if config.single_site_mutation:
-        if rng.random() < config.p_mutation:
-            site = int(rng.integers(child.shape[0]))
-            child[site] ^= 1
-        return child
-    mask = rng.random(child.shape[0]) < config.p_mutation
-    child[mask] ^= 1
-    return child
+def mutate(children: np.ndarray, rng: np.random.Generator, config: GaConfig) -> np.ndarray:
+    """Flip every bit independently at p_mutation, in place; returns children."""
+    children ^= rng.random(children.shape) < config.p_mutation
+    return children
 
 
 def run(
@@ -152,21 +148,15 @@ def _next_generation(
     rng: np.random.Generator,
     config: GaConfig,
 ) -> np.ndarray:
-    fitness = fitness_scale(objectives)
-    order = np.argsort(objectives, kind="stable")
-    survivors = [population[i].copy() for i in order[: config.elitism]]
+    n, length = population.shape
+    elites = population[np.argsort(objectives, kind="stable")[: config.elitism]]
+    needed = n - config.elitism
     # the wheel is spun once per population slot, then the pool is shuffled
-    # and consumed in sequential pairs
-    pool = [roulette_select(fitness, rng) for _ in range(config.individuals)]
+    # and consumed in sequential pairs; a pair past its end wraps round
+    pool = roulette_select(fitness_scale(objectives), rng, n)
     rng.shuffle(pool)
-    children: list[np.ndarray] = []
-    pair = 0
-    while len(survivors) + len(children) < config.individuals:
-        a = population[pool[(2 * pair) % len(pool)]]
-        b = population[pool[(2 * pair + 1) % len(pool)]]
-        pair += 1
-        child_a, child_b = crossover(a, b, rng, config)
-        children.append(mutate(child_a, rng, config))
-        children.append(mutate(child_b, rng, config))
-    needed = config.individuals - len(survivors)
-    return np.stack(survivors + children[:needed])
+    parents = population[pool[np.arange(2 * ((needed + 1) // 2)) % n]]
+    children_a, children_b = crossover(parents[0::2], parents[1::2], rng, config)
+    # pair k side by side, then one row each: a0, b0, a1, b1, ...
+    children = np.concatenate([children_a, children_b], axis=1).reshape(-1, length)[:needed]
+    return np.concatenate([elites, mutate(children, rng, config)])

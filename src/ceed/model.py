@@ -198,6 +198,11 @@ class DispatchProblem:
             for gas in self.gases
         }
 
+    @cached_property
+    def coeff_stack(self) -> np.ndarray:
+        """Shape (1+G, 3, N): cost_arr, then emission_arr of each gas in `gases` order."""
+        return _frozen(np.stack([self.cost_arr, *(self.emission_arr[g] for g in self.gases)]))
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -357,30 +362,22 @@ def evaluate_dispatch(
     )
 
 
-# --- batch variants used by the population solvers ---------------------------
-# Rows of P are candidate power vectors; these avoid a Python loop per
-# particle on the hot path and must stay numerically identical to the
-# per-vector operations above.
-
-
-def fuel_cost_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
-    a, b, c = problem.cost_arr
-    return np.sum(a + b * P + c * P * P, axis=1)
-
-
-def emission_batch(problem: DispatchProblem, P: np.ndarray, gas: Gas) -> np.ndarray:
-    alpha, beta, gamma = problem.emission_arr[gas]
-    return np.sum(alpha + beta * P + gamma * P * P, axis=1)
+# --- batch objective used by the population solvers -------------------------
+# Rows of P are candidate power vectors.  The weights k1 and k2 * h_g fold
+# the cost and emission curves into one quadratic per unit, so a call costs
+# one Horner evaluation whatever the number of gases.  Summed in another
+# order than evaluate_dispatch, it agrees with total_cost to rounding, not
+# bitwise; tests/test_model.py holds the two together by a property.
 
 
 def combined_objective_batch(
     problem: DispatchProblem, P: np.ndarray, h: HLike = None
 ) -> np.ndarray:
-    obj = np.zeros(P.shape[0])
-    if problem.k1:
-        obj += fuel_cost_batch(problem, P)
+    """Scalarized objective of every row of P, $/h; h as in combined_objective."""
+    weights = np.zeros(1 + len(problem.gases))
+    weights[0] = problem.k1
     if problem.k2:
         values = _h_mapping(problem, h)
-        for gas in problem.gases:
-            obj += values[gas] * emission_batch(problem, P, gas)
-    return obj
+        weights[1:] = [values[gas] for gas in problem.gases]
+    a, b, c = (weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1)
+    return (a + P * (b + c * P)).sum(axis=1)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ceed.model import ALL_GASES, DispatchProblem, Gas, GeneratorUnit
 
@@ -49,6 +50,15 @@ def random_problem(rng, n_units, k2=1, demand_frac=None):
     frac = rng.uniform(0.25, 0.9) if demand_frac is None else demand_frac
     demand = lo + frac * (hi - lo)
     return make_problem(units, demand, k2=k2)
+
+
+@st.composite
+def weighted_problems(draw, max_units):
+    """random_problem of 1..max_units units under (k1, k2) in {(1, 1), (1, 0), (0, 1)}."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_problem(rng, draw(st.integers(1, max_units)))
+    k1, k2 = draw(st.sampled_from([(1, 1), (1, 0), (0, 1)]))
+    return make_problem(base.units, base.demand, k1=k1, k2=k2)
 
 
 @pytest.fixture

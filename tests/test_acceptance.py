@@ -184,7 +184,7 @@ def test_criterion_6_invariant_suite(rng):
     # roulette frequencies within 3 sigma of the exact shares
     wheel_rng = np.random.default_rng(77)
     fitness = np.array([3.0, 1.0])
-    hits = sum(roulette_select(fitness, wheel_rng) == 0 for _ in range(10_000))
+    hits = int((roulette_select(fitness, wheel_rng, 10_000) == 0).sum())
     sigma = np.sqrt(0.75 * 0.25 / 10_000)
     if abs(hits / 10_000 - 0.75) > 3 * sigma:
         failures.append(f"roulette frequency {hits / 10_000:.4f} off 0.75")
@@ -192,18 +192,16 @@ def test_criterion_6_invariant_suite(rng):
     # crossover conserves the per-position bit multiset
     cross_rng = np.random.default_rng(78)
     cross_cfg = GaConfig(p_crossover=1.0)
-    for _ in range(200):
-        a = cross_rng.integers(0, 2, 48, dtype=np.uint8)
-        b = cross_rng.integers(0, 2, 48, dtype=np.uint8)
-        ca, cb = crossover(a, b, cross_rng, cross_cfg)
-        if not np.array_equal(ca + cb, a + b):
-            failures.append("crossover lost bits")
-            break
+    a = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
+    b = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
+    ca, cb = crossover(a, b, cross_rng, cross_cfg)
+    if not np.array_equal(ca + cb, a + b):
+        failures.append("crossover lost bits")
 
     # mutation flip count within 3 sigma of binomial(n, p_m)
     mut_rng = np.random.default_rng(79)
     n, pm = 10_000, 0.033
-    flips = int(mutate(np.zeros(n, dtype=np.uint8), mut_rng, GaConfig(p_mutation=pm)).sum())
+    flips = int(mutate(np.zeros((100, n // 100), dtype=np.uint8), mut_rng, GaConfig(p_mutation=pm)).sum())
     sigma = np.sqrt(n * pm * (1 - pm))
     if abs(flips - n * pm) > 3 * sigma:
         failures.append(f"mutation flips {flips} outside binomial band")

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceed.model import BALANCE_TOL, balance_residual, check_limits
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
-from ceed.ga import GaConfig, crossover, decode, fitness_scale, mutate, roulette_select, run
+from ceed.ga import GaConfig, _next_generation, crossover, decode, fitness_scale, mutate, roulette_select, run
 
-from conftest import make_problem, make_unit, random_problem
+from conftest import make_problem, make_unit, random_problem, weighted_problems
 
 
 def small_config(**kw):
@@ -63,60 +64,80 @@ def test_fitness_scale_range_and_all_equal():
 
 def test_roulette_single_and_zero_fitness():
     rng = np.random.default_rng(0)
-    assert roulette_select(np.array([0.3]), rng) == 0
-    picks = {roulette_select(np.zeros(4), rng) for _ in range(200)}
+    assert np.array_equal(roulette_select(np.array([0.3]), rng, 5), np.zeros(5))
+    picks = set(roulette_select(np.zeros(4), rng, 200).tolist())
     assert picks == {0, 1, 2, 3}
 
 
 def test_roulette_frequency_matches_fitness_share():
     rng = np.random.default_rng(5)
     fitness = np.array([3.0, 1.0])
-    hits = sum(roulette_select(fitness, rng) == 0 for _ in range(10_000))
+    hits = int((roulette_select(fitness, rng, 10_000) == 0).sum())
     assert hits / 10_000 == pytest.approx(0.75, abs=0.02)
 
 
 def test_crossover_suffix_swap_and_bit_conservation():
     rng = np.random.default_rng(9)
     cfg = GaConfig(p_crossover=1.0)
-    a = np.array([0, 0, 0, 0], dtype=np.uint8)
-    b = np.array([1, 1, 1, 1], dtype=np.uint8)
+    a = np.zeros((1, 4), dtype=np.uint8)
+    b = np.ones((1, 4), dtype=np.uint8)
     ca, cb = crossover(a, b, rng, cfg)
     assert ca.sum() + cb.sum() == 4  # bits conserved across the pair
     assert not np.array_equal(ca, a)  # p_c = 1 always crosses
-    for _ in range(50):
-        pa = rng.integers(0, 2, 32, dtype=np.uint8)
-        pb = rng.integers(0, 2, 32, dtype=np.uint8)
-        ca, cb = crossover(pa, pb, rng, cfg)
-        assert np.array_equal(ca + cb, pa + pb)  # per-position multiset
+    # one suffix swap: child a keeps a prefix of a and takes the suffix of b
+    assert np.array_equal(ca, np.sort(ca, axis=1)) and np.array_equal(cb, 1 - ca)
+    pa = rng.integers(0, 2, (50, 32), dtype=np.uint8)
+    pb = rng.integers(0, 2, (50, 32), dtype=np.uint8)
+    ca, cb = crossover(pa, pb, rng, cfg)
+    assert np.array_equal(ca + cb, pa + pb)  # per-position multiset of every pair
 
 
 def test_crossover_disabled_copies_parents():
     rng = np.random.default_rng(3)
     cfg = GaConfig(p_crossover=0.0)
-    a = rng.integers(0, 2, 16, dtype=np.uint8)
-    b = rng.integers(0, 2, 16, dtype=np.uint8)
+    a = rng.integers(0, 2, (4, 16), dtype=np.uint8)
+    b = rng.integers(0, 2, (4, 16), dtype=np.uint8)
     ca, cb = crossover(a, b, rng, cfg)
     assert np.array_equal(ca, a) and np.array_equal(cb, b)
 
 
 def test_mutation_extremes_and_rate():
     rng = np.random.default_rng(21)
-    child = rng.integers(0, 2, 64, dtype=np.uint8)
-    frozen = mutate(child.copy(), rng, GaConfig(p_mutation=0.0))
-    assert np.array_equal(frozen, child)
-    flipped = mutate(child.copy(), rng, GaConfig(p_mutation=1.0))
-    assert np.array_equal(flipped, 1 - child)
-    big = np.zeros(10_000, dtype=np.uint8)
+    children = rng.integers(0, 2, (4, 64), dtype=np.uint8)
+    frozen = mutate(children.copy(), rng, GaConfig(p_mutation=0.0))
+    assert np.array_equal(frozen, children)
+    flipped = mutate(children.copy(), rng, GaConfig(p_mutation=1.0))
+    assert np.array_equal(flipped, 1 - children)
+    big = np.zeros((100, 100), dtype=np.uint8)
     flips = mutate(big, rng, GaConfig(p_mutation=0.033)).sum()
     assert 300 <= flips <= 360  # binomial(10000, 0.033) well within 3 sigma
 
 
-def test_single_site_mutation_flips_at_most_one_bit():
-    rng = np.random.default_rng(2)
-    cfg = GaConfig(p_mutation=0.5, single_site_mutation=True)
-    for _ in range(100):
-        child = np.zeros(24, dtype=np.uint8)
-        assert mutate(child, rng, cfg).sum() <= 1
+def generation_inputs(individuals, seed, length=24):
+    rng = np.random.default_rng(seed)
+    population = rng.integers(0, 2, (individuals, length), dtype=np.uint8)
+    return population, rng.permutation(individuals).astype(float), rng
+
+
+@pytest.mark.parametrize("individuals, elitism", [(10, 1), (10, 2), (9, 0), (8, 0), (7, 3)])
+def test_next_generation_shape_dtype_and_elites(individuals, elitism):
+    population, objectives, rng = generation_inputs(individuals, individuals + elitism)
+    cfg = GaConfig(individuals=individuals, elitism=elitism)
+    nxt = _next_generation(population, objectives, rng, cfg)
+    assert nxt.shape == population.shape and nxt.dtype == np.uint8
+    best = np.argsort(objectives)[:elitism]
+    assert np.array_equal(nxt[:elitism], population[best])  # elites survive bitwise
+
+
+@pytest.mark.parametrize("individuals, elitism", [(10, 0), (11, 0), (10, 1)])
+def test_next_generation_conserves_bits_per_pair(individuals, elitism):
+    # with p_c = 1 and p_m = 0 every child pair holds the bits of two parents
+    population, objectives, rng = generation_inputs(individuals, 40 + individuals)
+    cfg = GaConfig(individuals=individuals, elitism=elitism, p_crossover=1.0, p_mutation=0.0)
+    children = _next_generation(population, objectives, rng, cfg)[elitism:]
+    pair_sums = {(a + b).tobytes() for a in population for b in population}
+    for k in range(0, len(children) - 1, 2):
+        assert (children[k] + children[k + 1]).tobytes() in pair_sums
 
 
 def test_run_is_deterministic(rng):
@@ -136,6 +157,21 @@ def test_run_trace_monotone_under_elitism(rng):
     assert np.all(np.diff(trace) <= 1e-12)
     assert solution.total_cost == pytest.approx(trace.min())
     assert solution.feasible
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.data())
+def test_property_trace_never_rises(data):
+    problem = data.draw(weighted_problems(max_units=4))
+    individuals = data.draw(st.integers(2, 8))
+    config = GaConfig(
+        individuals=individuals,
+        generations=data.draw(st.integers(1, 15)),
+        elitism=data.draw(st.integers(1, individuals - 1)),
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+    )
+    _, trace = run(problem, config, penalty_factors_all(problem))
+    assert np.all(np.diff(trace) <= 0.0)
 
 
 def test_every_reported_solution_is_feasible(rng):

@@ -5,7 +5,9 @@ properties (additivity, scalarization identities, loss-matrix behavior),
 then construction-time validation.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceed.model import (
     BALANCE_TOL,
@@ -17,6 +19,7 @@ from ceed.model import (
     balance_residual,
     check_limits,
     combined_objective,
+    combined_objective_batch,
     emission_cost,
     evaluate_dispatch,
     fuel_cost_unit,
@@ -24,9 +27,9 @@ from ceed.model import (
     total_fuel_cost,
     transmission_loss,
 )
-from ceed.penalty import PenaltyFactors
+from ceed.penalty import PenaltyFactors, penalty_factors_all
 
-from conftest import make_problem, make_unit, random_problem
+from conftest import make_problem, make_unit, random_problem, weighted_problems
 
 
 # --- fixed values -----------------------------------------------------------
@@ -175,6 +178,16 @@ def test_evaluate_dispatch_reports_residual_and_violations(rng):
     balanced = evaluate_dispatch(problem, [250.0, 150.0], h)
     assert balanced.feasible
     assert abs(balanced.balance_residual) <= BALANCE_TOL
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(problem=weighted_problems(max_units=8), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_property_batch_objective_matches_evaluate_dispatch(problem, rows, seed):
+    h = penalty_factors_all(problem)
+    P = np.random.default_rng(seed).uniform(problem.p_min_arr, problem.p_max_arr, (rows, problem.n_units))
+    batch = combined_objective_batch(problem, P, h)
+    for i in range(rows):
+        assert batch[i] == pytest.approx(evaluate_dispatch(problem, P[i], h).total_cost, rel=1e-12)
 
 
 # --- validation at construction ---------------------------------------------

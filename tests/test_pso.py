@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceed.model import BALANCE_TOL, balance_residual, check_limits, combined_objective
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
 from ceed.pso import PsoConfig, init_swarm, run, step, velocity_update
 
-from conftest import make_problem, make_unit, random_problem
+from conftest import make_problem, make_unit, random_problem, weighted_problems
 
 
 def small_config(**kw):
@@ -135,6 +136,19 @@ def test_run_trace_is_monotone_and_sized(rng):
     assert np.all(np.diff(trace) <= 1e-12)
     assert solution.total_cost == pytest.approx(trace[-1])
     assert solution.feasible
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    problem=weighted_problems(max_units=4),
+    particles=st.integers(1, 8),
+    iterations=st.integers(1, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_trace_never_rises(problem, particles, iterations, seed):
+    config = PsoConfig(particles=particles, iterations=iterations, seed=seed)
+    _, trace = run(problem, config, penalty_factors_all(problem))
+    assert np.all(np.diff(trace) <= 0.0)
 
 
 def test_run_is_deterministic(rng):
