@@ -121,25 +121,27 @@ def run(
     rng = np.random.default_rng(config.seed)
     length = problem.n_units * config.bits_per_gene
     population = rng.integers(0, 2, size=(config.individuals, length), dtype=np.uint8)
-    best_powers: Optional[np.ndarray] = None
-    best_obj = np.inf
+    powers, objectives = _evaluate(population, problem, config, h)
+    leader = int(np.argmin(objectives))
+    best_powers, best_obj = powers[leader], objectives[leader]
     trace = np.empty(config.generations)
     for generation in range(config.generations):
-        powers = repair_batch(problem, decode(population, problem, config))
-        objectives = combined_objective_batch(problem, powers, h)
-        leader = int(np.argmin(objectives))
-        if objectives[leader] < best_obj:
-            best_obj = float(objectives[leader])
-            best_powers = powers[leader].copy()
+        if generation:
+            population = _next_generation(population, objectives, rng, config)
+            powers, objectives = _evaluate(population, problem, config, h)
+            leader = int(np.argmin(objectives))
+            if objectives[leader] < best_obj:
+                best_powers, best_obj = powers[leader], objectives[leader]
         trace[generation] = objectives[leader]
-        if generation == config.generations - 1:
-            break
-        population = _next_generation(population, objectives, rng, config)
-    if best_powers is None:  # zero generations: fall back to the raw population
-        powers = repair_batch(problem, decode(population, problem, config))
-        objectives = combined_objective_batch(problem, powers, h)
-        best_powers = powers[int(np.argmin(objectives))]
     return evaluate_dispatch(problem, best_powers, h), trace
+
+
+def _evaluate(
+    population: np.ndarray, problem: DispatchProblem, config: GaConfig, h: HLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Repaired powers and objectives of every individual."""
+    powers = repair_batch(problem, decode(population, problem, config))
+    return powers, combined_objective_batch(problem, powers, h)
 
 
 def _next_generation(

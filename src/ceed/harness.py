@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean, median
@@ -27,7 +26,6 @@ from .model import (
     Gas,
     GeneratorUnit,
     LossMatrix,
-    LOSS_SYMMETRY_TOL,
 )
 from .penalty import PenaltyFactors, penalty_factors_all
 
@@ -43,9 +41,9 @@ def load_problem(
     """Parse and validate a problem file.
 
     The file supplies units, gases and optionally a loss matrix and a
-    default demand; a demand passed here overrides the file.  Mild loss
-    asymmetry is averaged away with a warning, anything beyond the model
-    tolerance is rejected.
+    default demand; a demand passed here overrides the file.  The loss
+    matrix is checked by LossMatrix: mild asymmetry is averaged away with a
+    warning, anything beyond the model tolerance is rejected.
     """
     path = Path(path)
     try:
@@ -80,18 +78,7 @@ def load_problem(
         except KeyError as exc:
             raise DispatchError(f"{path}: unit #{idx + 1} is missing field {exc}") from exc
 
-    losses = None
-    if raw.get("b_matrix") is not None:
-        b = np.array(raw["b_matrix"], dtype=float)
-        if b.ndim == 2 and b.shape[0] == b.shape[1]:
-            asym = float(np.max(np.abs(b - b.T)))
-            scale = float(np.max(np.abs(b))) or 1.0
-            if 0.0 < asym <= LOSS_SYMMETRY_TOL * scale:
-                warnings.warn(
-                    f"{path}: loss matrix asymmetric by {asym:g}, symmetrizing",
-                    stacklevel=2,
-                )
-        losses = LossMatrix(b)
+    losses = None if raw.get("b_matrix") is None else LossMatrix(raw["b_matrix"])
 
     if demand is None:
         demand = raw.get("demand")
@@ -130,6 +117,8 @@ class ExperimentSpec:
             raise ValueError("an experiment needs at least one demand")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.solver not in (*SOLVER_NAMES, "both"):
             raise ValueError(f"solver must be pso, ga or both, got {self.solver!r}")
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
@@ -79,21 +80,13 @@ class GeneratorUnit:
         # freeze the mapping so the dataclass stays hashable and immutable
         object.__setattr__(self, "emissions", dict(self.emissions))
 
-    def fuel_cost(self, p: float) -> float:
-        a, b, c = self.cost
-        return a + b * p + c * p * p
-
-    def emission(self, gas: Gas, p: float) -> float:
-        alpha, beta, gamma = self.emissions[gas]
-        return alpha + beta * p + gamma * p * p
-
 
 class LossMatrix:
     """Symmetric B-coefficient matrix (1/MW) for quadratic transmission losses.
 
     Matrices asymmetric beyond LOSS_SYMMETRY_TOL (relative) are rejected;
-    smaller asymmetries are averaged away so the stored matrix is exactly
-    symmetric.
+    smaller asymmetries are averaged away with a UserWarning, so the stored
+    matrix is exactly symmetric.
     """
 
     def __init__(self, b: Sequence[Sequence[float]]):
@@ -108,6 +101,8 @@ class LossMatrix:
             raise ValueError(
                 f"loss matrix asymmetric beyond tolerance: max |B - B.T| = {asym:g}"
             )
+        if asym > 0.0:
+            warnings.warn(f"loss matrix asymmetric by {asym:g}, symmetrizing", stacklevel=2)
         arr = 0.5 * (arr + arr.T)
         arr.flags.writeable = False
         self._b = arr
@@ -120,8 +115,9 @@ class LossMatrix:
     def size(self) -> int:
         return self._b.shape[0]
 
-    def loss(self, powers: np.ndarray) -> float:
-        return float(powers @ self._b @ powers)
+    def loss(self, powers: np.ndarray) -> np.ndarray:
+        """p'Bp of one power vector, or of every row of a batch, MW."""
+        return np.einsum("...i,ij,...j->...", powers, self._b, powers)
 
 
 @dataclass(frozen=True)
@@ -186,22 +182,21 @@ class DispatchProblem:
         return _frozen(np.array([u.p_max for u in self.units]))
 
     @cached_property
-    def cost_arr(self) -> np.ndarray:
-        """Shape (3, N): rows a, b, c."""
-        return _frozen(np.array([u.cost for u in self.units]).T)
-
-    @cached_property
-    def emission_arr(self) -> dict[Gas, np.ndarray]:
-        """Per gas, shape (3, N): rows alpha, beta, gamma."""
-        return {
-            gas: _frozen(np.array([u.emissions[gas] for u in self.units]).T)
-            for gas in self.gases
-        }
-
-    @cached_property
     def coeff_stack(self) -> np.ndarray:
-        """Shape (1+G, 3, N): cost_arr, then emission_arr of each gas in `gases` order."""
-        return _frozen(np.stack([self.cost_arr, *(self.emission_arr[g] for g in self.gases)]))
+        """Shape (1+G, 3, N): cost (a, b, c), then (alpha, beta, gamma) per gas in `gases` order."""
+        curves = [[u.cost for u in self.units]]
+        curves += [[u.emissions[gas] for u in self.units] for gas in self.gases]
+        return _frozen(np.array(curves, dtype=float).swapaxes(1, 2).copy())
+
+    @property
+    def cost_arr(self) -> np.ndarray:
+        """Shape (3, N): rows a, b, c; a view of coeff_stack."""
+        return self.coeff_stack[0]
+
+    @property
+    def emission_arr(self) -> dict[Gas, np.ndarray]:
+        """Per gas, shape (3, N): rows alpha, beta, gamma; views of coeff_stack."""
+        return dict(zip(self.gases, self.coeff_stack[1:]))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -241,38 +236,67 @@ def _as_power_vector(problem: DispatchProblem, powers: Sequence[float]) -> np.nd
 
 def fuel_cost_unit(unit: GeneratorUnit, p: float) -> float:
     """Quadratic fuel cost a + b*p + c*p^2 of one unit, $/h."""
-    return unit.fuel_cost(p)
+    return unit.cost[0] + unit.cost[1] * p + unit.cost[2] * p * p
+
+
+def curve_values(problem: DispatchProblem, powers: np.ndarray) -> np.ndarray:
+    """Per unit, fuel cost ($/h) then each gas's emission (kg/h) in `gases` order.
+
+    Shape (1+G, N) for one power vector of N, (R, 1+G, N) for R rows.
+    """
+    p = np.asarray(powers, dtype=float)[..., None, :]
+    a, b, c = problem.coeff_stack.transpose(1, 0, 2)
+    return a + b * p + c * p * p
+
+
+def _curve_totals(problem: DispatchProblem, powers: Sequence[float]) -> np.ndarray:
+    """System fuel cost, then each gas's system emission, at one power vector."""
+    return curve_values(problem, _as_power_vector(problem, powers)).sum(axis=-1)
+
+
+def _weights(problem: DispatchProblem, h: HLike) -> np.ndarray:
+    """(k1, k2 * h_g per gas): the weight of each curve in the scalarized objective."""
+    weights = np.zeros(1 + len(problem.gases))
+    weights[0] = problem.k1
+    if problem.k2:
+        values = _h_mapping(problem, h)
+        weights[1:] = [values[gas] for gas in problem.gases]
+    return weights
+
+
+def _priced(problem: DispatchProblem, emissions: Sequence[float], h: HLike) -> float:
+    """sum_g h_g * E_g for system emissions in `problem.gases` order, $/h."""
+    values = _h_mapping(problem, h)
+    return float(sum(values[gas] * e for gas, e in zip(problem.gases, emissions)))
 
 
 def total_fuel_cost(problem: DispatchProblem, powers: Sequence[float]) -> float:
     """System fuel cost, $/h."""
-    p = _as_power_vector(problem, powers)
-    a, b, c = problem.cost_arr
-    return float(np.sum(a + b * p + c * p * p))
+    return float(_curve_totals(problem, powers)[0])
 
 
 def gas_emission(problem: DispatchProblem, powers: Sequence[float], gas: Gas) -> float:
     """System emission of one gas, kg/h."""
-    p = _as_power_vector(problem, powers)
-    if gas not in problem.emission_arr:
+    if gas not in problem.gases:
         raise ValueError(f"problem does not track {gas.value}")
-    alpha, beta, gamma = problem.emission_arr[gas]
-    return float(np.sum(alpha + beta * p + gamma * p * p))
+    return float(_curve_totals(problem, powers)[1 + problem.gases.index(gas)])
 
 
 def transmission_loss(problem: DispatchProblem, powers: Sequence[float]) -> float:
     """Quadratic network loss p^T B p, MW; zero for a lossless problem."""
     p = _as_power_vector(problem, powers)
-    if problem.losses is None:
-        return 0.0
-    return problem.losses.loss(p)
+    return 0.0 if problem.losses is None else float(problem.losses.loss(p))
+
+
+def balance_residual_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
+    """sum(p) - demand - p'Bp of one power vector or of every row of P, MW."""
+    r = P.sum(axis=-1) - problem.demand
+    return r if problem.losses is None else r - problem.losses.loss(P)
 
 
 def balance_residual(problem: DispatchProblem, powers: Sequence[float]) -> float:
     """sum(p) - demand - loss(p); zero when the power balance holds, MW."""
-    p = _as_power_vector(problem, powers)
-    loss = problem.losses.loss(p) if problem.losses is not None else 0.0
-    return float(np.sum(p)) - problem.demand - loss
+    return float(balance_residual_batch(problem, _as_power_vector(problem, powers)))
 
 
 def check_limits(
@@ -295,10 +319,7 @@ def check_limits(
 
 def emission_cost(problem: DispatchProblem, powers: Sequence[float], h: HLike) -> float:
     """Penalty-weighted emission cost sum_g h_g * E_g, $/h."""
-    values = _h_mapping(problem, h)
-    return float(
-        sum(values[gas] * gas_emission(problem, powers, gas) for gas in problem.gases)
-    )
+    return _priced(problem, _curve_totals(problem, powers)[1:], h)
 
 
 def combined_objective(
@@ -309,10 +330,7 @@ def combined_objective(
     h may be omitted when k2 = 0; with k2 = 1 it must supply a factor for
     every gas of the problem, computed at the problem's own demand.
     """
-    fc = total_fuel_cost(problem, powers) if problem.k1 else 0.0
-    if not problem.k2:
-        return problem.k1 * fc
-    return problem.k1 * fc + problem.k2 * emission_cost(problem, powers, h)
+    return float(_weights(problem, h) @ _curve_totals(problem, powers))
 
 
 @dataclass(frozen=True)
@@ -344,17 +362,12 @@ def evaluate_dispatch(
 ) -> DispatchSolution:
     """Build the full solution record for a power vector."""
     p = _as_power_vector(problem, powers)
-    fc = total_fuel_cost(problem, p)
-    em = {gas: gas_emission(problem, p, gas) for gas in problem.gases}
-    if h is None and not problem.k2:
-        ec = 0.0
-    else:
-        values = _h_mapping(problem, h)
-        ec = float(sum(values[gas] * em[gas] for gas in problem.gases))
+    fc, *em = (float(v) for v in _curve_totals(problem, p))
+    ec = 0.0 if h is None and not problem.k2 else _priced(problem, em, h)
     return DispatchSolution(
         powers=tuple(float(x) for x in p),
         fuel_cost=fc,
-        emissions=em,
+        emissions=dict(zip(problem.gases, em)),
         emission_cost=ec,
         total_cost=problem.k1 * fc + problem.k2 * ec,
         balance_residual=balance_residual(problem, p),
@@ -374,10 +387,6 @@ def combined_objective_batch(
     problem: DispatchProblem, P: np.ndarray, h: HLike = None
 ) -> np.ndarray:
     """Scalarized objective of every row of P, $/h; h as in combined_objective."""
-    weights = np.zeros(1 + len(problem.gases))
-    weights[0] = problem.k1
-    if problem.k2:
-        values = _h_mapping(problem, h)
-        weights[1:] = [values[gas] for gas in problem.gases]
+    weights = _weights(problem, h)
     a, b, c = (weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1)
     return (a + P * (b + c * P)).sum(axis=1)

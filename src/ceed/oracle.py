@@ -154,10 +154,7 @@ def grid_search(
 
 
 def _close_balance(problem: DispatchProblem, leading: np.ndarray) -> Optional[float]:
-    """Power of the last unit that balances the system, or None."""
-    if problem.losses is None:
-        return float(problem.demand - leading.sum())
-    # with losses the closing power solves a scalar quadratic
+    """Power of the last unit that balances a lossy system (a quadratic in it), or None."""
     b = problem.losses.b
     k = problem.n_units - 1
     lead_loss = float(leading @ b[:k, :k] @ leading) if k else 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import DispatchProblem, Gas
+from .model import DispatchProblem, Gas, curve_values
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,12 @@ class PenaltyFactors:
 
 def unit_ratios(problem: DispatchProblem, gas: Gas) -> list[UnitRatio]:
     """Per-unit cost/emission ratios at p_max, in unit order."""
+    if gas not in problem.gases:
+        raise ValueError(f"problem does not track {gas.value}")
+    at_max = curve_values(problem, problem.p_max_arr)
+    costs, emissions = at_max[0], at_max[1 + problem.gases.index(gas)]
     out = []
-    for unit in problem.units:
-        cost = unit.fuel_cost(unit.p_max)
-        emission = unit.emission(gas, unit.p_max)
+    for unit, cost, emission in zip(problem.units, costs.tolist(), emissions.tolist()):
         if emission <= 0:
             raise ValueError(
                 f"unit {unit.id}: {gas.value} emission at p_max is {emission:g}, "

@@ -5,7 +5,9 @@ constriction multiplier:
 
     v <- CF * (w(t) * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
 
-which degenerates to the standard constriction update at w = 1.  Every
+which degenerates to the standard constriction update at w = 1.  CF is
+derived from phi = c1 + c2 by the Clerc-Kennedy formula (0.72984 at the
+default c1 = c2 = 2.05), not set on its own.  Every
 candidate position is clamped to the unit limits and projected onto the
 power balance before evaluation, so the objective never needs a penalty
 term for constraint violations.
@@ -31,8 +33,6 @@ class PsoConfig:
     w_min: float = 0.4
     c1: float = 2.05
     c2: float = 2.05
-    phi: float = 4.1
-    constriction: float = 0.7298
     v_max_fraction: float = 0.5
     seed: int = 0
 
@@ -41,16 +41,20 @@ class PsoConfig:
             raise ValueError(f"particles must be >= 1, got {self.particles}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not math.isclose(self.phi, self.c1 + self.c2, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(f"phi must equal c1 + c2, got {self.phi} vs {self.c1 + self.c2}")
-        if not self.phi > 4.0:
-            raise ValueError(f"phi must exceed 4 for a contracting swarm, got {self.phi}")
-        if not 0.0 < self.constriction < 1.0:
-            raise ValueError(f"constriction must lie in (0, 1), got {self.constriction}")
+        if not self.c1 + self.c2 > 4.0:
+            raise ValueError(
+                f"c1 + c2 must exceed 4 for a contracting swarm, got {self.c1 + self.c2}"
+            )
         if not 0.0 < self.v_max_fraction <= 1.0:
             raise ValueError(f"v_max_fraction must lie in (0, 1], got {self.v_max_fraction}")
         if self.w_min > self.w_max:
             raise ValueError(f"w_min must not exceed w_max, got {self.w_min} > {self.w_max}")
+
+    @property
+    def constriction(self) -> float:
+        """Clerc-Kennedy chi = 2 / |2 - phi - sqrt(phi^2 - 4 phi)| with phi = c1 + c2."""
+        phi = self.c1 + self.c2
+        return 2.0 / abs(2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))
 
     def inertia(self, iteration: int) -> float:
         """w(t), decreasing linearly from w_max to w_min over the run."""

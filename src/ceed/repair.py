@@ -19,23 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BALANCE_TOL, DispatchProblem, InfeasibleError
+from .model import BALANCE_TOL, DispatchProblem, InfeasibleError, balance_residual_batch
 
 
-def _ray_start(x: np.ndarray, demand: float, b) -> np.ndarray:
+def _ray_start(problem: DispatchProblem, x: np.ndarray) -> np.ndarray:
     """Per row, the scale that closes the balance when no unit clips."""
-    total = x.sum(axis=1)
-    if b is None:
+    total, demand = x.sum(axis=1), problem.demand
+    if problem.losses is None:
         return demand / total
-    q = np.einsum("ij,jk,ik->i", x, b, x)
+    q = problem.losses.loss(x)
     # smaller root of S*total - S^2*q = demand, written without cancellation
     return 2.0 * demand / (total + np.sqrt(np.maximum(total * total - 4.0 * demand * q, 0.0)))
-
-
-def _residual(p: np.ndarray, demand: float, b) -> np.ndarray:
-    """h per row: generation minus demand and loss."""
-    r = p.sum(axis=1) - demand
-    return r if b is None else r - np.einsum("ij,jk,ik->i", p, b, p)
 
 
 def repair_batch(
@@ -44,13 +38,12 @@ def repair_batch(
     """Rows of P clipped to the unit limits and scaled onto the power balance."""
     lo, hi = problem.p_min_arr, problem.p_max_arr
     b = None if problem.losses is None else problem.losses.b
-    demand = problem.demand
     # a row the ray cannot move yields inf or NaN here, which the restart handles
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.clip(np.asarray(P, dtype=float), lo, hi)
-        s = _ray_start(x, demand, b)
+        s = _ray_start(problem, x)
         out = np.clip(s[:, None] * x, lo, hi)
-        r = _residual(out, demand, b)
+        r = balance_residual_batch(problem, out)
         off = ~(np.abs(r) <= tol)
         if not off.any():
             return out
@@ -73,10 +66,10 @@ def repair_batch(
                     r = r[stuck & restarted]
                     break
                 x[stuck] = 0.5 * (lo + hi)
-                s = np.where(stuck, _ray_start(x, demand, b), s)
+                s = np.where(stuck, _ray_start(problem, x), s)
                 below[stuck], above[stuck], restarted[stuck] = 0.0, np.inf, True
             p = np.clip(s[:, None] * x, lo, hi)
-            r = _residual(p, demand, b)
+            r = balance_residual_batch(problem, p)
             done = np.abs(r) <= tol
             if done.any():
                 out[rows[done]] = p[done]
@@ -86,7 +79,7 @@ def repair_batch(
                 rows, x, s, p, r = rows[keep], x[keep], s[keep], p[keep], r[keep]
                 below, above, restarted = below[keep], above[keep], restarted[keep]
     raise InfeasibleError(
-        f"cannot close the power balance at demand {demand:g} MW: residual {r[0]:.6g} MW"
+        f"cannot close the power balance at demand {problem.demand:g} MW: residual {r[0]:.6g} MW"
     )
 
 

@@ -84,6 +84,14 @@ def test_non_finite_demand_exits_1(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_negative_workers_exit_1(tmp_path, capsys):
+    path = write_problem(tmp_path)
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--solver", "pso",
+                 "--trials", "1", "--iterations", "5", "--workers", "-3"])
+    assert code == EXIT_ERROR
+    assert "workers must be >= 0" in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["penalty", "--problem", str(tmp_path / "nope.json"), "--demand", "100"])
     assert code == EXIT_ERROR

@@ -174,6 +174,18 @@ def test_property_trace_never_rises(data):
     assert np.all(np.diff(trace) <= 0.0)
 
 
+def test_zero_generations_return_best_of_initial_population(rng):
+    problem = random_problem(rng, 4)
+    h = penalty_factors_all(problem)
+    solution, trace = run(problem, small_config(generations=0), h)
+    assert trace.shape == (0,)
+    assert solution.feasible
+    # a one-generation run evaluates the same seeded population and nothing else
+    first, first_trace = run(problem, small_config(generations=1), h)
+    assert solution.powers == first.powers
+    assert solution.total_cost == pytest.approx(first_trace[0], rel=1e-12)
+
+
 def test_every_reported_solution_is_feasible(rng):
     for _ in range(5):
         problem = random_problem(rng, int(rng.integers(2, 6)))

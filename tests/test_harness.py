@@ -129,6 +129,8 @@ def test_spec_validation():
         ExperimentSpec(problem_path="x", demands=(100.0,), trials=0)
     with pytest.raises(ValueError, match="solver"):
         ExperimentSpec(problem_path="x", demands=(100.0,), solver="annealing")
+    with pytest.raises(ValueError, match="workers"):
+        ExperimentSpec(problem_path="x", demands=(100.0,), workers=-1)
 
 
 def quick_spec(path, **kw):

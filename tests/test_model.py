@@ -251,9 +251,10 @@ def test_problem_rejects_duplicate_unit_ids():
 def test_loss_matrix_symmetry_tolerance():
     with pytest.raises(ValueError, match="asymmetric"):
         LossMatrix([[1e-4, 1e-5], [3e-5, 1e-4]])
-    # asymmetry below the relative tolerance is averaged away
+    # asymmetry below the relative tolerance is averaged away, with a warning
     eps = 1e-4 * 0.9e-9
-    lm = LossMatrix([[1e-4, 1e-5 + eps], [1e-5, 1e-4]])
+    with pytest.warns(UserWarning, match="symmetrizing"):
+        lm = LossMatrix([[1e-4, 1e-5 + eps], [1e-5, 1e-4]])
     assert lm.b[0, 1] == lm.b[1, 0]
 
 

@@ -1,11 +1,12 @@
 """Penalty-factor ratios and the capacity-ranked selection rule."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceed.model import Gas, GeneratorUnit
 from ceed.penalty import PenaltyFactors, penalty_factor, penalty_factors_all, unit_ratios
 
-from conftest import make_problem, make_unit, random_problem
+from conftest import make_problem, make_unit, random_problem, weighted_problems
 
 
 def ratio_unit(uid, p_max, h, p_min=10.0):
@@ -31,6 +32,12 @@ def test_zero_emission_at_pmax_is_an_error():
         unit_ratios(problem, Gas.NOX)
 
 
+def test_untracked_gas_is_an_error():
+    problem = make_problem([make_unit(1, 10.0, 100.0)], demand=50.0, gases=(Gas.NOX,))
+    with pytest.raises(ValueError, match="does not track sox"):
+        unit_ratios(problem, Gas.SOX)
+
+
 def test_selection_walks_sorted_ratios_until_capacity_covers_demand():
     units = [ratio_unit(1, 100.0, 1.0), ratio_unit(2, 100.0, 2.0)]
     assert penalty_factor(make_problem(units, 150.0), Gas.NOX) == pytest.approx(2.0)
@@ -54,15 +61,17 @@ def test_ties_break_by_unit_id():
     assert [r.unit_id for r in ranked] == [1, 2]
 
 
-def test_factor_never_decreases_with_demand(rng):
-    for _ in range(15):
-        problem = random_problem(rng, 5)
-        lo = sum(u.p_min for u in problem.units)
-        hi = sum(u.p_max for u in problem.units)
-        demands = sorted(rng.uniform(lo, hi, size=4))
-        factors = [
-            penalty_factor(make_problem(problem.units, d), Gas.SOX) for d in demands
-        ]
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    problem=weighted_problems(max_units=8),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+)
+def test_factor_never_decreases_with_demand(problem, fractions):
+    lo = sum(u.p_min for u in problem.units)
+    hi = sum(u.p_max for u in problem.units)
+    demands = sorted(min(lo + f * (hi - lo), hi) for f in fractions)
+    for gas in problem.gases:
+        factors = [penalty_factor(make_problem(problem.units, d), gas) for d in demands]
         assert factors == sorted(factors)
 
 

@@ -1,5 +1,7 @@
 """Particle swarm: determinism, feasibility of every iterate, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,21 +20,14 @@ def small_config(**kw):
     return PsoConfig(**defaults)
 
 
-def test_config_rejects_phi_mismatch():
-    with pytest.raises(ValueError):
-        PsoConfig(c1=2.0, c2=2.05, phi=4.1)
-
-
 def test_config_rejects_phi_at_most_four():
-    with pytest.raises(ValueError):
-        PsoConfig(c1=2.0, c2=2.0, phi=4.0)
+    with pytest.raises(ValueError, match="c1 \\+ c2"):
+        PsoConfig(c1=2.0, c2=2.0)
 
 
-def test_config_rejects_constriction_outside_open_interval():
-    with pytest.raises(ValueError):
-        PsoConfig(constriction=1.0)
-    with pytest.raises(ValueError):
-        PsoConfig(constriction=0.0)
+def test_constriction_is_derived_from_c1_plus_c2():
+    # Clerc-Kennedy at phi = 4.1: 0.7298437881..., not the rounded 0.7298
+    assert PsoConfig().constriction == 2 / abs(2 - 4.1 - math.sqrt(4.1**2 - 4 * 4.1))
 
 
 def test_config_rejects_bad_velocity_fraction():
@@ -136,6 +131,17 @@ def test_run_trace_is_monotone_and_sized(rng):
     assert np.all(np.diff(trace) <= 1e-12)
     assert solution.total_cost == pytest.approx(trace[-1])
     assert solution.feasible
+
+
+def test_zero_iterations_return_best_of_initial_swarm(rng):
+    problem = random_problem(rng, 4)
+    h = penalty_factors_all(problem)
+    solution, trace = run(problem, small_config(iterations=0), h)
+    assert trace.shape == (0,)
+    assert solution.feasible
+    initial = init_swarm(problem, small_config(iterations=0), h)
+    assert solution.powers == tuple(initial.gbest_pos)
+    assert initial.gbest_obj == initial.pbest_obj.min()
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
