@@ -7,9 +7,11 @@ into [0, 1] within each generation, the best individual always at 1.
 
 The operators act on a whole population at once, so one generation is a
 fixed number of array operations whatever its size.  Its draws from the
-run's one seeded Generator come in this order: the roulette spins, the pool
-shuffle, the crossover coins and cut points of every pair, then the
-mutation mask of every child bit.
+trial's one seeded Generator come in this order: the roulette spins, the
+pool shuffle, the crossover coins and cut points of every pair, then the
+mutation mask of every child bit.  run_trials breeds each trial on its own
+and evaluates every trial's population in one decode, repair and
+objective call.
 """
 
 from __future__ import annotations
@@ -113,35 +115,60 @@ def mutate(children: np.ndarray, rng: np.random.Generator, config: GaConfig) -> 
     return children
 
 
+def run_trials(
+    problem: DispatchProblem, config: Optional[GaConfig], h: HLike, trials: int
+) -> list[tuple[DispatchSolution, np.ndarray]]:
+    """GA runs with seeds config.seed + i, evaluated together generation by generation.
+
+    Entry i is the best-ever dispatch and the per-generation best trace of
+    trial i, bitwise equal to run() with seed config.seed + i: each trial
+    breeds from its own Generator, and only the decode, repair and
+    objective calls take every trial's population at once.
+    """
+    config = config or GaConfig()
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rngs = [np.random.default_rng(config.seed + i) for i in range(trials)]
+    length = problem.n_units * config.bits_per_gene
+    populations = np.stack(
+        [rng.integers(0, 2, size=(config.individuals, length), dtype=np.uint8) for rng in rngs]
+    )
+    powers, objectives = _evaluate(populations, problem, config, h)
+    each = np.arange(trials)
+    leader = objectives.argmin(axis=1)
+    best_powers, best_obj = powers[each, leader], objectives[each, leader]
+    lead = best_obj
+    trace = np.empty((trials, config.generations))
+    for generation in range(config.generations):
+        if generation:
+            for i, rng in enumerate(rngs):
+                populations[i] = _next_generation(populations[i], objectives[i], rng, config)
+            powers, objectives = _evaluate(populations, problem, config, h)
+            lead = objectives.min(axis=1)
+            better = lead < best_obj
+            if better.any():
+                leader = objectives.argmin(axis=1)
+                best_powers = np.where(better[:, None], powers[each, leader], best_powers)
+                best_obj = np.where(better, lead, best_obj)
+        trace[:, generation] = lead
+    return [(evaluate_dispatch(problem, best, h), tr) for best, tr in zip(best_powers, trace)]
+
+
 def run(
     problem: DispatchProblem, config: Optional[GaConfig] = None, h: HLike = None
 ) -> tuple[DispatchSolution, np.ndarray]:
     """Full GA run; returns the best-ever dispatch and the per-generation best trace."""
-    config = config or GaConfig()
-    rng = np.random.default_rng(config.seed)
-    length = problem.n_units * config.bits_per_gene
-    population = rng.integers(0, 2, size=(config.individuals, length), dtype=np.uint8)
-    powers, objectives = _evaluate(population, problem, config, h)
-    leader = int(np.argmin(objectives))
-    best_powers, best_obj = powers[leader], objectives[leader]
-    trace = np.empty(config.generations)
-    for generation in range(config.generations):
-        if generation:
-            population = _next_generation(population, objectives, rng, config)
-            powers, objectives = _evaluate(population, problem, config, h)
-            leader = int(np.argmin(objectives))
-            if objectives[leader] < best_obj:
-                best_powers, best_obj = powers[leader], objectives[leader]
-        trace[generation] = objectives[leader]
-    return evaluate_dispatch(problem, best_powers, h), trace
+    return run_trials(problem, config, h, 1)[0]
 
 
 def _evaluate(
-    population: np.ndarray, problem: DispatchProblem, config: GaConfig, h: HLike
+    populations: np.ndarray, problem: DispatchProblem, config: GaConfig, h: HLike
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Repaired powers and objectives of every individual."""
-    powers = repair_batch(problem, decode(population, problem, config))
-    return powers, combined_objective_batch(problem, powers, h)
+    """Repaired powers and objectives of every individual of (trials, individuals, bits)."""
+    trials, individuals, length = populations.shape
+    powers = repair_batch(problem, decode(populations.reshape(-1, length), problem, config))
+    objectives = combined_objective_batch(problem, powers, h)
+    return powers.reshape(trials, individuals, -1), objectives.reshape(trials, individuals)
 
 
 def _next_generation(

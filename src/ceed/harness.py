@@ -3,7 +3,10 @@
 Experiments run each solver `trials` times with seeds base_seed + index and
 reduce the results in index order, so a report's deterministic section is
 byte-identical across repeats of the same spec; wall-clock figures live in
-a separate timing section because they never reproduce exactly.
+a separate timing section because they never reproduce exactly.  The trials
+of a (solver, demand) pair run as one batch through the solver's
+run_trials, or as one contiguous batch per worker with `workers`; a trial's
+result does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -129,6 +132,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class Trial:
+    """One seeded solver run.
+
+    Trials run in batches, so `seconds` is the wall time of the trial's
+    batch divided by the number of trials in it.
+    """
+
     index: int
     seed: int
     solution: DispatchSolution
@@ -150,12 +159,6 @@ class TrialReport:
         return min(self.trials, key=lambda t: (t.solution.total_cost, t.index))
 
     @property
-    def representative_trial(self) -> Trial:
-        """Trial whose wall-clock time sits nearest the mean time."""
-        avg = mean(t.seconds for t in self.trials)
-        return min(self.trials, key=lambda t: (abs(t.seconds - avg), t.index))
-
-    @property
     def total_costs(self) -> list[float]:
         return [t.solution.total_cost for t in self.trials]
 
@@ -171,18 +174,24 @@ def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
     return replace(cfg, seed=seed)
 
 
-def _run_trial(args) -> Trial:
-    problem, solver, config, h, index, seed = args
-    runner = pso.run if solver == "pso" else ga.run
+def _run_trial(args) -> tuple[Trial, ...]:
+    """One batch: `count` trials from index `first`, run together and timed together."""
+    problem, solver, config, h, first, count = args
+    runner = pso.run_trials if solver == "pso" else ga.run_trials
     start = time.perf_counter()
-    solution, trace = runner(problem, config, h)
-    return Trial(
-        index=index,
-        seed=seed,
-        solution=solution,
-        seconds=time.perf_counter() - start,
-        trace=trace,
+    results = runner(problem, config, h, count)
+    share = (time.perf_counter() - start) / count
+    return tuple(
+        Trial(index=first + i, seed=config.seed + i, solution=solution, seconds=share, trace=trace)
+        for i, (solution, trace) in enumerate(results)
     )
+
+
+def _batches(trials: int, workers: int) -> list[tuple[int, int]]:
+    """(first index, count) per batch: every trial in one, or one contiguous batch per worker."""
+    n = min(max(workers, 1), trials)
+    bounds = [trials * k // n for k in range(n + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
@@ -193,17 +202,18 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
         h = penalty_factors_all(problem) if spec.k2 else None
         for solver in spec.solver_names:
             jobs = [
-                (problem, solver, _solver_config(spec, solver, spec.base_seed + i), h, i, spec.base_seed + i)
-                for i in range(spec.trials)
+                (problem, solver, _solver_config(spec, solver, spec.base_seed + first), h, first, count)
+                for first, count in _batches(spec.trials, spec.workers)
             ]
             if spec.workers > 0:
                 # imported here: the pool module is a third of the package's import time
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                    trials = tuple(pool.map(_run_trial, jobs))
+                    batches = list(pool.map(_run_trial, jobs))
             else:
-                trials = tuple(_run_trial(job) for job in jobs)
+                batches = [_run_trial(job) for job in jobs]
+            trials = tuple(trial for batch in batches for trial in batch)
             reports.append(TrialReport(solver=solver, demand=demand, h=h, trials=trials))
     if spec.out_dir is not None:
         write_outputs(reports, Path(spec.out_dir))
@@ -258,12 +268,10 @@ def format_report(report: TrialReport) -> str:
     )
     lines.append("  -- timing (machine-dependent) --")
     secs = [t.seconds for t in report.trials]
+    lines.append(f"  batch wall clock (s): {sum(secs):.3f}, summed over batches")
     lines.append(
-        f"  wall clock (s): mean={mean(secs):.3f} min={min(secs):.3f} max={max(secs):.3f}"
+        f"  share per trial (s): mean={mean(secs):.4f} min={min(secs):.4f} max={max(secs):.4f}"
     )
-    rep = report.representative_trial
-    lines.append(f"  trial nearest mean time: #{rep.index} ({rep.seconds:.3f} s)")
-    lines += _solution_lines("its solution", rep.solution)
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,10 @@ default c1 = c2 = 2.05), not set on its own.  Every
 candidate position is clamped to the unit limits and projected onto the
 power balance before evaluation, so the objective never needs a penalty
 term for constraint violations.
+
+run_trials steps the swarms of several seeded trials as one set of rows:
+each trial draws from its own Generator and keeps its own gbest, so its
+result is bitwise that of a lone run with its seed.
 """
 
 from __future__ import annotations
@@ -66,15 +70,20 @@ class PsoConfig:
 
 @dataclass
 class PsoState:
-    """Swarm as struct-of-arrays; rows index particles, columns units."""
+    """The swarms of one or more trials as struct-of-arrays.
+
+    Rows index particles trial by trial (trial i owns the i-th block of
+    `particles` rows) and columns index units; each trial has its own gbest
+    and its own seeded Generator.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
     pbest_pos: np.ndarray
     pbest_obj: np.ndarray
-    gbest_pos: np.ndarray
-    gbest_obj: float
-    rng: np.random.Generator = field(repr=False)
+    gbest_pos: np.ndarray  # (trials, units)
+    gbest_obj: np.ndarray  # (trials,)
+    rngs: tuple[np.random.Generator, ...] = field(repr=False)
 
 
 def velocity_update(
@@ -93,22 +102,35 @@ def velocity_update(
     return cf * (w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
 
 
-def init_swarm(problem: DispatchProblem, config: PsoConfig, h: HLike = None) -> PsoState:
-    """Uniform random positions repaired onto the balance; zero velocities."""
-    rng = np.random.default_rng(config.seed)
+def _leaders(objs: np.ndarray, trials: int) -> np.ndarray:
+    """Row of each trial's lowest objective, the first one on ties."""
+    per_trial = objs.reshape(trials, -1)
+    return per_trial.argmin(axis=1) + per_trial.shape[1] * np.arange(trials)
+
+
+def init_swarm(
+    problem: DispatchProblem, config: PsoConfig, h: HLike = None, trials: int = 1
+) -> PsoState:
+    """Uniform random positions repaired onto the balance; zero velocities.
+
+    Trial i draws from its own Generator, seeded with config.seed + i.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rngs = tuple(np.random.default_rng(config.seed + i) for i in range(trials))
     lo, hi = problem.p_min_arr, problem.p_max_arr
-    positions = rng.uniform(lo, hi, size=(config.particles, problem.n_units))
-    positions = repair_batch(problem, positions)
+    shape = (config.particles, problem.n_units)
+    positions = repair_batch(problem, np.concatenate([rng.uniform(lo, hi, size=shape) for rng in rngs]))
     objs = combined_objective_batch(problem, positions, h)
-    best = int(np.argmin(objs))
+    leaders = _leaders(objs, trials)
     return PsoState(
         positions=positions,
         velocities=np.zeros_like(positions),
         pbest_pos=positions.copy(),
         pbest_obj=objs.copy(),
-        gbest_pos=positions[best].copy(),
-        gbest_obj=float(objs[best]),
-        rng=rng,
+        gbest_pos=positions[leaders],
+        gbest_obj=objs[leaders],
+        rngs=rngs,
     )
 
 
@@ -119,24 +141,27 @@ def step(
     h: HLike = None,
     iteration: int = 0,
 ) -> PsoState:
-    """Advance the swarm one iteration in place and return it."""
+    """Advance every trial's swarm one iteration in place and return the state."""
     lo, hi = problem.p_min_arr, problem.p_max_arr
     v_max = config.v_max_fraction * (hi - lo)
-    shape = state.positions.shape
-    r1 = state.rng.random(shape)
-    r2 = state.rng.random(shape)
+    trials = len(state.rngs)
+    grid = (trials, len(state.positions) // trials, problem.n_units)
+    # each trial draws its r1, then its r2, from its own Generator
+    r = np.empty((trials, 2, *grid[1:]))
+    for rng, draws in zip(state.rngs, r):
+        rng.random(out=draws)
     v = velocity_update(
-        state.velocities,
-        state.positions,
-        state.pbest_pos,
-        state.gbest_pos,
+        state.velocities.reshape(grid),
+        state.positions.reshape(grid),
+        state.pbest_pos.reshape(grid),
+        state.gbest_pos[:, None],
         config.inertia(iteration),
         config.constriction,
         config.c1,
         config.c2,
-        r1,
-        r2,
-    )
+        r[:, 0],
+        r[:, 1],
+    ).reshape(state.positions.shape)
     np.clip(v, -v_max, v_max, out=v)
     state.velocities = v
     x = np.clip(state.positions + v, lo, hi)
@@ -145,21 +170,34 @@ def step(
     improved = objs < state.pbest_obj
     state.pbest_obj = np.where(improved, objs, state.pbest_obj)
     state.pbest_pos = np.where(improved[:, None], state.positions, state.pbest_pos)
-    best = int(np.argmin(state.pbest_obj))
-    if state.pbest_obj[best] < state.gbest_obj:
-        state.gbest_obj = float(state.pbest_obj[best])
-        state.gbest_pos = state.pbest_pos[best].copy()
+    leaders = _leaders(state.pbest_obj, trials)
+    better = state.pbest_obj[leaders] < state.gbest_obj
+    if better.any():
+        state.gbest_obj = np.where(better, state.pbest_obj[leaders], state.gbest_obj)
+        state.gbest_pos = np.where(better[:, None], state.pbest_pos[leaders], state.gbest_pos)
     return state
+
+
+def run_trials(
+    problem: DispatchProblem, config: Optional[PsoConfig], h: HLike, trials: int
+) -> list[tuple[DispatchSolution, np.ndarray]]:
+    """PSO runs with seeds config.seed + i, stepped together as one swarm batch.
+
+    Entry i is the best dispatch and the per-iteration gbest trace of trial
+    i, bitwise equal to run() with seed config.seed + i: trials share no
+    draws and no rows, only the array calls.
+    """
+    config = config or PsoConfig()
+    state = init_swarm(problem, config, h, trials)
+    trace = np.empty((trials, config.iterations))
+    for t in range(config.iterations):
+        step(state, problem, config, h, t)
+        trace[:, t] = state.gbest_obj
+    return [(evaluate_dispatch(problem, best, h), tr) for best, tr in zip(state.gbest_pos, trace)]
 
 
 def run(
     problem: DispatchProblem, config: Optional[PsoConfig] = None, h: HLike = None
 ) -> tuple[DispatchSolution, np.ndarray]:
     """Full PSO run; returns the best dispatch and the per-iteration gbest trace."""
-    config = config or PsoConfig()
-    state = init_swarm(problem, config, h)
-    trace = np.empty(config.iterations)
-    for t in range(config.iterations):
-        step(state, problem, config, h, t)
-        trace[t] = state.gbest_obj
-    return evaluate_dispatch(problem, state.gbest_pos, h), trace
+    return run_trials(problem, config, h, 1)[0]

@@ -44,6 +44,19 @@ def test_solve_prints_report(tmp_path, capsys):
     assert "TC over trials" in out
 
 
+def test_solve_workers_print_the_serial_report(tmp_path, capsys):
+    path = write_problem(tmp_path)
+    sections = []
+    for workers in ("0", "2"):
+        code = main(["solve", "--problem", str(path), "--demand", "330", "--trials", "3",
+                     "--iterations", "20", "--workers", workers])
+        assert code == EXIT_OK
+        reports = capsys.readouterr().out.split("solver=")[1:]
+        assert len(reports) == 2  # pso and ga
+        sections.append([report.split("-- timing")[0] for report in reports])
+    assert sections[0] == sections[1]
+
+
 def test_solve_writes_outputs(tmp_path, capsys):
     path = write_problem(tmp_path)
     out_dir = tmp_path / "run"

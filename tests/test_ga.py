@@ -1,5 +1,7 @@
 """Genetic algorithm: decode endpoints, operator statistics, convergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,17 @@ from hypothesis import given, settings, strategies as st
 from ceed.model import BALANCE_TOL, balance_residual, check_limits
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
-from ceed.ga import GaConfig, _next_generation, crossover, decode, fitness_scale, mutate, roulette_select, run
+from ceed.ga import (
+    GaConfig,
+    _next_generation,
+    crossover,
+    decode,
+    fitness_scale,
+    mutate,
+    roulette_select,
+    run,
+    run_trials,
+)
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
 
@@ -172,6 +184,28 @@ def test_property_trace_never_rises(data):
     )
     _, trace = run(problem, config, penalty_factors_all(problem))
     assert np.all(np.diff(trace) <= 0.0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.data())
+def test_property_batched_trials_equal_lone_runs(data):
+    problem = data.draw(weighted_problems(max_units=4))
+    individuals = data.draw(st.integers(2, 6))
+    config = GaConfig(
+        individuals=individuals,
+        generations=data.draw(st.integers(0, 8)),
+        elitism=data.draw(st.integers(0, individuals - 1)),
+        seed=data.draw(st.integers(0, 2**32 - 8)),
+    )
+    trials = data.draw(st.integers(1, 4))
+    h = penalty_factors_all(problem)
+    batch = run_trials(problem, config, h, trials)
+    assert len(batch) == trials
+    for i, (solution, trace) in enumerate(batch):
+        lone, lone_trace = run(problem, replace(config, seed=config.seed + i), h)
+        assert solution.powers == lone.powers
+        assert solution.total_cost == lone.total_cost
+        assert trace.tobytes() == lone_trace.tobytes()
 
 
 def test_zero_generations_return_best_of_initial_population(rng):

@@ -151,7 +151,8 @@ def test_single_trial_report_is_that_trial(tmp_path):
     (report,) = run_experiment(quick_spec(path, trials=1))
     assert len(report.trials) == 1
     assert report.best_trial is report.trials[0]
-    assert report.representative_trial is report.trials[0]
+    # a batch of one: the trial's share is the whole batch wall time
+    assert f"batch wall clock (s): {report.trials[0].seconds:.3f}," in format_report(report)
 
 
 def test_experiment_is_deterministic_up_to_timing(tmp_path):
@@ -188,8 +189,13 @@ def test_parallel_trials_match_serial(tmp_path):
     path = write_problem(tmp_path)
     (serial,) = run_experiment(quick_spec(path))
     (parallel,) = run_experiment(quick_spec(path, workers=2))
+    # serial trials are one batch and share its wall time evenly
+    assert len({t.seconds for t in serial.trials}) == 1
+    assert [t.index for t in parallel.trials] == [0, 1, 2]
     for ts, tp in zip(serial.trials, parallel.trials):
+        assert ts.seed == tp.seed
         assert ts.solution.powers == tp.solution.powers
+        assert ts.trace.tobytes() == tp.trace.tobytes()
 
 
 def test_report_identities_hold(tmp_path):

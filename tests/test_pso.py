@@ -1,6 +1,7 @@
 """Particle swarm: determinism, feasibility of every iterate, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ceed.model import BALANCE_TOL, balance_residual, check_limits, combined_objective
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
-from ceed.pso import PsoConfig, init_swarm, run, step, velocity_update
+from ceed.pso import PsoConfig, init_swarm, run, run_trials, step, velocity_update
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
 
@@ -103,24 +104,28 @@ def test_every_iterate_stays_feasible(rng):
     problem = random_problem(rng, 5)
     h = penalty_factors_all(problem)
     cfg = small_config(iterations=40)
-    state = init_swarm(problem, cfg, h)
-    for t in range(cfg.iterations):
-        step(state, problem, cfg, h, t)
-        for p in state.positions:
-            assert check_limits(problem, p) == []
-            assert abs(balance_residual(problem, p)) <= BALANCE_TOL
+    for trials in (1, 3):
+        state = init_swarm(problem, cfg, h, trials)
+        assert state.positions.shape == (trials * cfg.particles, 5)
+        for t in range(cfg.iterations):
+            step(state, problem, cfg, h, t)
+            for p in state.positions:
+                assert check_limits(problem, p) == []
+                assert abs(balance_residual(problem, p)) <= BALANCE_TOL
 
 
 def test_gbest_never_worsens_within_a_run(rng):
     problem = random_problem(rng, 4)
     h = penalty_factors_all(problem)
     cfg = small_config(iterations=50)
-    state = init_swarm(problem, cfg, h)
-    last = state.gbest_obj
-    for t in range(cfg.iterations):
-        step(state, problem, cfg, h, t)
-        assert state.gbest_obj <= last + 1e-12
+    for trials in (1, 3):
+        state = init_swarm(problem, cfg, h, trials)
         last = state.gbest_obj
+        assert last.shape == (trials,)
+        for t in range(cfg.iterations):
+            step(state, problem, cfg, h, t)
+            assert np.all(state.gbest_obj <= last + 1e-12)
+            last = state.gbest_obj
 
 
 def test_run_trace_is_monotone_and_sized(rng):
@@ -140,8 +145,8 @@ def test_zero_iterations_return_best_of_initial_swarm(rng):
     assert trace.shape == (0,)
     assert solution.feasible
     initial = init_swarm(problem, small_config(iterations=0), h)
-    assert solution.powers == tuple(initial.gbest_pos)
-    assert initial.gbest_obj == initial.pbest_obj.min()
+    assert solution.powers == tuple(initial.gbest_pos[0])
+    assert initial.gbest_obj[0] == initial.pbest_obj.min()
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -155,6 +160,26 @@ def test_property_trace_never_rises(problem, particles, iterations, seed):
     config = PsoConfig(particles=particles, iterations=iterations, seed=seed)
     _, trace = run(problem, config, penalty_factors_all(problem))
     assert np.all(np.diff(trace) <= 0.0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    problem=weighted_problems(max_units=4),
+    trials=st.integers(1, 4),
+    particles=st.integers(1, 6),
+    iterations=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 8),
+)
+def test_property_batched_trials_equal_lone_runs(problem, trials, particles, iterations, seed):
+    config = PsoConfig(particles=particles, iterations=iterations, seed=seed)
+    h = penalty_factors_all(problem)
+    batch = run_trials(problem, config, h, trials)
+    assert len(batch) == trials
+    for i, (solution, trace) in enumerate(batch):
+        lone, lone_trace = run(problem, replace(config, seed=seed + i), h)
+        assert solution.powers == lone.powers
+        assert solution.total_cost == lone.total_cost
+        assert trace.tobytes() == lone_trace.tobytes()
 
 
 def test_run_is_deterministic(rng):
