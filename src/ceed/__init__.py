@@ -18,16 +18,11 @@ from .model import (
     LossMatrix,
     balance_residual,
     check_limits,
-    combined_objective,
-    emission_cost,
     evaluate_dispatch,
     fuel_cost_unit,
-    gas_emission,
-    total_fuel_cost,
     transmission_loss,
 )
 from .penalty import PenaltyFactors, UnitRatio, penalty_factor, penalty_factors_all, unit_ratios
-from .repair import repair_balance
 from .oracle import LambdaResult, grid_search, lambda_solve
 from .pso import PsoConfig
 from .ga import GaConfig
@@ -64,17 +59,12 @@ __all__ = [
     "load_problem",
     "run_experiment",
     "check_limits",
-    "combined_objective",
-    "emission_cost",
     "evaluate_dispatch",
     "fuel_cost_unit",
-    "gas_emission",
     "grid_search",
     "lambda_solve",
     "penalty_factor",
     "penalty_factors_all",
-    "repair_balance",
-    "total_fuel_cost",
     "transmission_loss",
     "unit_ratios",
 ]

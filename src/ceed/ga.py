@@ -53,7 +53,7 @@ class GaConfig:
 
 
 def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.ndarray:
-    """Map a bitstring (or a population of them) onto the unit power ranges.
+    """Map each bitstring, one per row, onto the unit power ranges.
 
     Gene i, read MSB first as an unsigned integer u, decodes to
     p_i = p_min + u * (p_max - p_min) / (2^bits - 1), hitting both interval
@@ -61,18 +61,12 @@ def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.n
     """
     n, width = problem.n_units, config.bits_per_gene
     arr = np.asarray(bits)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != n * width:
-        raise ValueError(
-            f"bitstring length {arr.shape[1]} does not match {n} units x {width} bits"
-        )
+    if arr.ndim != 2 or arr.shape[1] != n * width:
+        raise ValueError(f"bitstrings of shape {arr.shape} are not rows of {n} units x {width} bits")
     weights = 2.0 ** np.arange(width - 1, -1, -1)
     u = arr.reshape(arr.shape[0], n, width) @ weights
     lo, hi = problem.p_min_arr, problem.p_max_arr
-    powers = lo + u * (hi - lo) / (2.0**width - 1.0)
-    return powers[0] if single else powers
+    return lo + u * (hi - lo) / (2.0**width - 1.0)
 
 
 def fitness_scale(objectives: np.ndarray) -> np.ndarray:

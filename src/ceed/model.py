@@ -209,7 +209,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 HLike = Union[Mapping[Gas, float], "object", None]
 
 
-def _h_mapping(problem: DispatchProblem, h: HLike) -> Mapping[Gas, float]:
+def _prices(problem: DispatchProblem, h: HLike) -> np.ndarray:
+    """h_g per gas in `gases` order, $/kg, checked against the problem's gases and demand."""
     if h is None:
         raise ValueError("penalty factors are required when k2 = 1")
     demand = getattr(h, "demand", None)
@@ -222,7 +223,7 @@ def _h_mapping(problem: DispatchProblem, h: HLike) -> Mapping[Gas, float]:
     missing = [gas.value for gas in problem.gases if gas not in values]
     if missing:
         raise ValueError(f"penalty factors missing for: {', '.join(missing)}")
-    return values
+    return np.array([values[gas] for gas in problem.gases], dtype=float)
 
 
 def _as_power_vector(problem: DispatchProblem, powers: Sequence[float]) -> np.ndarray:
@@ -249,54 +250,19 @@ def curve_values(problem: DispatchProblem, powers: np.ndarray) -> np.ndarray:
     return a + b * p + c * p * p
 
 
-def _curve_totals(problem: DispatchProblem, powers: Sequence[float]) -> np.ndarray:
-    """System fuel cost, then each gas's system emission, at one power vector."""
-    return curve_values(problem, _as_power_vector(problem, powers)).sum(axis=-1)
-
-
-def _weights(problem: DispatchProblem, h: HLike) -> np.ndarray:
-    """(k1, k2 * h_g per gas): the weight of each curve in the scalarized objective."""
-    weights = np.zeros(1 + len(problem.gases))
-    weights[0] = problem.k1
-    if problem.k2:
-        values = _h_mapping(problem, h)
-        weights[1:] = [values[gas] for gas in problem.gases]
-    return weights
-
-
-def _priced(problem: DispatchProblem, emissions: Sequence[float], h: HLike) -> float:
-    """sum_g h_g * E_g for system emissions in `problem.gases` order, $/h."""
-    values = _h_mapping(problem, h)
-    return float(sum(values[gas] * e for gas, e in zip(problem.gases, emissions)))
-
-
-def total_fuel_cost(problem: DispatchProblem, powers: Sequence[float]) -> float:
-    """System fuel cost, $/h."""
-    return float(_curve_totals(problem, powers)[0])
-
-
-def gas_emission(problem: DispatchProblem, powers: Sequence[float], gas: Gas) -> float:
-    """System emission of one gas, kg/h."""
-    if gas not in problem.gases:
-        raise ValueError(f"problem does not track {gas.value}")
-    return float(_curve_totals(problem, powers)[1 + problem.gases.index(gas)])
-
-
 def transmission_loss(problem: DispatchProblem, powers: Sequence[float]) -> float:
     """Quadratic network loss p^T B p, MW; zero for a lossless problem."""
     p = _as_power_vector(problem, powers)
     return 0.0 if problem.losses is None else float(problem.losses.loss(p))
 
 
-def balance_residual_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
-    """sum(p) - demand - p'Bp of one power vector or of every row of P, MW."""
-    r = P.sum(axis=-1) - problem.demand
-    return r if problem.losses is None else r - problem.losses.loss(P)
-
-
-def balance_residual(problem: DispatchProblem, powers: Sequence[float]) -> float:
-    """sum(p) - demand - loss(p); zero when the power balance holds, MW."""
-    return float(balance_residual_batch(problem, _as_power_vector(problem, powers)))
+def balance_residual(problem: DispatchProblem, powers: np.ndarray) -> Union[float, np.ndarray]:
+    """sum(p) - demand - p'Bp of one power vector or of every row, MW; zero when balanced."""
+    p = np.asarray(powers, dtype=float)
+    if p.shape[-1:] != (problem.n_units,):
+        raise ValueError(f"expected {problem.n_units} power values per row, got shape {p.shape}")
+    r = p.sum(axis=-1) - problem.demand
+    return r if problem.losses is None else r - problem.losses.loss(p)
 
 
 def check_limits(
@@ -315,22 +281,6 @@ def check_limits(
         elif pi < unit.p_min:
             out.append((unit.id, float(pi - unit.p_min)))
     return out
-
-
-def emission_cost(problem: DispatchProblem, powers: Sequence[float], h: HLike) -> float:
-    """Penalty-weighted emission cost sum_g h_g * E_g, $/h."""
-    return _priced(problem, _curve_totals(problem, powers)[1:], h)
-
-
-def combined_objective(
-    problem: DispatchProblem, powers: Sequence[float], h: HLike = None
-) -> float:
-    """Scalarized objective k1 * fuel cost + k2 * penalty-weighted emission.
-
-    h may be omitted when k2 = 0; with k2 = 1 it must supply a factor for
-    every gas of the problem, computed at the problem's own demand.
-    """
-    return float(_weights(problem, h) @ _curve_totals(problem, powers))
 
 
 @dataclass(frozen=True)
@@ -360,17 +310,23 @@ class DispatchSolution:
 def evaluate_dispatch(
     problem: DispatchProblem, powers: Sequence[float], h: HLike = None
 ) -> DispatchSolution:
-    """Build the full solution record for a power vector."""
+    """The full solution record of one power vector, the package's one scalar evaluator.
+
+    emission_cost is sum_g h_g * E_g whenever h is given.  h may be omitted
+    only when k2 = 0, and the emission cost is then 0; otherwise it must
+    supply a factor for every gas, computed at the problem's own demand.
+    """
     p = _as_power_vector(problem, powers)
-    fc, *em = (float(v) for v in _curve_totals(problem, p))
-    ec = 0.0 if h is None and not problem.k2 else _priced(problem, em, h)
+    fc, *em = curve_values(problem, p).sum(axis=-1).tolist()
+    prices = [] if h is None and not problem.k2 else _prices(problem, h).tolist()
+    ec = float(sum(price * e for price, e in zip(prices, em)))
     return DispatchSolution(
-        powers=tuple(float(x) for x in p),
+        powers=tuple(p.tolist()),
         fuel_cost=fc,
         emissions=dict(zip(problem.gases, em)),
         emission_cost=ec,
         total_cost=problem.k1 * fc + problem.k2 * ec,
-        balance_residual=balance_residual(problem, p),
+        balance_residual=float(balance_residual(problem, p)),
         limit_violations=tuple(check_limits(problem, p)),
     )
 
@@ -383,10 +339,19 @@ def evaluate_dispatch(
 # bitwise; tests/test_model.py holds the two together by a property.
 
 
+def _weights(problem: DispatchProblem, h: HLike) -> np.ndarray:
+    """(k1, k2 * h_g per gas): the weight of each curve in the scalarized objective."""
+    weights = np.zeros(1 + len(problem.gases))
+    weights[0] = problem.k1
+    if problem.k2:
+        weights[1:] = _prices(problem, h)
+    return weights
+
+
 def combined_objective_batch(
     problem: DispatchProblem, P: np.ndarray, h: HLike = None
 ) -> np.ndarray:
-    """Scalarized objective of every row of P, $/h; h as in combined_objective."""
+    """k1 * fuel cost + k2 * sum_g h_g * E_g of every row of P, $/h; h as in evaluate_dispatch."""
     weights = _weights(problem, h)
     a, b, c = (weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1)
     return (a + P * (b + c * P)).sum(axis=1)

@@ -18,7 +18,7 @@ from .model import (
     DispatchSolution,
     HLike,
     InfeasibleError,
-    _h_mapping,
+    _prices,
     combined_objective_batch,
     evaluate_dispatch,
 )
@@ -38,41 +38,30 @@ class LambdaResult:
         return evaluate_dispatch(problem, self.powers, h)
 
 
-def _effective_coeffs(
-    problem: DispatchProblem, h: HLike, k1: int, k2: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _effective_coeffs(problem: DispatchProblem, h: HLike) -> tuple[np.ndarray, np.ndarray]:
     """Linear and quadratic coefficients of the scalarized per-unit objective."""
     _, b, c = problem.cost_arr
-    b_eff = k1 * b.copy()
-    c_eff = k1 * c.copy()
-    if k2:
-        values = _h_mapping(problem, h)
-        for gas in problem.gases:
+    b_eff = problem.k1 * b
+    c_eff = problem.k1 * c
+    if problem.k2:
+        for price, gas in zip(_prices(problem, h), problem.gases):
             _, beta, gamma = problem.emission_arr[gas]
-            b_eff += values[gas] * beta
-            c_eff += values[gas] * gamma
+            b_eff += price * beta
+            c_eff += price * gamma
     return b_eff, c_eff
 
 
-def lambda_solve(
-    problem: DispatchProblem,
-    h: HLike = None,
-    k1: Optional[int] = None,
-    k2: Optional[int] = None,
-    tol: float = LAMBDA_TOL,
-) -> LambdaResult:
+def lambda_solve(problem: DispatchProblem, h: HLike = None) -> LambdaResult:
     """Bisection on the system marginal cost for a lossless problem.
 
     Each unit follows p_i(lambda) = clamp((lambda - b_i) / (2 c_i)) with the
     scalarized coefficients, so total output is continuous and nondecreasing
-    in lambda and plain bisection closes the balance to tol MW.  Requires
+    in lambda and plain bisection closes the balance to LAMBDA_TOL MW.  Requires
     strictly positive effective quadratic coefficients.
     """
     if problem.losses is not None:
         raise ValueError("lambda_solve handles lossless problems only")
-    k1 = problem.k1 if k1 is None else k1
-    k2 = problem.k2 if k2 is None else k2
-    b_eff, c_eff = _effective_coeffs(problem, h, k1, k2)
+    b_eff, c_eff = _effective_coeffs(problem, h)
     if np.any(c_eff <= 0):
         bad = [problem.units[i].id for i in np.flatnonzero(c_eff <= 0)]
         raise ValueError(
@@ -89,7 +78,7 @@ def lambda_solve(
     lam_hi = float(np.max(b_eff + 2.0 * c_eff * hi_p))
     p = powers_at(lam_hi)
     residual = p.sum() - demand
-    if residual < -tol:
+    if residual < -LAMBDA_TOL:
         raise InfeasibleError(f"demand {demand} MW above reachable total {p.sum():g} MW")
     lam = lam_hi
     steps = 0
@@ -97,7 +86,7 @@ def lambda_solve(
         lam = 0.5 * (lam_lo + lam_hi)
         p = powers_at(lam)
         residual = p.sum() - demand
-        if abs(residual) <= tol:
+        if abs(residual) <= LAMBDA_TOL:
             break
         if residual > 0:
             lam_hi = lam

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BALANCE_TOL, DispatchProblem, InfeasibleError, balance_residual_batch
+from .model import BALANCE_TOL, DispatchProblem, InfeasibleError, balance_residual
 
 
 def _ray_start(problem: DispatchProblem, x: np.ndarray) -> np.ndarray:
@@ -32,9 +32,7 @@ def _ray_start(problem: DispatchProblem, x: np.ndarray) -> np.ndarray:
     return 2.0 * demand / (total + np.sqrt(np.maximum(total * total - 4.0 * demand * q, 0.0)))
 
 
-def repair_batch(
-    problem: DispatchProblem, P: np.ndarray, tol: float = BALANCE_TOL
-) -> np.ndarray:
+def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     """Rows of P clipped to the unit limits and scaled onto the power balance."""
     lo, hi = problem.p_min_arr, problem.p_max_arr
     b = None if problem.losses is None else problem.losses.b
@@ -43,8 +41,8 @@ def repair_batch(
         x = np.clip(np.asarray(P, dtype=float), lo, hi)
         s = _ray_start(problem, x)
         out = np.clip(s[:, None] * x, lo, hi)
-        r = balance_residual_batch(problem, out)
-        off = ~(np.abs(r) <= tol)
+        r = balance_residual(problem, out)
+        off = ~(np.abs(r) <= BALANCE_TOL)
         if not off.any():
             return out
         rows = np.flatnonzero(off)
@@ -69,8 +67,8 @@ def repair_batch(
                 s = np.where(stuck, _ray_start(problem, x), s)
                 below[stuck], above[stuck], restarted[stuck] = 0.0, np.inf, True
             p = np.clip(s[:, None] * x, lo, hi)
-            r = balance_residual_batch(problem, p)
-            done = np.abs(r) <= tol
+            r = balance_residual(problem, p)
+            done = np.abs(r) <= BALANCE_TOL
             if done.any():
                 out[rows[done]] = p[done]
                 if done.all():
@@ -82,9 +80,3 @@ def repair_batch(
         f"cannot close the power balance at demand {problem.demand:g} MW: residual {r[0]:.6g} MW"
     )
 
-
-def repair_balance(
-    problem: DispatchProblem, powers: np.ndarray, tol: float = BALANCE_TOL
-) -> np.ndarray:
-    """repair_batch on a single power vector."""
-    return repair_batch(problem, np.asarray(powers, dtype=float)[None, :], tol)[0]

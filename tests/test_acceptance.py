@@ -18,8 +18,7 @@ from ceed.model import (
     LossMatrix,
     balance_residual,
     check_limits,
-    combined_objective,
-    total_fuel_cost,
+    evaluate_dispatch,
     transmission_loss,
 )
 from ceed.oracle import grid_search, lambda_solve
@@ -227,7 +226,8 @@ def test_criterion_7_degenerate_suite():
         [make_unit(1, 20.0, 250.0), make_unit(2, 30.0, 300.0)], demand=330.0, k2=0
     )
     powers = [180.0, 150.0]
-    if combined_objective(cost_only, powers) != total_fuel_cost(cost_only, powers):
+    sol = evaluate_dispatch(cost_only, powers)
+    if sol.total_cost != sol.fuel_cost:
         failures.append("k2=0 objective is not pure fuel cost")
 
     # an all-zero loss matrix gives exactly zero loss

@@ -47,23 +47,24 @@ def test_config_rejects_narrow_genes_and_full_elitism():
 def test_decode_endpoints():
     problem = make_problem([make_unit(1, 50.0, 300.0), make_unit(2, 80.0, 200.0)], demand=400.0)
     cfg = GaConfig(bits_per_gene=8)
-    zeros = np.zeros(16, dtype=np.uint8)
-    ones = np.ones(16, dtype=np.uint8)
-    assert decode(zeros, problem, cfg) == pytest.approx([50.0, 80.0])
-    assert decode(ones, problem, cfg) == pytest.approx([300.0, 200.0])
+    powers = decode(np.array([[0] * 16, [1] * 16], dtype=np.uint8), problem, cfg)
+    assert powers.shape == (2, 2)
+    assert powers[0] == pytest.approx([50.0, 80.0])
+    assert powers[1] == pytest.approx([300.0, 200.0])
 
 
 def test_decode_interior_code_on_known_grid():
     # bits=4 on [0, 300]: code 0b0001 = 1 of 15 steps -> exactly 20.0
     problem = make_problem([make_unit(1, 0.0, 300.0)], demand=150.0)
     cfg = GaConfig(bits_per_gene=4)
-    assert decode(np.array([0, 0, 0, 1], dtype=np.uint8), problem, cfg) == pytest.approx([20.0])
+    assert decode(np.array([[0, 0, 0, 1]], dtype=np.uint8), problem, cfg)[0] == pytest.approx([20.0])
 
 
 def test_decode_rejects_length_mismatch():
     problem = make_problem([make_unit(1, 50.0, 300.0)], demand=100.0)
-    with pytest.raises(ValueError):
-        decode(np.zeros(7, dtype=np.uint8), problem, GaConfig(bits_per_gene=8))
+    for bits in (np.zeros((1, 7), dtype=np.uint8), np.zeros(8, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="rows of 1 units x 8 bits"):
+            decode(bits, problem, GaConfig(bits_per_gene=8))
 
 
 def test_fitness_scale_range_and_all_equal():

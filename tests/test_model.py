@@ -18,13 +18,9 @@ from ceed.model import (
     LossMatrix,
     balance_residual,
     check_limits,
-    combined_objective,
     combined_objective_batch,
-    emission_cost,
     evaluate_dispatch,
     fuel_cost_unit,
-    gas_emission,
-    total_fuel_cost,
     transmission_loss,
 )
 from ceed.penalty import PenaltyFactors, penalty_factors_all
@@ -42,16 +38,16 @@ def test_fuel_cost_unit_quadratic_value():
 
 def test_total_fuel_cost_single_unit_matches_unit_cost():
     unit = make_unit(1, 10.0, 200.0, cost=(5.0, 1.5, 0.01))
-    problem = make_problem([unit], demand=100.0)
-    assert total_fuel_cost(problem, [100.0]) == pytest.approx(
+    problem = make_problem([unit], demand=100.0, k2=0)
+    assert evaluate_dispatch(problem, [100.0]).fuel_cost == pytest.approx(
         fuel_cost_unit(unit, 100.0), abs=1e-12
     )
 
 
 def test_gas_emission_single_unit_value():
     unit = make_unit(1, 10.0, 200.0, nox=(10.0, 0.0, 0.01))
-    problem = make_problem([unit], demand=100.0)
-    assert gas_emission(problem, [100.0], Gas.NOX) == pytest.approx(110.0, abs=1e-12)
+    problem = make_problem([unit], demand=100.0, k2=0)
+    assert evaluate_dispatch(problem, [100.0]).emissions[Gas.NOX] == pytest.approx(110.0, abs=1e-12)
 
 
 def test_transmission_loss_single_unit():
@@ -94,19 +90,20 @@ def test_check_limits_signed_violations():
 
 def test_total_fuel_cost_is_sum_of_unit_costs(rng):
     for _ in range(25):
-        problem = random_problem(rng, int(rng.integers(1, 7)))
+        problem = random_problem(rng, int(rng.integers(1, 7)), k2=0)
         p = rng.uniform(problem.p_min_arr, problem.p_max_arr)
         expected = sum(fuel_cost_unit(u, pi) for u, pi in zip(problem.units, p))
-        assert total_fuel_cost(problem, p) == pytest.approx(expected, rel=1e-12)
+        assert evaluate_dispatch(problem, p).fuel_cost == pytest.approx(expected, rel=1e-12)
 
 
 def test_gas_emission_ignores_other_gas_coefficients(rng):
     base = make_unit(1, 10.0, 200.0, nox=(10.0, 0.2, 0.001), cox=(50.0, 2.0, 0.01))
     changed = make_unit(1, 10.0, 200.0, nox=(10.0, 0.2, 0.001), cox=(99.0, 7.0, 0.09))
-    p1 = make_problem([base], demand=100.0)
-    p2 = make_problem([changed], demand=100.0)
+    p1 = make_problem([base], demand=100.0, k2=0)
+    p2 = make_problem([changed], demand=100.0, k2=0)
     for p in rng.uniform(10.0, 200.0, size=10):
-        assert gas_emission(p1, [p], Gas.NOX) == gas_emission(p2, [p], Gas.NOX)
+        nox1 = evaluate_dispatch(p1, [p]).emissions[Gas.NOX]
+        assert nox1 == evaluate_dispatch(p2, [p]).emissions[Gas.NOX]
 
 
 def test_transmission_loss_nonnegative_for_psd_matrix(rng):
@@ -147,16 +144,23 @@ def test_combined_objective_with_k2_zero_ignores_h(rng):
     p = rng.uniform(problem.p_min_arr, problem.p_max_arr)
     h1 = PenaltyFactors({g: rng.uniform(0.1, 5.0) for g in problem.gases}, problem.demand)
     h2 = PenaltyFactors({g: rng.uniform(0.1, 5.0) for g in problem.gases}, problem.demand)
-    assert combined_objective(problem, p, h1) == combined_objective(problem, p, h2)
-    assert combined_objective(problem, p, None) == total_fuel_cost(problem, p)
+    batch = [combined_objective_batch(problem, p[None, :], h)[0] for h in (h1, h2, None)]
+    assert batch[0] == batch[1] == batch[2]
+    totals = [evaluate_dispatch(problem, p, h).total_cost for h in (h1, h2, None)]
+    assert totals[0] == totals[1] == totals[2] == evaluate_dispatch(problem, p).fuel_cost
 
 
 def test_emission_cost_is_weighted_sum(rng):
     problem = random_problem(rng, 4)
     p = rng.uniform(problem.p_min_arr, problem.p_max_arr)
     h = PenaltyFactors({g: rng.uniform(0.1, 6.0) for g in problem.gases}, problem.demand)
-    expected = sum(h[g] * gas_emission(problem, p, g) for g in problem.gases)
-    assert emission_cost(problem, p, h) == pytest.approx(expected, rel=1e-12)
+    # every unit's emission curves summed by hand, apart from the model's arrays
+    expected = 0.0
+    for g in problem.gases:
+        for unit, pi in zip(problem.units, p):
+            a, b, c = unit.emissions[g]
+            expected += h[g] * (a + b * pi + c * pi * pi)
+    assert evaluate_dispatch(problem, p, h).emission_cost == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_cost_identity_holds_by_construction(rng):
@@ -269,10 +273,16 @@ def test_penalty_factors_demand_mismatch_is_an_error(rng):
     h = PenaltyFactors({g: 1.0 for g in problem.gases}, demand=problem.demand + 50.0)
     p = problem.p_min_arr.copy()
     with pytest.raises(ValueError, match="demand"):
-        combined_objective(problem, p, h)
+        evaluate_dispatch(problem, p, h)
+    with pytest.raises(ValueError, match="demand"):
+        combined_objective_batch(problem, p[None, :], h)
 
 
 def test_dimension_mismatch_is_an_error(rng):
     problem = random_problem(rng, 3)
     with pytest.raises(ValueError, match="expected 3"):
-        total_fuel_cost(problem, [10.0, 20.0])
+        evaluate_dispatch(problem, [10.0, 20.0])
+    # balance_residual takes one vector or rows; either must be 3 wide
+    for bad in ([10.0, 20.0], np.zeros((4, 2)), np.zeros((2, 4))):
+        with pytest.raises(ValueError, match="expected 3"):
+            balance_residual(problem, bad)

@@ -7,9 +7,10 @@ random instances is the main correctness evidence for both.
 import numpy as np
 import pytest
 
-from ceed.model import Gas, combined_objective
+from ceed.model import Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
 from ceed.oracle import LAMBDA_TOL, grid_search, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
+from ceed.pso import PsoConfig, run_trials
 
 from conftest import make_problem, make_unit, random_problem
 
@@ -52,8 +53,6 @@ def test_lambda_solve_rejects_nonconvex_units():
 
 
 def test_lambda_solve_rejects_lossy_problems():
-    from ceed.model import LossMatrix
-
     problem = make_problem(
         [make_unit(1, 10.0, 200.0)], demand=99.0, losses=LossMatrix([[1e-4]]), k2=0
     )
@@ -68,7 +67,7 @@ def test_kkt_interior_units_share_incremental_cost(rng):
         res = lambda_solve(problem, h)
         from ceed.oracle import _effective_coeffs
 
-        b_eff, c_eff = _effective_coeffs(problem, h, problem.k1, problem.k2)
+        b_eff, c_eff = _effective_coeffs(problem, h)
         slack = 2.0 * LAMBDA_TOL * float(np.max(c_eff))
         for i, unit in enumerate(problem.units):
             p = res.powers[i]
@@ -93,6 +92,20 @@ def test_grid_search_refuses_large_problems(rng):
         grid_search(random_problem(rng, 2), resolution=0.0)
 
 
+def test_lossy_grid_search_matches_best_of_five_pso_trials(rng):
+    # the last unit closes p'Bp by a quadratic; B is PSD and loses about 1-3% of demand
+    for n in (2, 2, 3):
+        base = random_problem(rng, n)
+        m = rng.normal(size=(n, n))
+        problem = make_problem(base.units, base.demand, losses=LossMatrix(1e-4 * (m @ m.T) / n))
+        h = penalty_factors_all(problem)
+        grid = grid_search(problem, h, resolution=0.5)
+        assert grid.feasible
+        assert transmission_loss(problem, grid.powers) > 0.0
+        best = min(sol.total_cost for sol, _ in run_trials(problem, PsoConfig(seed=1), h, 5))
+        assert grid.total_cost == pytest.approx(best, rel=1e-3)
+
+
 def test_oracles_agree_on_random_instances(rng):
     resolution = 1.0
     for _ in range(30):
@@ -106,7 +119,7 @@ def test_oracles_agree_on_random_instances(rng):
             assert abs(a - g) <= step, f"lambda {lam.powers} vs grid {grid.powers}"
         # lambda closes the balance to 1e-6 MW, so the grid may undercut its
         # objective by about lambda * 1e-6
-        lam_obj = combined_objective(problem, lam.powers, h)
+        lam_obj = evaluate_dispatch(problem, lam.powers, h).total_cost
         assert grid.total_cost >= lam_obj - (abs(lam.lambda_) + 1.0) * 1e-5
 
 
@@ -115,5 +128,6 @@ def test_lambda_solution_record_matches_objective(rng):
     h = penalty_factors_all(problem)
     res = lambda_solve(problem, h)
     sol = res.solution(problem, h)
-    assert sol.total_cost == pytest.approx(combined_objective(problem, res.powers, h), rel=1e-12)
+    objective = combined_objective_batch(problem, np.array([res.powers]), h)[0]
+    assert sol.total_cost == pytest.approx(objective, rel=1e-12)
     assert sol.feasible

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ceed.model import BALANCE_TOL, balance_residual, check_limits, combined_objective
+from ceed.model import BALANCE_TOL, balance_residual, check_limits, evaluate_dispatch
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
 from ceed.pso import PsoConfig, init_swarm, run, run_trials, step, velocity_update
@@ -204,7 +204,7 @@ def test_single_unit_run_is_forced():
     h = penalty_factors_all(problem)
     solution, _ = run(problem, small_config(iterations=5), h)
     assert solution.powers[0] == pytest.approx(175.0, abs=BALANCE_TOL)
-    assert solution.total_cost == pytest.approx(combined_objective(problem, [175.0], h))
+    assert solution.total_cost == pytest.approx(evaluate_dispatch(problem, [175.0], h).total_cost)
 
 
 def test_two_unit_run_matches_lambda_oracle():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ceed.model import BALANCE_TOL, InfeasibleError, LossMatrix, balance_residual, check_limits
-from ceed.repair import repair_balance, repair_batch
+from ceed.repair import repair_batch
 
 from conftest import make_problem, make_unit, random_problem
 
@@ -20,32 +20,32 @@ def test_random_vectors_are_repaired(rng):
     for _ in range(30):
         problem = random_problem(rng, int(rng.integers(1, 7)))
         raw = rng.uniform(0.0, 2.0 * problem.p_max_arr, size=problem.n_units)
-        assert_repaired(problem, repair_balance(problem, raw))
+        assert_repaired(problem, repair_batch(problem, raw[None, :])[0])
 
 
 def test_single_unit_lands_exactly_on_demand():
     problem = make_problem([make_unit(1, 50.0, 300.0)], demand=120.0)
-    p = repair_balance(problem, np.array([291.3]))
+    p = repair_batch(problem, np.array([[291.3]]))[0]
     assert p[0] == pytest.approx(120.0, abs=BALANCE_TOL)
 
 
 def test_balanced_vector_passes_through(rng):
     problem = make_problem([make_unit(1, 50.0, 300.0), make_unit(2, 50.0, 300.0)], demand=400.0)
-    p = repair_balance(problem, np.array([250.0, 150.0]))
+    p = repair_batch(problem, np.array([[250.0, 150.0]]))[0]
     assert p == pytest.approx([250.0, 150.0], abs=1e-9)
 
 
 def test_demand_at_full_capacity_pins_every_unit():
     units = [make_unit(1, 10.0, 100.0), make_unit(2, 20.0, 150.0)]
     problem = make_problem(units, demand=250.0)
-    p = repair_balance(problem, np.array([15.0, 30.0]))
+    p = repair_batch(problem, np.array([[15.0, 30.0]]))[0]
     assert p == pytest.approx([100.0, 150.0], abs=BALANCE_TOL)
 
 
 def test_demand_at_minimum_pins_every_unit():
     units = [make_unit(1, 10.0, 100.0), make_unit(2, 20.0, 150.0)]
     problem = make_problem(units, demand=30.0)
-    p = repair_balance(problem, np.array([90.0, 140.0]))
+    p = repair_batch(problem, np.array([[90.0, 140.0]]))[0]
     assert p == pytest.approx([10.0, 20.0], abs=BALANCE_TOL)
 
 
@@ -53,7 +53,7 @@ def test_lossy_single_unit_covers_demand_plus_loss():
     problem = make_problem(
         [make_unit(1, 10.0, 200.0)], demand=99.0, losses=LossMatrix([[0.0001]])
     )
-    p = repair_balance(problem, np.array([42.0]))
+    p = repair_batch(problem, np.array([[42.0]]))[0]
     # p - 0.0001 p^2 = 99 has the physical root p = 100
     assert p[0] == pytest.approx(100.0, abs=1e-4)
     assert abs(balance_residual(problem, p)) <= BALANCE_TOL
@@ -67,14 +67,14 @@ def test_lossy_random_problems_close_the_balance(rng):
         losses = LossMatrix(1e-7 * (m @ m.T))
         lossy = make_problem(problem.units, problem.demand, losses=losses)
         raw = rng.uniform(lossy.p_min_arr, 2.0 * lossy.p_max_arr)
-        assert_repaired(lossy, repair_balance(lossy, raw))
+        assert_repaired(lossy, repair_batch(lossy, raw[None, :])[0])
 
 
 def test_repair_does_not_mutate_input(rng):
     problem = random_problem(rng, 3)
-    raw = rng.uniform(0.0, 2.0 * problem.p_max_arr, size=3)
+    raw = rng.uniform(0.0, 2.0 * problem.p_max_arr, size=(4, 3))
     before = raw.copy()
-    repair_balance(problem, raw)
+    repair_batch(problem, raw)
     assert np.array_equal(raw, before)
 
 
@@ -87,7 +87,6 @@ def test_rows_the_ray_cannot_move_still_close(raw, demand):
     problem = make_problem([make_unit(1, 0.0, 100.0), make_unit(2, 0.0, 200.0)], demand=demand)
     batch = repair_batch(problem, np.array([raw]))
     assert_repaired(problem, batch[0])
-    assert np.array_equal(repair_balance(problem, np.array(raw)), batch[0])
 
 
 def test_lossy_demand_beyond_net_capacity_raises():
