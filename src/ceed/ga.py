@@ -17,6 +17,7 @@ objective call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -57,22 +58,29 @@ def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.n
 
     Gene i, read MSB first as an unsigned integer u, decodes to
     p_i = p_min + u * (p_max - p_min) / (2^bits - 1), hitting both interval
-    endpoints exactly at the all-zero and all-one genes.
+    endpoints exactly at the all-zero and all-one genes.  Up to 53 bits u is
+    an exact integer, so the order in which its bits are summed is immaterial.
     """
     n, width = problem.n_units, config.bits_per_gene
     arr = np.asarray(bits)
     if arr.ndim != 2 or arr.shape[1] != n * width:
         raise ValueError(f"bitstrings of shape {arr.shape} are not rows of {n} units x {width} bits")
-    weights = 2.0 ** np.arange(width - 1, -1, -1)
-    u = arr.reshape(arr.shape[0], n, width) @ weights
+    u = arr.reshape(-1, width).dot(_gene_weights(width)).reshape(arr.shape[0], n)
     lo, hi = problem.p_min_arr, problem.p_max_arr
     return lo + u * (hi - lo) / (2.0**width - 1.0)
 
 
+@lru_cache(maxsize=8)
+def _gene_weights(width: int) -> np.ndarray:
+    """Place values 2^(width-1) ... 1 of a gene's bits, MSB first (read-only, shared)."""
+    weights = 2.0 ** np.arange(width - 1, -1, -1)
+    weights.flags.writeable = False
+    return weights
+
+
 def fitness_scale(objectives: np.ndarray) -> np.ndarray:
     """(worst - obj) / (worst - best) within a generation; all-equal -> all 1."""
-    worst = float(np.max(objectives))
-    best = float(np.min(objectives))
+    worst, best = objectives.max(), objectives.min()
     if worst == best:
         return np.ones_like(objectives)
     return (worst - objectives) / (worst - best)
@@ -80,11 +88,12 @@ def fitness_scale(objectives: np.ndarray) -> np.ndarray:
 
 def roulette_select(fitness: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     """n indices, each drawn with probability fitness / sum(fitness); all-zero -> uniform."""
-    total = float(fitness.sum())
+    total = fitness.sum()
     if total <= 0.0:
         return rng.integers(len(fitness), size=n)
     spins = rng.random(n) * total
-    return np.searchsorted(np.cumsum(fitness), spins, side="right").clip(max=len(fitness) - 1)
+    picks = fitness.cumsum().searchsorted(spins, side="right")
+    return np.minimum(picks, len(fitness) - 1, out=picks)
 
 
 def crossover(
@@ -172,7 +181,7 @@ def _next_generation(
     config: GaConfig,
 ) -> np.ndarray:
     n, length = population.shape
-    elites = population[np.argsort(objectives, kind="stable")[: config.elitism]]
+    elites = population[objectives.argsort(kind="stable")[: config.elitism]]
     needed = n - config.elitism
     # the wheel is spun once per population slot, then the pool is shuffled
     # and consumed in sequential pairs; a pair past its end wraps round

@@ -188,6 +188,11 @@ class DispatchProblem:
         curves += [[u.emissions[gas] for u in self.units] for gas in self.gases]
         return _frozen(np.array(curves, dtype=float).swapaxes(1, 2).copy())
 
+    @cached_property
+    def _folds(self) -> dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """combined_objective_batch's memo: the last price key and its folded (a, b, c)."""
+        return {}
+
     @property
     def cost_arr(self) -> np.ndarray:
         """Shape (3, N): rows a, b, c; a view of coeff_stack."""
@@ -209,6 +214,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 HLike = Union[Mapping[Gas, float], "object", None]
 
 
+def _price_map(h: HLike) -> Mapping[Gas, float]:
+    """The gas -> $/kg mapping of a plain mapping or of a penalty-factor object."""
+    return h if isinstance(h, Mapping) else getattr(h, "values", h)
+
+
 def _prices(problem: DispatchProblem, h: HLike) -> np.ndarray:
     """h_g per gas in `gases` order, $/kg, checked against the problem's gases and demand."""
     if h is None:
@@ -219,7 +229,7 @@ def _prices(problem: DispatchProblem, h: HLike) -> np.ndarray:
             f"penalty factors were computed for demand {demand} MW, "
             f"problem demand is {problem.demand} MW"
         )
-    values = getattr(h, "values", h)
+    values = _price_map(h)
     missing = [gas.value for gas in problem.gases if gas not in values]
     if missing:
         raise ValueError(f"penalty factors missing for: {', '.join(missing)}")
@@ -274,13 +284,9 @@ def check_limits(
     their limits do not appear.
     """
     p = _as_power_vector(problem, powers)
-    out = []
-    for unit, pi in zip(problem.units, p):
-        if pi > unit.p_max:
-            out.append((unit.id, float(pi - unit.p_max)))
-        elif pi < unit.p_min:
-            out.append((unit.id, float(pi - unit.p_min)))
-    return out
+    # p less its clamp is p - p_max above, p - p_min below, 0 inside; NaN is neither
+    past = p - np.minimum(np.maximum(p, problem.p_min_arr), problem.p_max_arr)
+    return [(unit.id, v) for unit, v in zip(problem.units, past.tolist()) if v > 0 or v < 0]
 
 
 @dataclass(frozen=True)
@@ -334,24 +340,51 @@ def evaluate_dispatch(
 # --- batch objective used by the population solvers -------------------------
 # Rows of P are candidate power vectors.  The weights k1 and k2 * h_g fold
 # the cost and emission curves into one quadratic per unit, so a call costs
-# one Horner evaluation whatever the number of gases.  Summed in another
-# order than evaluate_dispatch, it agrees with total_cost to rounding, not
-# bitwise; tests/test_model.py holds the two together by a property.
+# one Horner evaluation whatever the number of gases.  The fold depends only
+# on the problem and on h's values, so it is computed once per (problem, h)
+# and kept on the problem, keyed by h's demand and its prices in `gases`
+# order: a different h, or a mapping changed in place, never reads a stale
+# fold.  Summed in another order than evaluate_dispatch, the objective agrees
+# with total_cost to rounding, not bitwise; tests/test_model.py holds the two
+# together by a property.
 
 
-def _weights(problem: DispatchProblem, h: HLike) -> np.ndarray:
-    """(k1, k2 * h_g per gas): the weight of each curve in the scalarized objective."""
-    weights = np.zeros(1 + len(problem.gases))
-    weights[0] = problem.k1
-    if problem.k2:
-        weights[1:] = _prices(problem, h)
-    return weights
+def _price_key(problem: DispatchProblem, h: HLike) -> tuple:
+    """h by value: its demand (None for a plain mapping) and its prices in `gases` order."""
+    if not problem.k2:
+        return ()
+    values = _price_map(h)
+    try:
+        return (getattr(h, "demand", None), *[values[gas] for gas in problem.gases])
+    except (KeyError, TypeError):
+        _prices(problem, h)  # raises the ValueError that names the fault
+        raise
+
+
+def _fold(problem: DispatchProblem, h: HLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-unit (a, b, c) of k1 * cost + k2 * sum_g h_g * emission_g, memoized on the problem."""
+    key = _price_key(problem, h)
+    folds = problem._folds
+    fold = folds.get(key)
+    if fold is None:
+        weights = np.zeros(1 + len(problem.gases))
+        weights[0] = problem.k1
+        if problem.k2:
+            weights[1:] = _prices(problem, h)
+        a, b, c = _frozen((weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1))
+        # one entry: a run uses one h, and a sweep over prices must not grow the memo
+        folds.clear()
+        fold = folds[key] = (a, b, c)
+    return fold
 
 
 def combined_objective_batch(
     problem: DispatchProblem, P: np.ndarray, h: HLike = None
 ) -> np.ndarray:
-    """k1 * fuel cost + k2 * sum_g h_g * E_g of every row of P, $/h; h as in evaluate_dispatch."""
-    weights = _weights(problem, h)
-    a, b, c = (weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1)
+    """k1 * fuel cost + k2 * sum_g h_g * E_g of every row of P, $/h; h as in evaluate_dispatch.
+
+    The per-unit quadratic that h folds into is computed once per (problem,
+    h) and memoized on the problem, keyed by h's demand and prices.
+    """
+    a, b, c = _fold(problem, h)
     return (a + P * (b + c * P)).sum(axis=1)

@@ -9,7 +9,6 @@ shares any search machinery with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -130,8 +129,7 @@ def grid_search(
     if problem.losses is None:
         closing = problem.demand - mesh.sum(axis=1)
     else:
-        raw = (_close_balance(problem, row) for row in mesh)
-        closing = np.array([np.nan if r is None else r for r in raw], dtype=float)
+        closing = _close_balance(problem, mesh)
     feasible = (closing >= lo[-1] - slack) & (closing <= hi[-1] + slack)
     if not feasible.any():
         raise InfeasibleError("no grid candidate satisfies balance within limits")
@@ -142,20 +140,25 @@ def grid_search(
     return evaluate_dispatch(problem, candidates[int(np.argmin(objs))], h)
 
 
-def _close_balance(problem: DispatchProblem, leading: np.ndarray) -> Optional[float]:
-    """Power of the last unit that balances a lossy system (a quadratic in it), or None."""
+def _close_balance(problem: DispatchProblem, leading: np.ndarray) -> np.ndarray:
+    """Per row of leading powers, the last unit's power that balances a lossy system.
+
+    The balance is a quadratic ca x^2 + cb x + cc = 0 in that power x; ca,
+    the last diagonal B term, is the same for every row.  When |ca| < 1e-15
+    the linear root is returned; otherwise the smaller nonnegative root, or
+    NaN where the discriminant is negative or no root is nonnegative.
+    """
     b = problem.losses.b
     k = problem.n_units - 1
-    lead_loss = float(leading @ b[:k, :k] @ leading) if k else 0.0
+    lead_loss = ((leading @ b[:k, :k]) * leading).sum(axis=1)
     ca = float(b[k, k])
-    cb = 2.0 * float(b[k, :k] @ leading) - 1.0 if k else -1.0
-    cc = problem.demand + lead_loss - float(leading.sum())
-    if abs(ca) < 1e-15:
-        return -cc / cb
-    disc = cb * cb - 4.0 * ca * cc
-    if disc < 0:
-        return None
-    roots = ((-cb - np.sqrt(disc)) / (2 * ca), (-cb + np.sqrt(disc)) / (2 * ca))
+    cb = 2.0 * (leading @ b[k, :k]) - 1.0
+    cc = problem.demand + lead_loss - leading.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(ca) < 1e-15:
+            return -cc / cb
+        root = np.sqrt(cb * cb - 4.0 * ca * cc)  # NaN where the discriminant is negative
+        low, high = (-cb - root) / (2.0 * ca), (-cb + root) / (2.0 * ca)
+        low, high = np.minimum(low, high), np.maximum(low, high)
     # the physical branch is the smaller nonnegative injection
-    candidates = [r for r in roots if r >= 0]
-    return min(candidates) if candidates else None
+    return np.where(low >= 0, low, np.where(high >= 0, high, np.nan))

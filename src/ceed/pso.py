@@ -162,9 +162,11 @@ def step(
         r[:, 0],
         r[:, 1],
     ).reshape(state.positions.shape)
-    np.clip(v, -v_max, v_max, out=v)
+    # v and x are fresh arrays, so each clamp can write in place
+    np.minimum(np.maximum(v, -v_max, out=v), v_max, out=v)
     state.velocities = v
-    x = np.clip(state.positions + v, lo, hi)
+    x = state.positions + v
+    np.minimum(np.maximum(x, lo, out=x), hi, out=x)
     state.positions = repair_batch(problem, x)
     objs = combined_objective_batch(problem, state.positions, h)
     improved = objs < state.pbest_obj

@@ -38,14 +38,17 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     b = None if problem.losses is None else problem.losses.b
     # a row the ray cannot move yields inf or NaN here, which the restart handles
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = np.clip(np.asarray(P, dtype=float), lo, hi)
+        # each clamp writes in place on a fresh array, never on the caller's P
+        x = np.maximum(np.asarray(P, dtype=float), lo)
+        np.minimum(x, hi, out=x)
         s = _ray_start(problem, x)
-        out = np.clip(s[:, None] * x, lo, hi)
+        out = s[:, None] * x
+        np.minimum(np.maximum(out, lo, out=out), hi, out=out)
         r = balance_residual(problem, out)
-        off = ~(np.abs(r) <= BALANCE_TOL)
-        if not off.any():
+        settled = np.abs(r) <= BALANCE_TOL
+        if settled.all():
             return out
-        rows = np.flatnonzero(off)
+        (rows,) = (~settled).nonzero()
         x, s, p, r = x[rows], s[rows], out[rows], r[rows]
         # h rises with S, so the scales tried bracket the root; a Newton step
         # that leaves the bracket is replaced by bisection.  Lossless, each of
@@ -58,15 +61,16 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             t = s - r / np.where(p == s[:, None] * x, gain, 0.0).sum(axis=1)
             inside = (t > below) & (t < above)
             s = t if inside.all() else np.where(inside, t, 0.5 * (below + above))
-            stuck = ~np.isfinite(s)
-            if stuck.any():
+            if not np.isfinite(s).all():
+                stuck = ~np.isfinite(s)
                 if (stuck & restarted).any():
                     r = r[stuck & restarted]
                     break
                 x[stuck] = 0.5 * (lo + hi)
                 s = np.where(stuck, _ray_start(problem, x), s)
                 below[stuck], above[stuck], restarted[stuck] = 0.0, np.inf, True
-            p = np.clip(s[:, None] * x, lo, hi)
+            p = s[:, None] * x
+            np.minimum(np.maximum(p, lo, out=p), hi, out=p)
             r = balance_residual(problem, p)
             done = np.abs(r) <= BALANCE_TOL
             if done.any():

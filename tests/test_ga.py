@@ -60,6 +60,22 @@ def test_decode_interior_code_on_known_grid():
     assert decode(np.array([[0, 0, 0, 1]], dtype=np.uint8), problem, cfg)[0] == pytest.approx([20.0])
 
 
+def test_decode_matches_the_formula_across_problems_and_widths(rng):
+    # decode keeps one weight vector per gene width; alternating problems and
+    # widths must still give p_min + u * (p_max - p_min) / (2^w - 1) per gene
+    problems = [random_problem(rng, 3), random_problem(rng, 5)]
+    for _ in range(3):
+        for problem in problems:
+            for width in (8, 16):
+                bits = rng.integers(0, 2, size=(4, problem.n_units * width), dtype=np.uint8)
+                powers = decode(bits, problem, GaConfig(bits_per_gene=width))
+                for row, decoded in zip(bits.tolist(), powers.tolist()):
+                    for i, unit in enumerate(problem.units):
+                        u = int("".join(map(str, row[i * width : (i + 1) * width])), 2)
+                        span = unit.p_max - unit.p_min
+                        assert decoded[i] == unit.p_min + u * span / (2.0**width - 1.0)
+
+
 def test_decode_rejects_length_mismatch():
     problem = make_problem([make_unit(1, 50.0, 300.0)], demand=100.0)
     for bits in (np.zeros((1, 7), dtype=np.uint8), np.zeros(8, dtype=np.uint8)):

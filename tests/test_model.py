@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ceed.harness import load_problem
 from ceed.model import (
     BALANCE_TOL,
     DispatchProblem,
@@ -83,6 +84,28 @@ def test_check_limits_signed_violations():
     problem = make_problem(units, demand=500.0)
     assert check_limits(problem, [40.0, 580.0]) == [(1, pytest.approx(-10.0)), (3, pytest.approx(4.0))]
     assert check_limits(problem, [60.0, 500.0]) == []
+
+
+def test_check_limits_matches_the_unit_loop(rng):
+    # the per-unit loop that check_limits replaced, kept as its reference
+    def loop(problem, p):
+        out = []
+        for unit, pi in zip(problem.units, p):
+            if pi > unit.p_max:
+                out.append((unit.id, float(pi - unit.p_max)))
+            elif pi < unit.p_min:
+                out.append((unit.id, float(pi - unit.p_min)))
+        return out
+
+    for _ in range(50):
+        problem = random_problem(rng, int(rng.integers(1, 8)))
+        lo, hi = problem.p_min_arr, problem.p_max_arr
+        # a mix of units inside, outside, exactly on either limit and NaN
+        pick = rng.integers(0, 4, problem.n_units)
+        p = np.select([pick == 1, pick == 2, pick == 3], [lo, hi, np.nan], rng.uniform(lo - 30, hi + 30))
+        got = check_limits(problem, p)
+        assert got == loop(problem, p)
+        assert all(type(v) is float for _, v in got)
 
 
 # --- structural properties --------------------------------------------------
@@ -192,6 +215,39 @@ def test_property_batch_objective_matches_evaluate_dispatch(problem, rows, seed)
     batch = combined_objective_batch(problem, P, h)
     for i in range(rows):
         assert batch[i] == pytest.approx(evaluate_dispatch(problem, P[i], h).total_cost, rel=1e-12)
+
+
+def test_objective_fold_never_goes_stale(six_unit_path):
+    # the fold of h into one quadratic per unit is memoized on the problem;
+    # every call must equal the same call on a freshly loaded problem
+    problem = load_problem(six_unit_path, 1500.0)
+    rows = np.random.default_rng(7).uniform(problem.p_min_arr, problem.p_max_arr, (5, problem.n_units))
+    h1 = penalty_factors_all(problem)
+    h2 = PenaltyFactors({g: 2.0 * v for g, v in h1.values.items()}, problem.demand)
+    plain = dict(h1.values)
+
+    def check(h):
+        got = combined_objective_batch(problem, rows, h)
+        assert np.array_equal(got, combined_objective_batch(load_problem(six_unit_path, 1500.0), rows, h))
+        return got
+
+    first = check(h1)
+    assert not np.array_equal(check(h2), first)
+    assert np.array_equal(check(h1), first)
+    assert np.array_equal(check(plain), first)
+    plain[Gas.SOX] *= 3.0
+    assert not np.array_equal(check(plain), first)
+    plain[Gas.SOX] = h1[Gas.SOX]
+    assert np.array_equal(check(plain), first)
+    # a plain mapping serves the scalar evaluator too
+    assert evaluate_dispatch(problem, rows[0], plain) == evaluate_dispatch(problem, rows[0], h1)
+    # a memoized fold never stands in for the checks on h
+    with pytest.raises(ValueError, match="demand"):
+        combined_objective_batch(problem, rows, PenaltyFactors(h1.values, 2000.0))
+    with pytest.raises(ValueError, match="missing"):
+        combined_objective_batch(problem, rows, {Gas.NOX: 1.0})
+    with pytest.raises(ValueError, match="required"):
+        combined_objective_batch(problem, rows, None)
 
 
 # --- validation at construction ---------------------------------------------

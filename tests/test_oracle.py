@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ceed.model import Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
-from ceed.oracle import LAMBDA_TOL, grid_search, lambda_solve
+from ceed.oracle import LAMBDA_TOL, _close_balance, grid_search, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.pso import PsoConfig, run_trials
 
@@ -104,6 +104,28 @@ def test_lossy_grid_search_matches_best_of_five_pso_trials(rng):
         assert transmission_loss(problem, grid.powers) > 0.0
         best = min(sol.total_cost for sol, _ in run_trials(problem, PsoConfig(seed=1), h, 5))
         assert grid.total_cost == pytest.approx(best, rel=1e-3)
+
+
+def test_close_balance_branches_on_hand_made_rows():
+    # two units at 300 MW: the last unit's power x solves ca x^2 + cb x + cc = 0
+    # with ca = B11, cb = 2 B01 l - 1, cc = 300 + B00 l^2 - l for a first unit at l
+    def closing(b, leading):
+        problem = make_problem(
+            [make_unit(1, 0.0, 1000.0), make_unit(2, 0.0, 1000.0)], demand=300.0, losses=LossMatrix(b)
+        )
+        return _close_balance(problem, np.array(leading)[:, None])
+
+    # |B11| < 1e-15: linear, x = -cc / cb = 210 / 0.9
+    assert closing([[1e-3, 5e-4], [5e-4, 0.0]], [100.0]) == pytest.approx([210.0 / 0.9], rel=1e-12)
+    got = closing([[0.0, 1e-3], [1e-3, 1e-3]], [0.0, 250.0, 400.0])
+    # l = 0: discriminant 1 - 1.2 < 0
+    assert np.isnan(got[0])
+    # l = 250: roots (0.5 -+ sqrt(0.05)) / 0.002, both nonnegative; the smaller one
+    assert got[1] == pytest.approx((0.5 - np.sqrt(0.05)) / 0.002, rel=1e-12)
+    # l = 400: roots (0.2 -+ sqrt(0.44)) / 0.002, only the larger one nonnegative
+    assert got[2] == pytest.approx((0.2 + np.sqrt(0.44)) / 0.002, rel=1e-12)
+    # l = 600 with cb = 1.4 and cc = 60: both roots negative
+    assert np.isnan(closing([[1e-3, 2e-3], [2e-3, 1e-6]], [600.0])).all()
 
 
 def test_oracles_agree_on_random_instances(rng):
