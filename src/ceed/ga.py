@@ -1,8 +1,8 @@
 """Binary-coded genetic algorithm: roulette selection, one-point crossover, bit flips.
 
 Each unit's power is a gene of `bits_per_gene` bits decoded onto
-[p_min, p_max], so the limit constraint holds by construction; the decoded
-vector is balance-repaired before evaluation.  Fitness rescales objectives
+[p_min, p_max] up to rounding; the decoded vector is clamped to the limits
+and balance-repaired before evaluation.  Fitness rescales objectives
 into [0, 1] within each generation, the best individual always at 1.
 
 The operators act on a whole population at once, so one generation is a
@@ -57,9 +57,11 @@ def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.n
     """Map each bitstring, one per row, onto the unit power ranges.
 
     Gene i, read MSB first as an unsigned integer u, decodes to
-    p_i = p_min + u * (p_max - p_min) / (2^bits - 1), hitting both interval
-    endpoints exactly at the all-zero and all-one genes.  Up to 53 bits u is
-    an exact integer, so the order in which its bits are summed is immaterial.
+    p_i = p_min + u * (p_max - p_min) / (2^bits - 1).  The all-zero gene
+    gives p_min exactly; the all-one gene gives p_max only up to rounding
+    and may land an ulp above it, which repair_batch clamps away before any
+    row is evaluated.  Up to 53 bits u is an exact integer, so the order in
+    which its bits are summed is immaterial.
     """
     n, width = problem.n_units, config.bits_per_gene
     arr = np.asarray(bits)

@@ -56,16 +56,27 @@ def load_problem(
     except json.JSONDecodeError as exc:
         raise DispatchError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
-    if "units" not in raw or not raw["units"]:
+    if not isinstance(raw, dict):
+        raise DispatchError(f"{path}: a problem file must hold a JSON object")
+    entries = raw.get("units")
+    if not entries:
         raise DispatchError(f"{path}: problem file defines no units")
+    if not isinstance(entries, list):
+        raise DispatchError(f"{path}: 'units' must be a list of unit objects")
+    names = raw.get("gases", [g.value for g in ALL_GASES])
+    if not isinstance(names, list):
+        raise DispatchError(f"{path}: 'gases' must be a list of gas names")
     try:
-        gases = tuple(Gas(g) for g in raw.get("gases", [g.value for g in ALL_GASES]))
+        gases = tuple(Gas(g) for g in names)
     except ValueError as exc:
         raise DispatchError(f"{path}: unknown gas in 'gases': {exc}") from exc
 
     units = []
-    for idx, entry in enumerate(raw["units"]):
+    for idx, entry in enumerate(entries, start=1):
+        where = f"{path}: unit #{idx}"
         try:
+            if not isinstance(entry, dict) or not isinstance(entry["emissions"], dict):
+                raise DispatchError(f"{where}: a unit and its 'emissions' must be JSON objects")
             units.append(
                 GeneratorUnit(
                     id=int(entry["id"]),
@@ -79,17 +90,23 @@ def load_problem(
                 )
             )
         except KeyError as exc:
-            raise DispatchError(f"{path}: unit #{idx + 1} is missing field {exc}") from exc
-
-    losses = None if raw.get("b_matrix") is None else LossMatrix(raw["b_matrix"])
+            raise DispatchError(f"{where} is missing field {exc}") from exc
+        except TypeError as exc:
+            # a null limit, or a number where a list of coefficients belongs
+            raise DispatchError(f"{where}: {exc}") from exc
 
     if demand is None:
         demand = raw.get("demand")
     if demand is None:
         raise DispatchError(f"{path}: no demand in file and none supplied")
+    try:
+        losses = None if raw.get("b_matrix") is None else LossMatrix(raw["b_matrix"])
+        demand = float(demand)
+    except TypeError as exc:
+        raise DispatchError(f"{path}: 'b_matrix' and 'demand' must hold numbers: {exc}") from exc
     return DispatchProblem(
         units=tuple(units),
-        demand=float(demand),
+        demand=demand,
         gases=gases,
         losses=losses,
         k1=k1,
@@ -124,6 +141,12 @@ class ExperimentSpec:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.solver not in (*SOLVER_NAMES, "both"):
             raise ValueError(f"solver must be pso, ga or both, got {self.solver!r}")
+        for config in (self.pso_config, self.ga_config):
+            if config is not None and config.seed != 0:
+                raise ValueError(
+                    f"solver configs must leave seed at 0, got {config.seed}; "
+                    "trial i runs with base_seed + i, so set base_seed"
+                )
 
     @property
     def solver_names(self) -> tuple[str, ...]:

@@ -14,9 +14,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .penalty import PenaltyFactors
 
 # Tolerance (MW) below which a power-balance residual counts as satisfied.
 BALANCE_TOL = 1e-6
@@ -190,7 +193,7 @@ class DispatchProblem:
 
     @cached_property
     def _folds(self) -> dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """combined_objective_batch's memo: the last price key and its folded (a, b, c)."""
+        """combined_objective_batch's memo: the last prices and their folded (a, b, c)."""
         return {}
 
     @property
@@ -210,30 +213,39 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 # Penalty factors are produced by ceed.penalty; the objective only needs a
-# gas -> $/kg mapping, so accept either that object or a plain dict.
-HLike = Union[Mapping[Gas, float], "object", None]
+# gas -> $/kg lookup (and the demand, when h carries one), so a plain dict
+# serves too.  _prices is the one reader of h.
+HLike = Union[Mapping[Gas, float], "PenaltyFactors", None]
 
 
-def _price_map(h: HLike) -> Mapping[Gas, float]:
-    """The gas -> $/kg mapping of a plain mapping or of a penalty-factor object."""
-    return h if isinstance(h, Mapping) else getattr(h, "values", h)
+def _check_prices(prices: Mapping[Gas, float]) -> None:
+    """Reject any penalty price that is not finite and > 0, naming its gas."""
+    for gas, price in prices.items():
+        if not 0.0 < price < math.inf:
+            raise ValueError(f"penalty factor for {gas.value} must be > 0 and finite, got {price}")
 
 
-def _prices(problem: DispatchProblem, h: HLike) -> np.ndarray:
-    """h_g per gas in `gases` order, $/kg, checked against the problem's gases and demand."""
+def _prices(problem: DispatchProblem, h: HLike) -> tuple[float, ...]:
+    """h_g per gas in `gases` order, $/kg, checked against the problem's gases and demand.
+
+    Without h the prices are empty, which only k2 = 0 allows.
+    """
     if h is None:
-        raise ValueError("penalty factors are required when k2 = 1")
+        if problem.k2:
+            raise ValueError("penalty factors are required when k2 = 1")
+        return ()
     demand = getattr(h, "demand", None)
     if demand is not None and not math.isclose(demand, problem.demand, rel_tol=0, abs_tol=1e-9):
         raise ValueError(
             f"penalty factors were computed for demand {demand} MW, "
             f"problem demand is {problem.demand} MW"
         )
-    values = _price_map(h)
-    missing = [gas.value for gas in problem.gases if gas not in values]
-    if missing:
-        raise ValueError(f"penalty factors missing for: {', '.join(missing)}")
-    return np.array([values[gas] for gas in problem.gases], dtype=float)
+    try:
+        prices = {gas: float(h[gas]) for gas in problem.gases}
+    except KeyError as exc:
+        raise ValueError(f"penalty factor missing for {exc.args[0]}") from None
+    _check_prices(prices)
+    return tuple(prices.values())
 
 
 def _as_power_vector(problem: DispatchProblem, powers: Sequence[float]) -> np.ndarray:
@@ -320,12 +332,12 @@ def evaluate_dispatch(
 
     emission_cost is sum_g h_g * E_g whenever h is given.  h may be omitted
     only when k2 = 0, and the emission cost is then 0; otherwise it must
-    supply a factor for every gas, computed at the problem's own demand.
+    supply a finite, positive factor for every gas, computed at the
+    problem's own demand.
     """
     p = _as_power_vector(problem, powers)
     fc, *em = curve_values(problem, p).sum(axis=-1).tolist()
-    prices = [] if h is None and not problem.k2 else _prices(problem, h).tolist()
-    ec = float(sum(price * e for price, e in zip(prices, em)))
+    ec = float(sum(price * e for price, e in zip(_prices(problem, h), em)))
     return DispatchSolution(
         powers=tuple(p.tolist()),
         fuel_cost=fc,
@@ -341,36 +353,24 @@ def evaluate_dispatch(
 # Rows of P are candidate power vectors.  The weights k1 and k2 * h_g fold
 # the cost and emission curves into one quadratic per unit, so a call costs
 # one Horner evaluation whatever the number of gases.  The fold depends only
-# on the problem and on h's values, so it is computed once per (problem, h)
-# and kept on the problem, keyed by h's demand and its prices in `gases`
-# order: a different h, or a mapping changed in place, never reads a stale
-# fold.  Summed in another order than evaluate_dispatch, the objective agrees
-# with total_cost to rounding, not bitwise; tests/test_model.py holds the two
-# together by a property.
-
-
-def _price_key(problem: DispatchProblem, h: HLike) -> tuple:
-    """h by value: its demand (None for a plain mapping) and its prices in `gases` order."""
-    if not problem.k2:
-        return ()
-    values = _price_map(h)
-    try:
-        return (getattr(h, "demand", None), *[values[gas] for gas in problem.gases])
-    except (KeyError, TypeError):
-        _prices(problem, h)  # raises the ValueError that names the fault
-        raise
+# on the problem and on h's prices, so it is computed once per (problem, h)
+# and kept on the problem, keyed by the checked prices in `gases` order: a
+# different h, or a mapping changed in place, never reads a stale fold, and
+# every call still checks h.  Summed in another order than evaluate_dispatch,
+# the objective agrees with total_cost to rounding, not bitwise;
+# tests/test_model.py holds the two together by a property.
 
 
 def _fold(problem: DispatchProblem, h: HLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-unit (a, b, c) of k1 * cost + k2 * sum_g h_g * emission_g, memoized on the problem."""
-    key = _price_key(problem, h)
+    key = _prices(problem, h) if problem.k2 else ()
     folds = problem._folds
     fold = folds.get(key)
     if fold is None:
         weights = np.zeros(1 + len(problem.gases))
         weights[0] = problem.k1
         if problem.k2:
-            weights[1:] = _prices(problem, h)
+            weights[1:] = key
         a, b, c = _frozen((weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1))
         # one entry: a run uses one h, and a sweep over prices must not grow the memo
         folds.clear()
@@ -384,7 +384,7 @@ def combined_objective_batch(
     """k1 * fuel cost + k2 * sum_g h_g * E_g of every row of P, $/h; h as in evaluate_dispatch.
 
     The per-unit quadratic that h folds into is computed once per (problem,
-    h) and memoized on the problem, keyed by h's demand and prices.
+    h) and memoized on the problem, keyed by h's checked prices.
     """
     a, b, c = _fold(problem, h)
     return (a + P * (b + c * P)).sum(axis=1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import DispatchProblem, Gas, curve_values
+from .model import DispatchProblem, Gas, _check_prices, curve_values
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class PenaltyFactors:
     demand: float
 
     def __post_init__(self) -> None:
-        for gas, h in self.values.items():
-            if not h > 0:
-                raise ValueError(f"penalty factor for {gas.value} must be > 0, got {h}")
+        _check_prices(self.values)
         object.__setattr__(self, "values", dict(self.values))
 
     def __getitem__(self, gas: Gas) -> float:

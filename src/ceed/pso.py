@@ -3,11 +3,12 @@
 The velocity law composes the linearly decreasing inertia weight with the
 constriction multiplier:
 
-    v <- CF * (w(t) * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
+    v <- CONSTRICTION * (w(t) * v + C1 * r1 * (pbest - x) + C2 * r2 * (gbest - x))
 
-which degenerates to the standard constriction update at w = 1.  CF is
-derived from phi = c1 + c2 by the Clerc-Kennedy formula (0.72984 at the
-default c1 = c2 = 2.05), not set on its own.  Every
+which degenerates to the standard constriction update at w = 1.  The
+coefficients are the paper's constants, not settings: w(t) falls from W_MAX
+to W_MIN, C1 = C2 = 2.05, and CONSTRICTION is derived from phi = C1 + C2 by
+the Clerc-Kennedy formula (0.72984).  Every
 candidate position is clamped to the unit limits and projected onto the
 power balance before evaluation, so the objective never needs a penalty
 term for constraint violations.
@@ -29,15 +30,20 @@ from .model import DispatchProblem, DispatchSolution, HLike, combined_objective_
 from .repair import repair_batch
 
 
+# Inertia schedule, acceleration coefficients and velocity cap.
+W_MAX, W_MIN = 0.9, 0.4
+C1 = C2 = 2.05
+V_MAX_FRACTION = 0.5  # of each unit's p_max - p_min
+
+_PHI = C1 + C2  # > 4, so the swarm contracts
+# Clerc-Kennedy chi = 2 / |2 - phi - sqrt(phi^2 - 4 phi)|
+CONSTRICTION = 2.0 / abs(2.0 - _PHI - math.sqrt(_PHI * _PHI - 4.0 * _PHI))
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     particles: int = 10
     iterations: int = 500
-    w_max: float = 0.9
-    w_min: float = 0.4
-    c1: float = 2.05
-    c2: float = 2.05
-    v_max_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -45,27 +51,13 @@ class PsoConfig:
             raise ValueError(f"particles must be >= 1, got {self.particles}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not self.c1 + self.c2 > 4.0:
-            raise ValueError(
-                f"c1 + c2 must exceed 4 for a contracting swarm, got {self.c1 + self.c2}"
-            )
-        if not 0.0 < self.v_max_fraction <= 1.0:
-            raise ValueError(f"v_max_fraction must lie in (0, 1], got {self.v_max_fraction}")
-        if self.w_min > self.w_max:
-            raise ValueError(f"w_min must not exceed w_max, got {self.w_min} > {self.w_max}")
-
-    @property
-    def constriction(self) -> float:
-        """Clerc-Kennedy chi = 2 / |2 - phi - sqrt(phi^2 - 4 phi)| with phi = c1 + c2."""
-        phi = self.c1 + self.c2
-        return 2.0 / abs(2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))
 
     def inertia(self, iteration: int) -> float:
-        """w(t), decreasing linearly from w_max to w_min over the run."""
+        """w(t), decreasing linearly from W_MAX to W_MIN over the run."""
         if self.iterations == 0:
-            return self.w_max
+            return W_MAX
         frac = iteration / self.iterations
-        return self.w_max - (self.w_max - self.w_min) * frac
+        return W_MAX - (W_MAX - W_MIN) * frac
 
 
 @dataclass
@@ -143,7 +135,7 @@ def step(
 ) -> PsoState:
     """Advance every trial's swarm one iteration in place and return the state."""
     lo, hi = problem.p_min_arr, problem.p_max_arr
-    v_max = config.v_max_fraction * (hi - lo)
+    v_max = V_MAX_FRACTION * (hi - lo)
     trials = len(state.rngs)
     grid = (trials, len(state.positions) // trials, problem.n_units)
     # each trial draws its r1, then its r2, from its own Generator
@@ -156,9 +148,9 @@ def step(
         state.pbest_pos.reshape(grid),
         state.gbest_pos[:, None],
         config.inertia(iteration),
-        config.constriction,
-        config.c1,
-        config.c2,
+        CONSTRICTION,
+        C1,
+        C2,
         r[:, 0],
         r[:, 1],
     ).reshape(state.positions.shape)

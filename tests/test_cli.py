@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from ceed.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
+from ceed.harness import load_problem
+from ceed.model import DispatchError
 
 from test_harness import write_problem
 
@@ -116,6 +120,39 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     path.write_text("{not json")
     code = main(["penalty", "--problem", str(path), "--demand", "100"])
     assert code == EXIT_ERROR
+
+
+def _set_unit_field(name, value):
+    def edit(doc):
+        doc["units"][0][name] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, names",
+    [
+        (lambda doc: 5, "JSON object"),
+        (lambda doc: {**doc, "units": {"1": doc["units"][0]}}, "'units' must be a list"),
+        (lambda doc: {**doc, "units": [[1, 20.0, 250.0]]}, "unit #1"),
+        (lambda doc: {**doc, "gases": "nox"}, "'gases' must be a list"),
+        (_set_unit_field("cost", 5), "unit #1"),
+        (_set_unit_field("emissions", [[8.0, 0.05, 0.0008]]), "unit #1"),
+        (_set_unit_field("p_min", None), "unit #1"),
+        (lambda doc: {**doc, "b_matrix": {"1": [1e-5]}}, "'b_matrix'"),
+    ],
+    ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
+         "cost-number", "emissions-list", "p_min-null", "b_matrix-dict"],
+)
+def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
+    path = write_problem(tmp_path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(DispatchError, match=rf"problem\.json: .*{names}"):
+        load_problem(path, demand=330.0)
+    code = main(["penalty", "--problem", str(path), "--demand", "330"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_invalid_problem_exits_1(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ceed import GaConfig, PsoConfig
 from ceed.harness import (
     ExperimentSpec,
     export_trace,
@@ -131,6 +132,11 @@ def test_spec_validation():
         ExperimentSpec(problem_path="x", demands=(100.0,), solver="annealing")
     with pytest.raises(ValueError, match="workers"):
         ExperimentSpec(problem_path="x", demands=(100.0,), workers=-1)
+    # trial seeds come from base_seed alone; a config's own seed would be overwritten
+    with pytest.raises(ValueError, match="base_seed"):
+        ExperimentSpec(problem_path="x", demands=(100.0,), pso_config=PsoConfig(seed=3))
+    with pytest.raises(ValueError, match="base_seed"):
+        ExperimentSpec(problem_path="x", demands=(100.0,), ga_config=GaConfig(seed=3))
 
 
 def quick_spec(path, **kw):

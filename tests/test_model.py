@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ceed import pso
 from ceed.harness import load_problem
 from ceed.model import (
     BALANCE_TOL,
@@ -24,7 +25,9 @@ from ceed.model import (
     fuel_cost_unit,
     transmission_loss,
 )
+from ceed.oracle import lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
+from ceed.pso import PsoConfig
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
 
@@ -332,6 +335,26 @@ def test_penalty_factors_demand_mismatch_is_an_error(rng):
         evaluate_dispatch(problem, p, h)
     with pytest.raises(ValueError, match="demand"):
         combined_objective_batch(problem, p[None, :], h)
+
+
+def test_every_price_reader_rejects_a_bad_plain_price(six_unit_path):
+    # a plain mapping passes no PenaltyFactors check, so the objective's own
+    # rule must catch it, even once a good fold is memoized on the problem
+    problem = load_problem(six_unit_path, 1500.0)
+    good = dict(penalty_factors_all(problem).values)
+    rows = np.random.default_rng(3).uniform(problem.p_min_arr, problem.p_max_arr, (4, problem.n_units))
+    readers = (
+        lambda h: combined_objective_batch(problem, rows, h),
+        lambda h: evaluate_dispatch(problem, rows[0], h),
+        lambda h: lambda_solve(problem, h),
+        lambda h: pso.run(problem, PsoConfig(particles=2, iterations=1), h),
+    )
+    missing = {gas: price for gas, price in good.items() if gas is not Gas.SOX}
+    for bad in [{**good, Gas.SOX: v} for v in (np.nan, np.inf, 0.0, -1.0)] + [missing]:
+        for read in readers:
+            read(good)
+            with pytest.raises(ValueError, match="penalty factor"):
+                read(bad)
 
 
 def test_dimension_mismatch_is_an_error(rng):

@@ -1,5 +1,7 @@
 """Penalty-factor ratios and the capacity-ranked selection rule."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,5 +95,7 @@ def test_penalty_factors_all_covers_every_gas(rng):
 
 
 def test_penalty_factors_must_be_positive():
-    with pytest.raises(ValueError, match="must be > 0"):
-        PenaltyFactors({Gas.NOX: -1.0}, demand=100.0)
+    # the same rule as every price the objective reads: finite and > 0
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be > 0"):
+            PenaltyFactors({Gas.NOX: bad}, demand=100.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ceed import pso
 from ceed.model import BALANCE_TOL, balance_residual, check_limits, evaluate_dispatch
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
@@ -21,21 +22,10 @@ def small_config(**kw):
     return PsoConfig(**defaults)
 
 
-def test_config_rejects_phi_at_most_four():
-    with pytest.raises(ValueError, match="c1 \\+ c2"):
-        PsoConfig(c1=2.0, c2=2.0)
-
-
 def test_constriction_is_derived_from_c1_plus_c2():
-    # Clerc-Kennedy at phi = 4.1: 0.7298437881..., not the rounded 0.7298
-    assert PsoConfig().constriction == 2 / abs(2 - 4.1 - math.sqrt(4.1**2 - 4 * 4.1))
-
-
-def test_config_rejects_bad_velocity_fraction():
-    with pytest.raises(ValueError):
-        PsoConfig(v_max_fraction=0.0)
-    with pytest.raises(ValueError):
-        PsoConfig(v_max_fraction=1.5)
+    # Clerc-Kennedy at phi = C1 + C2 = 4.1: 0.7298437881..., not the rounded 0.7298
+    assert pso.C1 + pso.C2 == 4.1
+    assert pso.CONSTRICTION == 2 / abs(2 - 4.1 - math.sqrt(4.1**2 - 4 * 4.1))
 
 
 def test_inertia_schedule_endpoints():
