@@ -33,6 +33,8 @@ from .model import (
 from .penalty import PenaltyFactors, penalty_factors_all
 
 SOLVER_NAMES = ("pso", "ga")
+# The config field that holds each solver's step budget.
+_BUDGET = {"pso": "iterations", "ga": "generations"}
 
 
 def load_problem(
@@ -77,23 +79,23 @@ def load_problem(
         try:
             if not isinstance(entry, dict) or not isinstance(entry["emissions"], dict):
                 raise DispatchError(f"{where}: a unit and its 'emissions' must be JSON objects")
-            units.append(
-                GeneratorUnit(
-                    id=int(entry["id"]),
-                    p_min=float(entry["p_min"]),
-                    p_max=float(entry["p_max"]),
-                    cost=tuple(float(v) for v in entry["cost"]),
-                    emissions={
-                        Gas(g): tuple(float(v) for v in coeffs)
-                        for g, coeffs in entry["emissions"].items()
-                    },
-                )
+            fields = dict(
+                id=int(entry["id"]),
+                p_min=float(entry["p_min"]),
+                p_max=float(entry["p_max"]),
+                cost=tuple(float(v) for v in entry["cost"]),
+                emissions={
+                    Gas(g): tuple(float(v) for v in coeffs)
+                    for g, coeffs in entry["emissions"].items()
+                },
             )
         except KeyError as exc:
             raise DispatchError(f"{where} is missing field {exc}") from exc
-        except TypeError as exc:
-            # a null limit, or a number where a list of coefficients belongs
+        except (TypeError, ValueError) as exc:
+            # a null limit, a number where a list of coefficients belongs, a
+            # string that is no number, or a gas key that is no Gas
             raise DispatchError(f"{where}: {exc}") from exc
+        units.append(GeneratorUnit(**fields))
 
     if demand is None:
         demand = raw.get("demand")
@@ -147,6 +149,14 @@ class ExperimentSpec:
                     f"solver configs must leave seed at 0, got {config.seed}; "
                     "trial i runs with base_seed + i, so set base_seed"
                 )
+        # a zero budget leaves every trace empty, and export_trace refuses those
+        if self.out_dir is not None:
+            for solver in self.solver_names:
+                if getattr(_solver_config(self, solver, 0), _BUDGET[solver]) == 0:
+                    raise ValueError(
+                        f"{solver} has a zero step budget, so there is no trace to write "
+                        f"to {self.out_dir}"
+                    )
 
     @property
     def solver_names(self) -> tuple[str, ...]:
@@ -192,8 +202,7 @@ def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
     else:
         cfg = spec.ga_config or ga.GaConfig()
     if spec.iterations is not None:
-        budget = "iterations" if solver == "pso" else "generations"
-        cfg = replace(cfg, **{budget: spec.iterations})
+        cfg = replace(cfg, **{_BUDGET[solver]: spec.iterations})
     return replace(cfg, seed=seed)
 
 

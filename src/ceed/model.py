@@ -185,6 +185,11 @@ class DispatchProblem:
         return _frozen(np.array([u.p_max for u in self.units]))
 
     @cached_property
+    def p_min_total(self) -> float:
+        """sum(p_min), MW: no row of powers within the limits sums to less."""
+        return float(self.p_min_arr.sum())
+
+    @cached_property
     def coeff_stack(self) -> np.ndarray:
         """Shape (1+G, 3, N): cost (a, b, c), then (alpha, beta, gamma) per gas in `gases` order."""
         curves = [[u.cost for u in self.units]]

@@ -8,18 +8,37 @@ A row is clipped to the limits, giving x, and moved along the scaling ray
 p(S) = clip(S x, p_min, p_max) to the root of h(S) = sum(p) - demand - p'Bp.
 Scaling up from x only pins units at p_max and scaling down only at p_min.
 The first step, for the whole batch, is the S that is exact when no unit
-clips (demand / sum(x), or the smaller root of S sum(x) - S^2 x'Bx = demand);
-rows still off take Newton steps whose slope sums x_i (1 - 2 (Bp)_i) over the
-units off their limits, so lossless each step lands or pins one more unit.
-A row the ray cannot move (a zero x_i stays zero) restarts once from the
-limit midpoints.  Rows never mix: a row's result ignores its batch.
+clips (demand / sum(x), or the smaller root of S sum(x) - S^2 x'Bx = demand).
+Rows still off take correction steps to the exact root of h on the current
+active set: with d = x on the units off their limits and 0 elsewhere, p moves
+as p + e d, so h(S + e) = r + slope e - curve e^2 with slope = sum(d) - 2 d'Bp
+and curve = d'Bd; a step lands unless a further unit pins.  Lossless, the
+step is S - r / sum(d).  A row the ray cannot move (a zero x_i stays zero)
+restarts once from the limit midpoints.  Rows never mix: a row's result
+ignores its batch.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from .model import BALANCE_TOL, DispatchProblem, InfeasibleError, balance_residual
+
+# Stands in for np.errstate on calls where no division can misfire.
+_LOUD = nullcontext()
+
+# Rows that land stay in the correction loop, frozen, until they hold this
+# many entries: a small batch pays more for gathering the rest of its arrays
+# than for carrying its landed rows, a large one (50 trials of a GA
+# population) the other way round.
+_GATHER_ENTRIES = 1024
+
+
+def _quiet():
+    """Silence the inf and NaN of rows the ray cannot move; the restart handles them."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 def _ray_start(problem: DispatchProblem, x: np.ndarray) -> np.ndarray:
@@ -32,35 +51,55 @@ def _ray_start(problem: DispatchProblem, x: np.ndarray) -> np.ndarray:
     return 2.0 * demand / (total + np.sqrt(np.maximum(total * total - 4.0 * demand * q, 0.0)))
 
 
+def _correction(
+    problem: DispatchProblem, d: np.ndarray, s: np.ndarray, p: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Per row, the scale that closes the balance if no further unit clips.
+
+    At scale s the row is p, with residual r; d is x on the units off their
+    limits and 0 elsewhere, so p moves as p + e d until a further unit clips.
+    """
+    total = d.sum(axis=1)
+    if problem.losses is None:
+        return s - r / total
+    db = d @ problem.losses.b
+    half_slope = 0.5 * total - (db * p).sum(axis=1)
+    curve = (db * d).sum(axis=1)
+    # smaller root of r + 2*half_slope*e - curve*e^2 = 0, written without cancellation
+    return s - r / (half_slope + np.sqrt(np.maximum(half_slope * half_slope + curve * r, 0.0)))
+
+
 def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     """Rows of P clipped to the unit limits and scaled onto the power balance."""
     lo, hi = problem.p_min_arr, problem.p_max_arr
-    b = None if problem.losses is None else problem.losses.b
-    # a row the ray cannot move yields inf or NaN here, which the restart handles
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # each clamp writes in place on a fresh array, never on the caller's P
-        x = np.maximum(np.asarray(P, dtype=float), lo)
-        np.minimum(x, hi, out=x)
+    # each clamp writes in place on a fresh array, never on the caller's P
+    x = np.maximum(np.asarray(P, dtype=float), lo)
+    np.minimum(x, hi, out=x)
+    # a clipped row sums to at least sum(p_min); only when that is (nearly) zero
+    # can the first scale overflow, or meet a zero x_i as inf * 0
+    with _quiet() if problem.p_min_total <= 1e-300 * problem.demand else _LOUD:
         s = _ray_start(problem, x)
-        out = s[:, None] * x
-        np.minimum(np.maximum(out, lo, out=out), hi, out=out)
-        r = balance_residual(problem, out)
-        settled = np.abs(r) <= BALANCE_TOL
-        if settled.all():
-            return out
-        (rows,) = (~settled).nonzero()
-        x, s, p, r = x[rows], s[rows], out[rows], r[rows]
-        # h rises with S, so the scales tried bracket the root; a Newton step
-        # that leaves the bracket is replaced by bisection.  Lossless, each of
-        # the two starts needs at most N + 1 steps; 64 halvings exhaust a double
-        below, above = np.zeros(rows.size), np.full(rows.size, np.inf)
-        restarted = np.zeros(rows.size, dtype=bool)
+        sx = s[:, None] * x
+    out = np.maximum(sx, lo)
+    np.minimum(out, hi, out=out)
+    r = balance_residual(problem, out)
+    settled = np.abs(r) <= BALANCE_TOL
+    if settled.all():
+        return out
+    (rows,) = (~settled).nonzero()
+    x, s, sx, p, r = x[rows], s[rows], sx[rows], out[rows], r[rows]
+    # h rises with S, so the scales tried bracket the root; a step that leaves
+    # the bracket is replaced by bisection.  A row that lands keeps its s, p and
+    # r from then on.  Lossless, each of the two starts needs at most N + 1
+    # steps; 64 halvings exhaust a double
+    below, above = np.zeros(rows.size), np.full(rows.size, np.inf)
+    restarted, landed = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
+    with _quiet():
         for _ in range(2 * problem.n_units + 64):
             below, above = np.where(r < 0, s, below), np.where(r > 0, s, above)
-            gain = x if b is None else x * (1.0 - 2.0 * np.einsum("ij,jk->ik", p, b))
-            t = s - r / np.where(p == s[:, None] * x, gain, 0.0).sum(axis=1)
-            inside = (t > below) & (t < above)
-            s = t if inside.all() else np.where(inside, t, 0.5 * (below + above))
+            t = _correction(problem, np.where(p == sx, x, 0.0), s, p, r)
+            t = np.where((t > below) & (t < above), t, 0.5 * (below + above))
+            s = np.where(landed, s, t)
             if not np.isfinite(s).all():
                 stuck = ~np.isfinite(s)
                 if (stuck & restarted).any():
@@ -69,18 +108,22 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
                 x[stuck] = 0.5 * (lo + hi)
                 s = np.where(stuck, _ray_start(problem, x), s)
                 below[stuck], above[stuck], restarted[stuck] = 0.0, np.inf, True
-            p = s[:, None] * x
-            np.minimum(np.maximum(p, lo, out=p), hi, out=p)
+            sx = s[:, None] * x
+            p = np.maximum(sx, lo)
+            np.minimum(p, hi, out=p)
             r = balance_residual(problem, p)
-            done = np.abs(r) <= BALANCE_TOL
-            if done.any():
-                out[rows[done]] = p[done]
-                if done.all():
-                    return out
-                keep = ~done
-                rows, x, s, p, r = rows[keep], x[keep], s[keep], p[keep], r[keep]
-                below, above, restarted = below[keep], above[keep], restarted[keep]
+            landed = np.abs(r) <= BALANCE_TOL
+            if landed.all():
+                out[rows] = p
+                return out
+            if landed.sum() * problem.n_units >= _GATHER_ENTRIES:
+                out[rows[landed]] = p[landed]
+                keep = ~landed
+                rows, x, s, sx, p, r = rows[keep], x[keep], s[keep], sx[keep], p[keep], r[keep]
+                below, above = below[keep], above[keep]
+                restarted, landed = restarted[keep], landed[keep]
+        else:
+            r = r[~landed]
     raise InfeasibleError(
         f"cannot close the power balance at demand {problem.demand:g} MW: residual {r[0]:.6g} MW"
     )
-

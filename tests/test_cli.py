@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ceed import harness
 from ceed.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from ceed.harness import load_problem
 from ceed.model import DispatchError
@@ -109,6 +110,20 @@ def test_negative_workers_exit_1(tmp_path, capsys):
     assert "workers must be >= 0" in capsys.readouterr().err
 
 
+def test_zero_budget_with_out_dir_exits_1_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trials)
+    path = write_problem(tmp_path)
+    out_dir = tmp_path / "run"
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--trials", "2",
+                 "--iterations", "0", "--out", str(out_dir)])
+    assert code == EXIT_ERROR
+    assert "zero step budget" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["penalty", "--problem", str(tmp_path / "nope.json"), "--demand", "100"])
     assert code == EXIT_ERROR
@@ -129,6 +144,11 @@ def _set_unit_field(name, value):
     return edit
 
 
+def _add_unknown_gas(doc):
+    doc["units"][0]["emissions"]["smog"] = [1.0, 0.1, 0.001]
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit, names",
     [
@@ -139,10 +159,13 @@ def _set_unit_field(name, value):
         (_set_unit_field("cost", 5), "unit #1"),
         (_set_unit_field("emissions", [[8.0, 0.05, 0.0008]]), "unit #1"),
         (_set_unit_field("p_min", None), "unit #1"),
+        (_set_unit_field("p_min", "abc"), "unit #1: could not convert"),
+        (_add_unknown_gas, "unit #1: 'smog'"),
         (lambda doc: {**doc, "b_matrix": {"1": [1e-5]}}, "'b_matrix'"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
-         "cost-number", "emissions-list", "p_min-null", "b_matrix-dict"],
+         "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
+         "b_matrix-dict"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)

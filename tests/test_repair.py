@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ceed.harness import load_problem
 from ceed.model import BALANCE_TOL, InfeasibleError, LossMatrix, balance_residual, check_limits
-from ceed.repair import repair_batch
+from ceed.repair import _correction, repair_batch
 
 from conftest import make_problem, make_unit, random_problem
 
@@ -95,6 +96,60 @@ def test_lossy_demand_beyond_net_capacity_raises():
     problem = make_problem(units, demand=290.0, losses=LossMatrix(np.diag([5e-4, 5e-4])))
     with pytest.raises(InfeasibleError, match="residual -12.5 MW"):
         repair_batch(problem, np.array([[100.0, 120.0], [140.0, 150.0]]))
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_large_batch_rows_equal_lone_rows(six_unit_path, lossy):
+    # enough rows land for the loop to gather the rest, as in 50-trial GA batches
+    problem = load_problem(six_unit_path, 2000.0)
+    if lossy:
+        b = 2e-5 * (np.eye(6) + 0.1)
+        problem = make_problem(problem.units, problem.demand, losses=LossMatrix(b))
+    P = np.random.default_rng(7).uniform(problem.p_min_arr, problem.p_max_arr, (600, 6))
+    batch = repair_batch(problem, P)
+    for i in range(P.shape[0]):
+        assert np.array_equal(batch[i], repair_batch(problem, P[i : i + 1])[0])
+        assert_repaired(problem, batch[i])
+
+
+# --- the correction step ------------------------------------------------------
+
+# Per row: x, a scale s, and 1 for each unit off its limits at s and at the
+# root.  Row 0 scales up, row 1 up with unit 1 pinned at p_max, row 2 down.
+STEP_X = np.array([[100.0, 150.0, 200.0], [190.0, 100.0, 120.0], [150.0, 280.0, 390.0]])
+STEP_S = np.array([1.0, 1.2, 1.0])
+STEP_ACTIVE = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+
+
+def step_problem(losses=None):
+    units = [make_unit(1, 10.0, 200.0), make_unit(2, 20.0, 300.0), make_unit(3, 30.0, 400.0)]
+    return make_problem(units, demand=500.0, losses=losses)
+
+
+def step_inputs(problem):
+    p = np.clip(STEP_S[:, None] * STEP_X, problem.p_min_arr, problem.p_max_arr)
+    # the active set is as STEP_ACTIVE says before the step too
+    assert np.array_equal(p == STEP_S[:, None] * STEP_X, STEP_ACTIVE.astype(bool))
+    return STEP_X, STEP_S, p, balance_residual(problem, p)
+
+
+def test_lossy_correction_lands_when_the_active_set_holds():
+    b = [[1e-4, 1e-5, 0.0], [1e-5, 2e-4, 2e-5], [0.0, 2e-5, 1.5e-4]]
+    problem = step_problem(LossMatrix(b))
+    x, s, p, r = step_inputs(problem)
+    assert np.all(np.abs(r) > 10.0)
+    t = _correction(problem, STEP_ACTIVE * x, s, p, r)
+    landed = np.clip(t[:, None] * x, problem.p_min_arr, problem.p_max_arr)
+    # the root keeps every row's active set
+    assert np.array_equal(landed == t[:, None] * x, STEP_ACTIVE.astype(bool))
+    np.testing.assert_array_less(np.abs(balance_residual(problem, landed)), 1e-9)
+
+
+def test_lossless_correction_is_the_newton_step_on_the_active_set():
+    problem = step_problem()
+    x, s, p, r = step_inputs(problem)
+    d = STEP_ACTIVE * x
+    assert np.array_equal(_correction(problem, d, s, p, r), s - r / d.sum(axis=1))
 
 
 # --- properties over random feasible problems --------------------------------
