@@ -4,6 +4,9 @@ Each unit's power is a gene of `bits_per_gene` bits decoded onto
 [p_min, p_max] up to rounding; the decoded vector is clamped to the limits
 and balance-repaired before evaluation.  Fitness rescales objectives
 into [0, 1] within each generation, the best individual always at 1.
+The operator rates are the fixed module constants P_CROSSOVER and
+P_MUTATION, and the ELITISM best individuals of each generation pass on
+unchanged, so every generation holds the best row seen so far.
 
 The operators act on a whole population at once, so one generation is a
 fixed number of array operations whatever its size.  Its draws from the
@@ -25,32 +28,25 @@ import numpy as np
 from .model import DispatchProblem, DispatchSolution, HLike, combined_objective_batch, evaluate_dispatch
 from .repair import repair_batch
 
+P_CROSSOVER = 0.96  # chance that a parent pair exchanges suffixes
+P_MUTATION = 0.033  # chance that a child bit flips
+ELITISM = 1  # best individuals copied unchanged into the next generation
+
 
 @dataclass(frozen=True)
 class GaConfig:
     individuals: int = 10
     generations: int = 500
-    p_crossover: float = 0.96
-    p_mutation: float = 0.033
     bits_per_gene: int = 16
-    elitism: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.individuals < 1:
-            raise ValueError(f"individuals must be >= 1, got {self.individuals}")
+        if self.individuals < ELITISM + 1:
+            raise ValueError(f"individuals must be >= {ELITISM + 1}, got {self.individuals}")
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
-        for name in ("p_crossover", "p_mutation"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.bits_per_gene < 4:
             raise ValueError(f"bits_per_gene must be >= 4, got {self.bits_per_gene}")
-        if not 0 <= self.elitism < self.individuals:
-            raise ValueError(
-                f"elitism must lie in [0, individuals), got {self.elitism} of {self.individuals}"
-            )
 
 
 def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.ndarray:
@@ -102,21 +98,21 @@ def crossover(
     parents_a: np.ndarray,
     parents_b: np.ndarray,
     rng: np.random.Generator,
-    config: GaConfig,
+    p: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point suffix exchange between row k of each, per pair with probability p_crossover."""
+    """Single-point suffix exchange between row k of each, per pair with probability p."""
     if parents_a.shape != parents_b.shape:
         raise ValueError(f"parent shapes differ: {parents_a.shape} vs {parents_b.shape}")
     pairs, length = parents_a.shape
-    crossed = rng.random(pairs) < config.p_crossover
+    crossed = rng.random(pairs) < p
     site = rng.integers(1, length, pairs)
     swap = (np.arange(length) >= site[:, None]) & crossed[:, None]
     return np.where(swap, parents_b, parents_a), np.where(swap, parents_a, parents_b)
 
 
-def mutate(children: np.ndarray, rng: np.random.Generator, config: GaConfig) -> np.ndarray:
-    """Flip every bit independently at p_mutation, in place; returns children."""
-    children ^= rng.random(children.shape) < config.p_mutation
+def mutate(children: np.ndarray, rng: np.random.Generator, p: float) -> np.ndarray:
+    """Flip every bit independently with probability p, in place; returns children."""
+    children ^= rng.random(children.shape) < p
     return children
 
 
@@ -125,10 +121,13 @@ def run_trials(
 ) -> list[tuple[DispatchSolution, np.ndarray]]:
     """GA runs with seeds config.seed + i, evaluated together generation by generation.
 
-    Entry i is the best-ever dispatch and the per-generation best trace of
-    trial i, bitwise equal to run() with seed config.seed + i: each trial
-    breeds from its own Generator, and only the decode, repair and
-    objective calls take every trial's population at once.
+    Entry i is the last generation's leader and the per-generation best
+    trace of trial i, bitwise equal to run() with seed config.seed + i:
+    each trial breeds from its own Generator, and only the decode, repair
+    and objective calls take every trial's population at once.  The elite
+    re-evaluates to the same objective, as repair and the objective treat
+    each row on its own, so the leader is the best row ever seen and the
+    trace never rises.
     """
     config = config or GaConfig()
     if trials < 1:
@@ -139,30 +138,21 @@ def run_trials(
         [rng.integers(0, 2, size=(config.individuals, length), dtype=np.uint8) for rng in rngs]
     )
     powers, objectives = _evaluate(populations, problem, config, h)
-    each = np.arange(trials)
-    leader = objectives.argmin(axis=1)
-    best_powers, best_obj = powers[each, leader], objectives[each, leader]
-    lead = best_obj
     trace = np.empty((trials, config.generations))
     for generation in range(config.generations):
         if generation:
             for i, rng in enumerate(rngs):
                 populations[i] = _next_generation(populations[i], objectives[i], rng, config)
             powers, objectives = _evaluate(populations, problem, config, h)
-            lead = objectives.min(axis=1)
-            better = lead < best_obj
-            if better.any():
-                leader = objectives.argmin(axis=1)
-                best_powers = np.where(better[:, None], powers[each, leader], best_powers)
-                best_obj = np.where(better, lead, best_obj)
-        trace[:, generation] = lead
-    return [(evaluate_dispatch(problem, best, h), tr) for best, tr in zip(best_powers, trace)]
+        trace[:, generation] = objectives.min(axis=1)
+    best = powers[np.arange(trials), objectives.argmin(axis=1)]
+    return [(evaluate_dispatch(problem, p, h), tr) for p, tr in zip(best, trace)]
 
 
 def run(
     problem: DispatchProblem, config: Optional[GaConfig] = None, h: HLike = None
 ) -> tuple[DispatchSolution, np.ndarray]:
-    """Full GA run; returns the best-ever dispatch and the per-generation best trace."""
+    """Full GA run; returns the best dispatch found and the per-generation best trace."""
     return run_trials(problem, config, h, 1)[0]
 
 
@@ -183,14 +173,14 @@ def _next_generation(
     config: GaConfig,
 ) -> np.ndarray:
     n, length = population.shape
-    elites = population[objectives.argsort(kind="stable")[: config.elitism]]
-    needed = n - config.elitism
+    elites = population[objectives.argsort(kind="stable")[:ELITISM]]
+    needed = n - ELITISM
     # the wheel is spun once per population slot, then the pool is shuffled
     # and consumed in sequential pairs; a pair past its end wraps round
     pool = roulette_select(fitness_scale(objectives), rng, n)
     rng.shuffle(pool)
     parents = population[pool[np.arange(2 * ((needed + 1) // 2)) % n]]
-    children_a, children_b = crossover(parents[0::2], parents[1::2], rng, config)
+    children_a, children_b = crossover(parents[0::2], parents[1::2], rng, P_CROSSOVER)
     # pair k side by side, then one row each: a0, b0, a1, b1, ...
     children = np.concatenate([children_a, children_b], axis=1).reshape(-1, length)[:needed]
-    return np.concatenate([elites, mutate(children, rng, config)])
+    return np.concatenate([elites, mutate(children, rng, P_MUTATION)])

@@ -102,10 +102,13 @@ def load_problem(
     if demand is None:
         raise DispatchError(f"{path}: no demand in file and none supplied")
     try:
-        losses = None if raw.get("b_matrix") is None else LossMatrix(raw["b_matrix"])
+        b = None if raw.get("b_matrix") is None else np.array(raw["b_matrix"], dtype=float)
         demand = float(demand)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
+        # a mapping, ragged rows or a string that is no number; LossMatrix
+        # still raises its own ValueError on shape, finiteness and asymmetry
         raise DispatchError(f"{path}: 'b_matrix' and 'demand' must hold numbers: {exc}") from exc
+    losses = None if b is None else LossMatrix(b)
     return DispatchProblem(
         units=tuple(units),
         demand=demand,

@@ -190,17 +190,16 @@ def test_criterion_6_invariant_suite(rng):
 
     # crossover conserves the per-position bit multiset
     cross_rng = np.random.default_rng(78)
-    cross_cfg = GaConfig(p_crossover=1.0)
     a = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
     b = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
-    ca, cb = crossover(a, b, cross_rng, cross_cfg)
+    ca, cb = crossover(a, b, cross_rng, 1.0)
     if not np.array_equal(ca + cb, a + b):
         failures.append("crossover lost bits")
 
     # mutation flip count within 3 sigma of binomial(n, p_m)
     mut_rng = np.random.default_rng(79)
     n, pm = 10_000, 0.033
-    flips = int(mutate(np.zeros((100, n // 100), dtype=np.uint8), mut_rng, GaConfig(p_mutation=pm)).sum())
+    flips = int(mutate(np.zeros((100, n // 100), dtype=np.uint8), mut_rng, pm).sum())
     sigma = np.sqrt(n * pm * (1 - pm))
     if abs(flips - n * pm) > 3 * sigma:
         failures.append(f"mutation flips {flips} outside binomial band")

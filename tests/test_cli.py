@@ -162,10 +162,11 @@ def _add_unknown_gas(doc):
         (_set_unit_field("p_min", "abc"), "unit #1: could not convert"),
         (_add_unknown_gas, "unit #1: 'smog'"),
         (lambda doc: {**doc, "b_matrix": {"1": [1e-5]}}, "'b_matrix'"),
+        (lambda doc: {**doc, "b_matrix": [["x", 0.0], [0.0, 1e-5]]}, "'b_matrix'"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
          "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
-         "b_matrix-dict"],
+         "b_matrix-dict", "b_matrix-string"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)

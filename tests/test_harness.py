@@ -64,6 +64,12 @@ def test_demand_argument_overrides_file(tmp_path):
     assert load_problem(path, demand=333.0).demand == 333.0
 
 
+def test_non_numeric_file_demand_names_the_file(tmp_path):
+    path = write_problem(tmp_path, demand="abc")
+    with pytest.raises(DispatchError, match=r"problem\.json: 'b_matrix' and 'demand' must hold numbers"):
+        load_problem(path)
+
+
 def test_missing_demand_is_an_error(tmp_path):
     path = write_problem(tmp_path)
     with pytest.raises(DispatchError, match="no demand"):
