@@ -1,0 +1,183 @@
+"""Golden digests: every seeded result of the solvers and oracles, bit for bit.
+
+tests/golden.json holds the float.hex of every DispatchSolution field and
+the SHA-256 of every convergence trace for a fixed set of cases, grouped as
+"pso", "ga" and "oracle".  A change that moves any result fails here even
+when the quality gates still pass.  A change that moves results on purpose
+rewrites the affected groups and names them in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py            # every group
+    PYTHONPATH=src python tests/test_golden.py ga         # only the GA cases
+
+Mismatch policy: NumPy's SIMD reductions may sum in another order on another
+CPU or NumPy version, so the digests are compared exactly only where the
+running NumPy version and machine type are those recorded in the file.
+Elsewhere each case's total cost is compared to GOLDEN_REL relative, and the
+test prints that it did so.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import sys
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ceed import ga, pso
+from ceed.ga import GaConfig
+from ceed.harness import load_problem
+from ceed.model import LossMatrix
+from ceed.oracle import grid_search, lambda_solve
+from ceed.penalty import penalty_factors_all
+from ceed.pso import PsoConfig
+
+from conftest import make_problem, random_problem
+
+GOLDEN = Path(__file__).with_name("golden.json")
+GROUPS = ("pso", "ga", "oracle")
+GOLDEN_REL = 1e-9  # total-cost tolerance where the NumPy build differs
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+def solution_digest(solution) -> dict:
+    return {
+        "powers": [_hex(p) for p in solution.powers],
+        "fuel_cost": _hex(solution.fuel_cost),
+        "emissions": {gas.value: _hex(v) for gas, v in solution.emissions.items()},
+        "emission_cost": _hex(solution.emission_cost),
+        "total_cost": _hex(solution.total_cost),
+        "balance_residual": _hex(solution.balance_residual),
+        "limit_violations": [[uid, _hex(v)] for uid, v in solution.limit_violations],
+    }
+
+
+def trial_digest(solution, trace) -> dict:
+    trace = np.ascontiguousarray(trace, dtype="<f8")
+    return {**solution_digest(solution), "trace_sha256": hashlib.sha256(trace.tobytes()).hexdigest()}
+
+
+def _six_unit(demand):
+    return load_problem(Path(str(resources.files("ceed").joinpath("data/ieee30_6unit.json"))), demand)
+
+
+def _lossy_six_unit(seed):
+    """The six-unit system with a seeded symmetric B-matrix losing about 3% of 1500 MW."""
+    base = _six_unit(1500.0)
+    rng = np.random.default_rng([seed, 7])
+    n = base.n_units
+    coupling = np.triu(rng.uniform(-0.05, 0.15, (n, n)), 1)
+    diag = rng.uniform(0.7, 1.3, n)
+    b = (coupling + coupling.T + np.eye(n)) * np.sqrt(np.outer(diag, diag))
+    p = np.full(n, 1500.0 / n)
+    b *= 0.03 * 1500.0 / float(p @ b @ p)
+    return make_problem(base.units, 1500.0, gases=base.gases, losses=LossMatrix(b))
+
+
+def _trial_cases(name, runner, problem, config, trials):
+    h = penalty_factors_all(problem)
+    results = runner(problem, config, h, trials)
+    return {f"{name}/seed{config.seed + i}": trial_digest(*result) for i, result in enumerate(results)}
+
+
+def _solver_cases(solver: str) -> dict:
+    module, make_config = (pso, PsoConfig) if solver == "pso" else (ga, GaConfig)
+    steps = "iterations" if solver == "pso" else "generations"
+    size = "particles" if solver == "pso" else "individuals"
+    cases = {}
+    for demand in (1500.0, 2000.0):
+        cases.update(_trial_cases(f"{solver}/six/{demand:g}", module.run_trials, _six_unit(demand), make_config(), 10))
+    for seed in (1, 2):
+        cases.update(
+            _trial_cases(
+                f"{solver}/lossy{seed}", module.run_trials, _lossy_six_unit(seed), make_config(**{steps: 200}), 4
+            )
+        )
+    large = random_problem(np.random.default_rng(40), 40)
+    cases.update(
+        _trial_cases(f"{solver}/random40", module.run_trials, large, make_config(**{steps: 50, size: 100}), 1)
+    )
+    return cases
+
+
+def _oracle_cases() -> dict:
+    cases = {}
+    for demand in (1500.0, 2000.0):
+        problem = _six_unit(demand)
+        result = lambda_solve(problem, penalty_factors_all(problem))
+        cases[f"oracle/lambda/six/{demand:g}"] = {
+            "lambda": _hex(result.lambda_),
+            "powers": [_hex(p) for p in result.powers],
+            "iterations": result.iterations,
+            "residual": _hex(result.residual),
+            "total_cost": _hex(result.solution(problem, penalty_factors_all(problem)).total_cost),
+        }
+    three = random_problem(np.random.default_rng(3), 3)
+    lossy = make_problem(three.units, three.demand, losses=LossMatrix(np.diag([2e-4, 1e-4, 3e-4])))
+    for name, problem in (("lossless", three), ("lossy", lossy)):
+        solution = grid_search(problem, penalty_factors_all(problem), resolution=1.0)
+        cases[f"oracle/grid/{name}"] = solution_digest(solution)
+    return cases
+
+
+def compute(group: str) -> dict:
+    return _oracle_cases() if group == "oracle" else _solver_cases(group)
+
+
+def _same_build(golden: dict) -> bool:
+    return golden["numpy"] == np.__version__ and golden["machine"] == platform.machine()
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_golden_digests(group):
+    golden = json.loads(GOLDEN.read_text())
+    expected = {name: case for name, case in golden["cases"].items() if name.startswith(f"{group}/")}
+    actual = compute(group)
+    assert sorted(actual) == sorted(expected), "case set changed; regenerate the golden file"
+    if _same_build(golden):
+        moved = [name for name in expected if actual[name] != expected[name]]
+        assert not moved, f"{len(moved)} golden cases moved: {moved}"
+        return
+    print(
+        f"golden: NumPy {np.__version__} on {platform.machine()} is not the recorded "
+        f"{golden['numpy']} on {golden['machine']}; comparing total cost to {GOLDEN_REL:g} relative"
+    )
+    for name, case in expected.items():
+        want = float.fromhex(case["total_cost"])
+        got = float.fromhex(actual[name]["total_cost"])
+        assert got == pytest.approx(want, rel=GOLDEN_REL), name
+
+
+def regenerate(groups) -> None:
+    """Rewrite the cases of the given groups, keeping the others as recorded."""
+    cases = {}
+    if GOLDEN.exists():
+        golden = json.loads(GOLDEN.read_text())
+        if set(groups) != set(GROUPS) and not _same_build(golden):
+            sys.exit("the recorded groups come from another NumPy build; regenerate every group")
+        cases = golden["cases"]
+    for group in groups:
+        cases = {name: case for name, case in cases.items() if not name.startswith(f"{group}/")}
+        cases.update(compute(group))
+    golden = {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "regenerate": "PYTHONPATH=src python tests/test_golden.py [group ...]",
+        "cases": dict(sorted(cases.items())),
+    }
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    chosen = sys.argv[1:] or list(GROUPS)
+    unknown = sorted(set(chosen) - set(GROUPS))
+    if unknown:
+        sys.exit(f"unknown group(s) {unknown}; choose from {list(GROUPS)}")
+    regenerate(chosen)
