@@ -2,26 +2,30 @@
 
 Each unit's power is a gene of `bits_per_gene` bits decoded onto
 [p_min, p_max] up to rounding; the decoded vector is clamped to the limits
-and balance-repaired before evaluation.  Fitness rescales objectives
-into [0, 1] within each generation, the best individual always at 1.
-The operator rates are the fixed module constants P_CROSSOVER and
-P_MUTATION, and the ELITISM best individuals of each generation pass on
-unchanged, so every generation holds the best row seen so far.
+and balance-repaired before evaluation.  An individual's fitness is the
+generation's worst objective minus its own, the odds of rescaling
+objectives onto [0, 1].  The operator rates are the fixed module constants
+P_CROSSOVER and P_MUTATION, and the best individual of each generation
+passes on unchanged, so every generation holds the best row seen so far.
 
-The operators act on a whole population at once, so one generation is a
-fixed number of array operations whatever its size.  Its draws from the
-trial's one seeded Generator come in this order: the roulette spins, the
-pool shuffle, the crossover coins and cut points of every pair, then the
-mutation mask of every child bit.  run_trials breeds each trial on its own
-and evaluates every trial's population in one decode, repair and
-objective call.
+breed makes the next generation of every trial at once, on arrays of
+shape (trials, individuals, bits), and no operation mixes two trials'
+rows.  Each trial draws from its own seeded Generator in blocks of whole
+generations, at most DRAW_BLOCK child bits to a block.  A block is one call
+for the uniforms, laid out generation by generation as the roulette spins
+and shuffle keys of every individual, then a crossover coin and a cut
+uniform per pair; then the sorted positions of the block's flipped child
+bits, drawn as geometric gaps (flip_positions) and set in a 0/1 mask that
+breed XORs into the children.  The block length depends on the
+configuration alone, so a trial draws the same in a batch as alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .repair import repair_batch
 
 P_CROSSOVER = 0.96  # chance that a parent pair exchanges suffixes
 P_MUTATION = 0.033  # chance that a child bit flips
-ELITISM = 1  # best individuals copied unchanged into the next generation
+DRAW_BLOCK = 1 << 14  # most child bits of one trial whose flips are drawn in one call
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,9 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.individuals < ELITISM + 1:
-            raise ValueError(f"individuals must be >= {ELITISM + 1}, got {self.individuals}")
+        # the elite needs a child beside it
+        if self.individuals < 2:
+            raise ValueError(f"individuals must be >= 2, got {self.individuals}")
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
         if self.bits_per_gene < 4:
@@ -76,44 +81,94 @@ def _gene_weights(width: int) -> np.ndarray:
     return weights
 
 
-def fitness_scale(objectives: np.ndarray) -> np.ndarray:
-    """(worst - obj) / (worst - best) within a generation; all-equal -> all 1."""
-    worst, best = objectives.max(), objectives.min()
-    if worst == best:
-        return np.ones_like(objectives)
-    return (worst - objectives) / (worst - best)
+def roulette_select(objectives: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """One index per spin, row by row, drawn with odds worst - objective.
+
+    objectives is (trials, n) and spins (trials, m) uniforms in [0, 1).  A
+    spin u picks the count of cumulative fitness values at or below
+    u * total, found as the first one above it, so individual k wins with
+    probability fitness_k / total, as with fitness rescaled onto [0, 1].  A
+    row whose objectives are all equal has no fitness to share and draws
+    uniformly.
+    """
+    n = objectives.shape[1]
+    wheel = (objectives.max(axis=1, keepdims=True) - objectives).cumsum(axis=1)
+    if np.count_nonzero(wheel[:, -1]) < len(wheel):
+        wheel[wheel[:, -1] == 0.0] = np.arange(1.0, n + 1.0)
+    # a spin that rounds up to the total (odds about 2^-53) finds no entry and picks 0
+    return (wheel[:, None, :] > spins[:, :, None] * wheel[:, None, -1:]).argmax(axis=2)
 
 
-def roulette_select(fitness: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n indices, each drawn with probability fitness / sum(fitness); all-zero -> uniform."""
-    total = fitness.sum()
-    if total <= 0.0:
-        return rng.integers(len(fitness), size=n)
-    spins = rng.random(n) * total
-    picks = fitness.cumsum().searchsorted(spins, side="right")
-    return np.minimum(picks, len(fitness) - 1, out=picks)
+def crossover(parents: np.ndarray, coins: np.ndarray, cuts: np.ndarray, p: float) -> np.ndarray:
+    """Single-point suffix exchange within each pair of rows, in place; returns parents.
+
+    parents is (trials, 2 * pairs, bits), rows 2k and 2k + 1 of a trial
+    forming pair k, and coins and cuts are (trials, pairs) uniforms.  A pair
+    whose coin is below p exchanges its bits from 1 + floor(cut * (bits - 1))
+    on, so the children take their parents' places.
+    """
+    length = parents.shape[2]
+    positions = _bit_positions(length)
+    first, second = parents[:, 0::2], parents[:, 1::2]
+    # bit j lies at or past the cut 1 + floor(x) exactly when j > floor(x);
+    # a pair that does not cross keeps every bit
+    kept = np.where(coins < p, cuts * (length - 1), length).astype(positions.dtype)
+    differ = first ^ second
+    differ &= positions > kept[..., None]
+    first ^= differ
+    second ^= differ
+    return parents
 
 
-def crossover(
-    parents_a: np.ndarray,
-    parents_b: np.ndarray,
-    rng: np.random.Generator,
-    p: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point suffix exchange between row k of each, per pair with probability p."""
-    if parents_a.shape != parents_b.shape:
-        raise ValueError(f"parent shapes differ: {parents_a.shape} vs {parents_b.shape}")
-    pairs, length = parents_a.shape
-    crossed = rng.random(pairs) < p
-    site = rng.integers(1, length, pairs)
-    swap = (np.arange(length) >= site[:, None]) & crossed[:, None]
-    return np.where(swap, parents_b, parents_a), np.where(swap, parents_a, parents_b)
+@lru_cache(maxsize=8)
+def _bit_positions(length: int) -> np.ndarray:
+    """0 ... length - 1 in the narrowest unsigned type that holds length (read-only, shared)."""
+    positions = np.arange(length, dtype=np.min_scalar_type(length))
+    positions.flags.writeable = False
+    return positions
 
 
-def mutate(children: np.ndarray, rng: np.random.Generator, p: float) -> np.ndarray:
-    """Flip every bit independently with probability p, in place; returns children."""
-    children ^= rng.random(children.shape) < p
-    return children
+def flip_positions(rng: np.random.Generator, span: int, p: float) -> np.ndarray:
+    """Sorted positions in range(span) of the bits that flip, each with probability p.
+
+    The gaps between successive flips are geometric: the first flip lands
+    at gap - 1 and each later one a gap past the one before.  The draw
+    costs O(flips), not O(span).  p = 0 flips nothing and p = 1 every bit.
+    """
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    expected = span * p
+    # enough gaps to pass the end of the span, nearly always in one call
+    chunk = int(expected + 6.0 * math.sqrt(expected) + 8.0)
+    ends = rng.geometric(p, chunk).cumsum()
+    while ends[-1] <= span:
+        ends = np.concatenate([ends, ends[-1] + rng.geometric(p, chunk).cumsum()])
+    return ends[: ends.searchsorted(span, side="right")] - 1
+
+
+def breed(populations: np.ndarray, objectives: np.ndarray, uniforms: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """The next generation of every trial: its elite, then its mutated children.
+
+    populations is (trials, n, bits) with objectives (trials, n), and
+    uniforms holds each trial's n spins, n shuffle keys, then a coin and a
+    cut uniform for each of its n // 2 pairs.  flips is a (trials, n - 1,
+    bits) 0/1 mask of the child bits that flip.  When n is even the last
+    pair's second child has no place and is dropped.
+    """
+    trials, n, _ = populations.shape
+    pairs = n // 2
+    rows = np.arange(trials)[:, None]
+    # the wheel is spun once per individual, the pool is shuffled and its
+    # leading 2 * pairs picks are mated in sequential pairs
+    picks = roulette_select(objectives, uniforms[:, :n])
+    lineup = np.empty((trials, 1 + 2 * pairs), dtype=np.intp)
+    lineup[:, 0] = objectives.argmin(axis=1)
+    lineup[:, 1:] = picks[rows, uniforms[:, n : 2 * n].argsort(axis=1)[:, : 2 * pairs]]
+    nxt = populations[rows, lineup]
+    coins, cuts = uniforms[:, 2 * n : 2 * n + pairs], uniforms[:, 2 * n + pairs :]
+    crossover(nxt[:, 1:], coins, cuts, P_CROSSOVER)
+    nxt[:, 1:n] ^= flips
+    return nxt[:, :n]
 
 
 def run_trials(
@@ -123,11 +178,11 @@ def run_trials(
 
     Entry i is the last generation's leader and the per-generation best
     trace of trial i, bitwise equal to run() with seed config.seed + i:
-    each trial breeds from its own Generator, and only the decode, repair
-    and objective calls take every trial's population at once.  The elite
-    re-evaluates to the same objective, as repair and the objective treat
-    each row on its own, so the leader is the best row ever seen and the
-    trace never rises.
+    each trial draws from its own Generator, and the breeding, decode,
+    repair and objective calls take every trial's population at once
+    without mixing their rows.  The elite re-evaluates to the same
+    objective, as repair and the objective treat each row on its own, so
+    the leader is the best row ever seen and the trace never rises.
     """
     config = config or GaConfig()
     if trials < 1:
@@ -138,11 +193,11 @@ def run_trials(
         [rng.integers(0, 2, size=(config.individuals, length), dtype=np.uint8) for rng in rngs]
     )
     powers, objectives = _evaluate(populations, problem, config, h)
+    draws = _draws(rngs, max(config.generations - 1, 0), config.individuals, length)
     trace = np.empty((trials, config.generations))
     for generation in range(config.generations):
         if generation:
-            for i, rng in enumerate(rngs):
-                populations[i] = _next_generation(populations[i], objectives[i], rng, config)
+            populations = breed(populations, objectives, *next(draws))
             powers, objectives = _evaluate(populations, problem, config, h)
         trace[:, generation] = objectives.min(axis=1)
     best = powers[np.arange(trials), objectives.argmin(axis=1)]
@@ -166,21 +221,27 @@ def _evaluate(
     return powers.reshape(trials, individuals, -1), objectives.reshape(trials, individuals)
 
 
-def _next_generation(
-    population: np.ndarray,
-    objectives: np.ndarray,
-    rng: np.random.Generator,
-    config: GaConfig,
-) -> np.ndarray:
-    n, length = population.shape
-    elites = population[objectives.argsort(kind="stable")[:ELITISM]]
-    needed = n - ELITISM
-    # the wheel is spun once per population slot, then the pool is shuffled
-    # and consumed in sequential pairs; a pair past its end wraps round
-    pool = roulette_select(fitness_scale(objectives), rng, n)
-    rng.shuffle(pool)
-    parents = population[pool[np.arange(2 * ((needed + 1) // 2)) % n]]
-    children_a, children_b = crossover(parents[0::2], parents[1::2], rng, P_CROSSOVER)
-    # pair k side by side, then one row each: a0, b0, a1, b1, ...
-    children = np.concatenate([children_a, children_b], axis=1).reshape(-1, length)[:needed]
-    return np.concatenate([elites, mutate(children, rng, P_MUTATION)])
+def _draws(
+    rngs: list[np.random.Generator], breedings: int, individuals: int, length: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """breed's uniforms and flip mask for each of `breedings` generations.
+
+    A block covers as many whole generations as fit DRAW_BLOCK child bits
+    of one trial (at least one).  Each trial draws the block's uniforms in
+    one call, then the flip positions of all its child bits in the block.
+    Every block is drawn into the same two buffers, so each yielded pair is
+    valid until the next one is asked for.
+    """
+    trials, pairs = len(rngs), individuals // 2
+    span = (individuals - 1) * length  # child bits of one trial's generation
+    per_block = max(1, DRAW_BLOCK // span)
+    uniforms = np.empty((trials, min(per_block, breedings), 2 * (individuals + pairs)))
+    flips = np.empty((trials, min(per_block, breedings), individuals - 1, length), dtype=np.uint8)
+    for first in range(0, breedings, per_block):
+        block = min(per_block, breedings - first)
+        flips.fill(0)
+        for rng, trial_uniforms, trial_flips in zip(rngs, uniforms[:, :block], flips[:, :block]):
+            rng.random(out=trial_uniforms)
+            trial_flips.reshape(-1)[flip_positions(rng, block * span, P_MUTATION)] = 1
+        for g in range(block):
+            yield uniforms[:, g], flips[:, g]

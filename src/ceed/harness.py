@@ -32,6 +32,11 @@ from .model import (
 )
 from .penalty import PenaltyFactors, penalty_factors_all
 
+
+class ProblemFileError(DispatchError, ValueError):
+    """A problem file whose values the model rejects; the message names the file."""
+
+
 SOLVER_NAMES = ("pso", "ga")
 # The config field that holds each solver's step budget.
 _BUDGET = {"pso": "iterations", "ga": "generations"}
@@ -48,7 +53,9 @@ def load_problem(
     The file supplies units, gases and optionally a loss matrix and a
     default demand; a demand passed here overrides the file.  The loss
     matrix is checked by LossMatrix: mild asymmetry is averaged away with a
-    warning, anything beyond the model tolerance is rejected.
+    warning, anything beyond the model tolerance is rejected.  Values the
+    model rejects raise ProblemFileError naming the file; a demand the
+    units cannot meet raises InfeasibleError.
     """
     path = Path(path)
     try:
@@ -89,13 +96,14 @@ def load_problem(
                     for g, coeffs in entry["emissions"].items()
                 },
             )
+            units.append(GeneratorUnit(**fields))
         except KeyError as exc:
             raise DispatchError(f"{where} is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             # a null limit, a number where a list of coefficients belongs, a
-            # string that is no number, or a gas key that is no Gas
-            raise DispatchError(f"{where}: {exc}") from exc
-        units.append(GeneratorUnit(**fields))
+            # string that is no number, a gas key that is no Gas, or a unit
+            # GeneratorUnit rejects
+            raise ProblemFileError(f"{where}: {exc}") from exc
 
     if demand is None:
         demand = raw.get("demand")
@@ -106,17 +114,15 @@ def load_problem(
         demand = float(demand)
     except (TypeError, ValueError) as exc:
         # a mapping, ragged rows or a string that is no number; LossMatrix
-        # still raises its own ValueError on shape, finiteness and asymmetry
-        raise DispatchError(f"{path}: 'b_matrix' and 'demand' must hold numbers: {exc}") from exc
-    losses = None if b is None else LossMatrix(b)
-    return DispatchProblem(
-        units=tuple(units),
-        demand=demand,
-        gases=gases,
-        losses=losses,
-        k1=k1,
-        k2=k2,
-    )
+        # checks shape, finiteness and symmetry below
+        raise ProblemFileError(f"{path}: 'b_matrix' and 'demand' must hold numbers: {exc}") from exc
+    try:
+        losses = None if b is None else LossMatrix(b)
+        return DispatchProblem(units=tuple(units), demand=demand, gases=gases, losses=losses, k1=k1, k2=k2)
+    except ValueError as exc:
+        # a loss matrix of the wrong shape, not finite or asymmetric, or units
+        # that do not make a problem (InfeasibleError is no ValueError)
+        raise ProblemFileError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

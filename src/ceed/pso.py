@@ -15,7 +15,11 @@ term for constraint violations.
 
 run_trials steps the swarms of several seeded trials as one set of rows:
 each trial draws from its own Generator and keeps its own gbest, so its
-result is bitwise that of a lone run with its seed.
+result is bitwise that of a lone run with its seed.  Each iteration takes a
+trial's r1, then its r2.  A trial draws them for several iterations in one
+call, at most DRAW_BLOCK entries for the whole batch; Generator.random
+consumes its stream in order, so the block length leaves every draw as it
+would be one iteration at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .repair import repair_batch
 W_MAX, W_MIN = 0.9, 0.4
 C1 = C2 = 2.05
 V_MAX_FRACTION = 0.5  # of each unit's p_max - p_min
+DRAW_BLOCK = 1 << 14  # most uniforms a batch draws ahead, over all its trials
 
 _PHI = C1 + C2  # > 4, so the swarm contracts
 # Clerc-Kennedy chi = 2 / |2 - phi - sqrt(phi^2 - 4 phi)|
@@ -76,6 +81,10 @@ class PsoState:
     gbest_pos: np.ndarray  # (trials, units)
     gbest_obj: np.ndarray  # (trials,)
     rngs: tuple[np.random.Generator, ...] = field(repr=False)
+    # r1 and r2 drawn ahead, (trials, iterations, 2, particles, units) and
+    # refilled in place, and how many of those iterations step has used
+    draws: np.ndarray = field(default_factory=lambda: np.empty((0, 0)), repr=False)
+    used: int = 0
 
 
 def velocity_update(
@@ -138,10 +147,15 @@ def step(
     v_max = V_MAX_FRACTION * (hi - lo)
     trials = len(state.rngs)
     grid = (trials, len(state.positions) // trials, problem.n_units)
-    # each trial draws its r1, then its r2, from its own Generator
-    r = np.empty((trials, 2, *grid[1:]))
-    for rng, draws in zip(state.rngs, r):
-        rng.random(out=draws)
+    if state.used == state.draws.shape[1]:
+        ahead = max(1, min(DRAW_BLOCK // (2 * state.positions.size), config.iterations - iteration))
+        if ahead != state.draws.shape[1]:
+            state.draws = np.empty((trials, ahead, 2, *grid[1:]))
+        for rng, block in zip(state.rngs, state.draws):
+            rng.random(out=block)
+        state.used = 0
+    r = state.draws[:, state.used]
+    state.used += 1
     v = velocity_update(
         state.velocities.reshape(grid),
         state.positions.reshape(grid),

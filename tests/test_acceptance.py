@@ -9,7 +9,7 @@ penalty factors, and the table's arithmetic identities.
 
 import numpy as np
 
-from ceed.ga import GaConfig, crossover, mutate, roulette_select
+from ceed.ga import GaConfig, crossover, flip_positions, roulette_select
 from ceed.ga import run as ga_run
 from ceed.harness import ExperimentSpec, load_problem, run_experiment
 from ceed.model import (
@@ -180,26 +180,27 @@ def test_criterion_6_invariant_suite(rng):
                 failures.append(f"infeasible iterate at t={t}")
                 break
 
-    # roulette frequencies within 3 sigma of the exact shares
+    # roulette frequencies within 3 sigma of the exact shares (fitness 3 : 1 : 0)
     wheel_rng = np.random.default_rng(77)
-    fitness = np.array([3.0, 1.0])
-    hits = int((roulette_select(fitness, wheel_rng, 10_000) == 0).sum())
+    objectives = np.array([[0.0, 2.0, 3.0]])
+    hits = int((roulette_select(objectives, wheel_rng.random((1, 10_000))) == 0).sum())
     sigma = np.sqrt(0.75 * 0.25 / 10_000)
     if abs(hits / 10_000 - 0.75) > 3 * sigma:
         failures.append(f"roulette frequency {hits / 10_000:.4f} off 0.75")
 
-    # crossover conserves the per-position bit multiset
+    # crossover conserves the per-position bit multiset of every pair
     cross_rng = np.random.default_rng(78)
     a = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
     b = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
-    ca, cb = crossover(a, b, cross_rng, 1.0)
-    if not np.array_equal(ca + cb, a + b):
+    parents = np.stack([a, b], axis=1).reshape(1, 400, 48)
+    children = crossover(parents, cross_rng.random((1, 200)), cross_rng.random((1, 200)), 1.0)[0]
+    if not np.array_equal(children[0::2] + children[1::2], a + b):
         failures.append("crossover lost bits")
 
     # mutation flip count within 3 sigma of binomial(n, p_m)
     mut_rng = np.random.default_rng(79)
     n, pm = 10_000, 0.033
-    flips = int(mutate(np.zeros((100, n // 100), dtype=np.uint8), mut_rng, pm).sum())
+    flips = flip_positions(mut_rng, n, pm).size
     sigma = np.sqrt(n * pm * (1 - pm))
     if abs(flips - n * pm) > 3 * sigma:
         failures.append(f"mutation flips {flips} outside binomial band")

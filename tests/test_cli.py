@@ -163,10 +163,16 @@ def _add_unknown_gas(doc):
         (_add_unknown_gas, "unit #1: 'smog'"),
         (lambda doc: {**doc, "b_matrix": {"1": [1e-5]}}, "'b_matrix'"),
         (lambda doc: {**doc, "b_matrix": [["x", 0.0], [0.0, 1e-5]]}, "'b_matrix'"),
+        # values LossMatrix and GeneratorUnit reject
+        (lambda doc: {**doc, "b_matrix": [[None, 0.0], [0.0, 1e-5]]}, "finite"),
+        (lambda doc: {**doc, "b_matrix": [[1e-5, 2e-6], [5e-6, 1e-5]]}, "asymmetric"),
+        (lambda doc: {**doc, "b_matrix": [[1e-5, 0.0]]}, "square"),
+        (_set_unit_field("p_min", 400.0), "unit #1: unit 1"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
          "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
-         "b_matrix-dict", "b_matrix-string"],
+         "b_matrix-dict", "b_matrix-string", "b_matrix-null", "b_matrix-asymmetric",
+         "b_matrix-shape", "p_min-above-p_max"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)

@@ -4,23 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ceed.model import BALANCE_TOL, balance_residual, check_limits
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
 from ceed import ga
-from ceed.ga import (
-    GaConfig,
-    _next_generation,
-    crossover,
-    decode,
-    fitness_scale,
-    mutate,
-    roulette_select,
-    run,
-    run_trials,
-)
+from ceed.ga import GaConfig, breed, crossover, decode, flip_positions, roulette_select, run, run_trials
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
 
@@ -79,61 +69,101 @@ def test_decode_rejects_length_mismatch():
             decode(bits, problem, GaConfig(bits_per_gene=8))
 
 
-def test_fitness_scale_range_and_all_equal():
-    objs = np.array([120.0, 100.0, 180.0])
-    fit = fitness_scale(objs)
-    assert fit[1] == 1.0 and fit[2] == 0.0
-    assert fit[0] == pytest.approx(0.75)
-    assert fitness_scale(np.array([50.0, 50.0])) == pytest.approx([1.0, 1.0])
+def test_roulette_odds_follow_worst_minus_objective():
+    # odds worst - obj, those of fitness rescaled onto [0, 1]: 60 : 80 : 0
+    rng = np.random.default_rng(4)
+    picks = roulette_select(np.array([[120.0, 100.0, 180.0]]), rng.random((1, 10_000)))[0]
+    shares = np.bincount(picks, minlength=3) / 10_000
+    assert shares[2] == 0.0  # the worst individual has no fitness
+    assert shares[:2] == pytest.approx([60 / 140, 80 / 140], abs=0.02)
 
 
 def test_roulette_single_and_zero_fitness():
     rng = np.random.default_rng(0)
-    assert np.array_equal(roulette_select(np.array([0.3]), rng, 5), np.zeros(5))
-    picks = set(roulette_select(np.zeros(4), rng, 200).tolist())
+    assert np.array_equal(roulette_select(np.array([[0.3]]), rng.random((1, 5))), np.zeros((1, 5)))
+    # all-equal objectives leave no fitness to share: every index stays reachable
+    picks = set(roulette_select(np.full((1, 4), 7.0), rng.random((1, 200)))[0].tolist())
     assert picks == {0, 1, 2, 3}
 
 
 def test_roulette_frequency_matches_fitness_share():
     rng = np.random.default_rng(5)
-    fitness = np.array([3.0, 1.0])
-    hits = int((roulette_select(fitness, rng, 10_000) == 0).sum())
+    objectives = np.array([[0.0, 2.0, 3.0]])  # fitness 3 : 1 : 0
+    hits = int((roulette_select(objectives, rng.random((1, 10_000))) == 0).sum())
     assert hits / 10_000 == pytest.approx(0.75, abs=0.02)
+
+
+def test_roulette_rows_are_separate_trials():
+    rng = np.random.default_rng(6)
+    objectives = np.array([[1.0, 5.0, 5.0], [5.0, 5.0, 1.0], [2.0, 2.0, 2.0]])
+    spins = rng.random((3, 50))
+    picks = roulette_select(objectives, spins)
+    assert set(picks[0].tolist()) == {0} and set(picks[1].tolist()) == {2}
+    for row in range(3):
+        assert np.array_equal(picks[row], roulette_select(objectives[row : row + 1], spins[row : row + 1])[0])
+
+
+def pairs_of(a, b):
+    """(1, 2 * pairs, bits) parents with pair k formed by row k of a and of b."""
+    return np.stack([a, b], axis=1).reshape(1, 2 * len(a), a.shape[1])
 
 
 def test_crossover_suffix_swap_and_bit_conservation():
     rng = np.random.default_rng(9)
     a = np.zeros((1, 4), dtype=np.uint8)
     b = np.ones((1, 4), dtype=np.uint8)
-    ca, cb = crossover(a, b, rng, 1.0)
+    ca, cb = crossover(pairs_of(a, b), rng.random((1, 1)), rng.random((1, 1)), 1.0)[0]
     assert ca.sum() + cb.sum() == 4  # bits conserved across the pair
-    assert not np.array_equal(ca, a)  # p_c = 1 always crosses
+    assert not np.array_equal(ca, a[0])  # p_c = 1 always crosses
     # one suffix swap: child a keeps a prefix of a and takes the suffix of b
-    assert np.array_equal(ca, np.sort(ca, axis=1)) and np.array_equal(cb, 1 - ca)
+    assert np.array_equal(ca, np.sort(ca)) and np.array_equal(cb, 1 - ca)
+    # the cut 1 + floor(u * (bits - 1)) runs over 1 ... bits - 1 and no further
+    zeros, ones = np.zeros((2, 4), dtype=np.uint8), np.ones((2, 4), dtype=np.uint8)
+    cuts = np.array([[0.0, np.nextafter(1.0, 0.0)]])
+    edges = crossover(pairs_of(zeros, ones), np.zeros((1, 2)), cuts, 1.0)[0]
+    assert edges[0].tolist() == [0, 1, 1, 1] and edges[2].tolist() == [0, 0, 0, 1]
     pa = rng.integers(0, 2, (50, 32), dtype=np.uint8)
     pb = rng.integers(0, 2, (50, 32), dtype=np.uint8)
-    ca, cb = crossover(pa, pb, rng, 1.0)
-    assert np.array_equal(ca + cb, pa + pb)  # per-position multiset of every pair
+    children = crossover(pairs_of(pa, pb), rng.random((1, 50)), rng.random((1, 50)), 1.0)[0]
+    assert np.array_equal(children[0::2] + children[1::2], pa + pb)  # per-position multiset of every pair
 
 
 def test_crossover_disabled_copies_parents():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 2, (4, 16), dtype=np.uint8)
     b = rng.integers(0, 2, (4, 16), dtype=np.uint8)
-    ca, cb = crossover(a, b, rng, 0.0)
-    assert np.array_equal(ca, a) and np.array_equal(cb, b)
+    children = crossover(pairs_of(a, b), rng.random((1, 4)), rng.random((1, 4)), 0.0)[0]
+    assert np.array_equal(children[0::2], a) and np.array_equal(children[1::2], b)
 
 
 def test_mutation_extremes_and_rate():
     rng = np.random.default_rng(21)
-    children = rng.integers(0, 2, (4, 64), dtype=np.uint8)
-    frozen = mutate(children.copy(), rng, 0.0)
-    assert np.array_equal(frozen, children)
-    flipped = mutate(children.copy(), rng, 1.0)
-    assert np.array_equal(flipped, 1 - children)
-    big = np.zeros((100, 100), dtype=np.uint8)
-    flips = mutate(big, rng, 0.033).sum()
-    assert 300 <= flips <= 360  # binomial(10000, 0.033) well within 3 sigma
+    assert flip_positions(rng, 256, 0.0).size == 0
+    assert np.array_equal(flip_positions(rng, 256, 1.0), np.arange(256))
+    flips = flip_positions(rng, 10_000, 0.033)
+    assert np.all(np.diff(flips) > 0) and 0 <= flips[0] and flips[-1] < 10_000
+    assert 300 <= flips.size <= 360  # binomial(10000, 0.033) well within 3 sigma
+
+
+def test_mutation_first_and_last_bit_flip_at_the_rate():
+    # a geometric off-by-one would skip bit 0 or let a flip land one past the end
+    rng = np.random.default_rng(22)
+    span, draws, pm = 16, 10_000, 0.033
+    first = last = 0
+    for _ in range(draws):
+        flips = flip_positions(rng, span, pm)
+        assert flips.size == 0 or (flips[0] >= 0 and flips[-1] < span)
+        first += flips.size > 0 and flips[0] == 0
+        last += flips.size > 0 and flips[-1] == span - 1
+    sigma = np.sqrt(draws * pm * (1 - pm))
+    assert abs(first - draws * pm) <= 3 * sigma
+    assert abs(last - draws * pm) <= 3 * sigma
+
+
+def one_generation(population, objectives, rng):
+    """breed one trial through the run's own draws."""
+    uniforms, flips = next(ga._draws([rng], 1, *population.shape))
+    return breed(population[None], objectives[None], uniforms, flips)[0]
 
 
 def generation_inputs(individuals, seed, length=24):
@@ -145,10 +175,9 @@ def generation_inputs(individuals, seed, length=24):
 @pytest.mark.parametrize("individuals", [2, 7, 8, 9, 10])
 def test_next_generation_shape_dtype_and_elites(individuals):
     population, objectives, rng = generation_inputs(individuals, individuals)
-    nxt = _next_generation(population, objectives, rng, GaConfig(individuals=individuals))
+    nxt = one_generation(population, objectives, rng)
     assert nxt.shape == population.shape and nxt.dtype == np.uint8
-    best = np.argsort(objectives)[: ga.ELITISM]
-    assert np.array_equal(nxt[: ga.ELITISM], population[best])  # elites survive bitwise
+    assert np.array_equal(nxt[0], population[np.argmin(objectives)])  # the elite survives bitwise
 
 
 @pytest.mark.parametrize("individuals", [10, 11, 12])
@@ -157,11 +186,35 @@ def test_next_generation_conserves_bits_per_pair(individuals, monkeypatch):
     monkeypatch.setattr(ga, "P_CROSSOVER", 1.0)
     monkeypatch.setattr(ga, "P_MUTATION", 0.0)
     population, objectives, rng = generation_inputs(individuals, 40 + individuals)
-    nxt = _next_generation(population, objectives, rng, GaConfig(individuals=individuals))
-    children = nxt[ga.ELITISM :]
+    nxt = one_generation(population, objectives, rng)
+    children = nxt[1:]
     pair_sums = {(a + b).tobytes() for a in population for b in population}
     for k in range(0, len(children) - 1, 2):
         assert (children[k] + children[k + 1]).tobytes() in pair_sums
+
+
+def test_next_generation_flips_every_child_bit_at_rate_one(monkeypatch):
+    # with p_c = 0 and p_m = 1 each child is the complement of a parent
+    monkeypatch.setattr(ga, "P_CROSSOVER", 0.0)
+    monkeypatch.setattr(ga, "P_MUTATION", 1.0)
+    population, objectives, rng = generation_inputs(9, 60)
+    nxt = one_generation(population, objectives, rng)
+    assert np.array_equal(nxt[0], population[np.argmin(objectives)])
+    complements = {(1 - row).tobytes() for row in population}
+    assert all(child.tobytes() in complements for child in nxt[1:])
+
+
+def test_breed_keeps_trials_apart():
+    # trial 1 bred beside trial 0 is bitwise trial 1 bred alone
+    rng = np.random.default_rng(31)
+    populations = rng.integers(0, 2, (2, 9, 40), dtype=np.uint8)
+    objectives = rng.random((2, 9))
+    batch = ga._draws([np.random.default_rng(1), np.random.default_rng(2)], 3, 9, 40)
+    alone = ga._draws([np.random.default_rng(2)], 3, 9, 40)
+    for (uniforms, flips), (lone_uniforms, lone_flips) in zip(batch, alone):
+        assert np.array_equal(uniforms[1:], lone_uniforms) and np.array_equal(flips[1:], lone_flips)
+        together = breed(populations, objectives, uniforms, flips)
+        assert np.array_equal(together[1:], breed(populations[1:], objectives[1:], lone_uniforms, lone_flips))
 
 
 def test_run_is_deterministic(rng):
@@ -199,20 +252,28 @@ def test_property_trace_never_rises(data):
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
-@given(st.data())
-def test_property_batched_trials_equal_lone_runs(data):
-    problem = data.draw(weighted_problems(max_units=4))
-    config = GaConfig(
-        individuals=data.draw(st.integers(2, 6)),
-        generations=data.draw(st.integers(0, 8)),
-        seed=data.draw(st.integers(0, 2**32 - 8)),
-    )
-    trials = data.draw(st.integers(1, 4))
+@given(
+    problem=weighted_problems(max_units=4),
+    trials=st.integers(1, 4),
+    individuals=st.integers(2, 6),
+    generations=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 8),
+)
+# 128 children of 64 bits fill half a draw block: 5 breedings cross two block boundaries
+@example(
+    problem=random_problem(np.random.default_rng(3), 4),
+    trials=3,
+    individuals=129,
+    generations=6,
+    seed=2**32 - 9,
+)
+def test_property_batched_trials_equal_lone_runs(problem, trials, individuals, generations, seed):
+    config = GaConfig(individuals=individuals, generations=generations, seed=seed)
     h = penalty_factors_all(problem)
     batch = run_trials(problem, config, h, trials)
     assert len(batch) == trials
     for i, (solution, trace) in enumerate(batch):
-        lone, lone_trace = run(problem, replace(config, seed=config.seed + i), h)
+        lone, lone_trace = run(problem, replace(config, seed=seed + i), h)
         assert solution.powers == lone.powers
         assert solution.total_cost == lone.total_cost
         assert trace.tobytes() == lone_trace.tobytes()

@@ -127,6 +127,9 @@ def test_large_loss_asymmetry_is_rejected(tmp_path):
     path = write_problem(tmp_path, b_matrix=b)
     with pytest.raises(ValueError, match="asymmetric"):
         load_problem(path, demand=100.0)
+    # the error names the file and is both a ValueError and a DispatchError
+    with pytest.raises(DispatchError, match=r"problem\.json: .*asymmetric"):
+        load_problem(path, demand=100.0)
 
 
 def test_spec_validation():

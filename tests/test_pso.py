@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ceed import pso
 from ceed.model import BALANCE_TOL, balance_residual, check_limits, evaluate_dispatch
@@ -159,6 +159,15 @@ def test_property_trace_never_rises(problem, particles, iterations, seed):
     particles=st.integers(1, 6),
     iterations=st.integers(0, 8),
     seed=st.integers(0, 2**32 - 8),
+)
+# three trials of 910 four-unit particles draw three iterations to a block, so
+# eight iterations cross two block boundaries; a lone run draws all eight at once
+@example(
+    problem=random_problem(np.random.default_rng(3), 4),
+    trials=3,
+    particles=910,
+    iterations=8,
+    seed=2**32 - 9,
 )
 def test_property_batched_trials_equal_lone_runs(problem, trials, particles, iterations, seed):
     config = PsoConfig(particles=particles, iterations=iterations, seed=seed)
