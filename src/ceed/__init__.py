@@ -16,13 +16,13 @@ from .model import (
     GeneratorUnit,
     InfeasibleError,
     LossMatrix,
+    PenaltyFactors,
     balance_residual,
     check_limits,
     evaluate_dispatch,
-    fuel_cost_unit,
     transmission_loss,
 )
-from .penalty import PenaltyFactors, UnitRatio, penalty_factor, penalty_factors_all, unit_ratios
+from .penalty import penalty_factors_all, unit_ratios
 from .oracle import LambdaResult, grid_search, lambda_solve
 from .pso import PsoConfig
 from .ga import GaConfig
@@ -47,7 +47,6 @@ __all__ = [
     "InfeasibleError",
     "LossMatrix",
     "PenaltyFactors",
-    "UnitRatio",
     "LambdaResult",
     "PsoConfig",
     "GaConfig",
@@ -60,10 +59,8 @@ __all__ = [
     "run_experiment",
     "check_limits",
     "evaluate_dispatch",
-    "fuel_cost_unit",
     "grid_search",
     "lambda_solve",
-    "penalty_factor",
     "penalty_factors_all",
     "transmission_loss",
     "unit_ratios",

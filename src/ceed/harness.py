@@ -29,8 +29,9 @@ from .model import (
     Gas,
     GeneratorUnit,
     LossMatrix,
+    PenaltyFactors,
 )
-from .penalty import PenaltyFactors, penalty_factors_all
+from .penalty import penalty_factors_all
 
 
 class ProblemFileError(DispatchError, ValueError):
@@ -269,14 +270,6 @@ def export_trace(trace: Sequence[float], path: Union[str, Path]) -> None:
     lines = ["iteration,objective"]
     lines += [f"{i},{v:.12g}" for i, v in enumerate(trace, start=1)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_trace(path: Union[str, Path]) -> np.ndarray:
-    """Inverse of export_trace; returns the objective column."""
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "iteration,objective":
-        raise ValueError(f"{path}: not a trace file")
-    return np.array([float(r.split(",")[1]) for r in rows[1:]])
 
 
 def _solution_lines(tag: str, solution: DispatchSolution) -> list[str]:

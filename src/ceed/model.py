@@ -14,12 +14,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .penalty import PenaltyFactors
 
 # Tolerance (MW) below which a power-balance residual counts as satisfied.
 BALANCE_TOL = 1e-6
@@ -217,40 +215,54 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Penalty factors are produced by ceed.penalty; the objective only needs a
-# gas -> $/kg lookup (and the demand, when h carries one), so a plain dict
-# serves too.  _prices is the one reader of h.
-HLike = Union[Mapping[Gas, float], "PenaltyFactors", None]
+@dataclass(frozen=True)
+class PenaltyFactors:
+    """$/kg price per gas, valid only for the demand it was built for.
+
+    ceed.penalty.penalty_factors_all builds it for a problem.  Every price
+    is checked finite and > 0 here, once; the values are then a read-only
+    view, so what every reader prices with is what was checked.
+    """
+
+    values: Mapping[Gas, float]
+    demand: float
+
+    def __post_init__(self) -> None:
+        values = {gas: float(price) for gas, price in self.values.items()}
+        for gas, price in values.items():
+            if not 0.0 < price < math.inf:
+                raise ValueError(f"penalty factor for {gas.value} must be > 0 and finite, got {price}")
+        object.__setattr__(self, "values", MappingProxyType(values))
+
+    def __getitem__(self, gas: Gas) -> float:
+        return self.values[gas]
+
+    def __reduce__(self):
+        # a read-only view does not pickle, so a worker process rebuilds h from a copy
+        return PenaltyFactors, (dict(self.values), self.demand)
 
 
-def _check_prices(prices: Mapping[Gas, float]) -> None:
-    """Reject any penalty price that is not finite and > 0, naming its gas."""
-    for gas, price in prices.items():
-        if not 0.0 < price < math.inf:
-            raise ValueError(f"penalty factor for {gas.value} must be > 0 and finite, got {price}")
+def _prices(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[float, ...]:
+    """h_g per gas in `gases` order, $/kg, matched to the problem's gases and demand.
 
-
-def _prices(problem: DispatchProblem, h: HLike) -> tuple[float, ...]:
-    """h_g per gas in `gases` order, $/kg, checked against the problem's gases and demand.
-
-    Without h the prices are empty, which only k2 = 0 allows.
+    Without h the prices are empty, which only k2 = 0 allows.  _prices is
+    the one reader of h.
     """
     if h is None:
         if problem.k2:
             raise ValueError("penalty factors are required when k2 = 1")
         return ()
-    demand = getattr(h, "demand", None)
-    if demand is not None and not math.isclose(demand, problem.demand, rel_tol=0, abs_tol=1e-9):
+    if not isinstance(h, PenaltyFactors):
+        raise TypeError(f"penalty factors must be a PenaltyFactors, got {type(h).__name__}")
+    if not math.isclose(h.demand, problem.demand, rel_tol=0, abs_tol=1e-9):
         raise ValueError(
-            f"penalty factors were computed for demand {demand} MW, "
+            f"penalty factors were computed for demand {h.demand} MW, "
             f"problem demand is {problem.demand} MW"
         )
     try:
-        prices = {gas: float(h[gas]) for gas in problem.gases}
+        return tuple(h.values[gas] for gas in problem.gases)
     except KeyError as exc:
         raise ValueError(f"penalty factor missing for {exc.args[0]}") from None
-    _check_prices(prices)
-    return tuple(prices.values())
 
 
 def _as_power_vector(problem: DispatchProblem, powers: Sequence[float]) -> np.ndarray:
@@ -260,11 +272,6 @@ def _as_power_vector(problem: DispatchProblem, powers: Sequence[float]) -> np.nd
             f"expected {problem.n_units} power values, got shape {arr.shape}"
         )
     return arr
-
-
-def fuel_cost_unit(unit: GeneratorUnit, p: float) -> float:
-    """Quadratic fuel cost a + b*p + c*p^2 of one unit, $/h."""
-    return unit.cost[0] + unit.cost[1] * p + unit.cost[2] * p * p
 
 
 def curve_values(problem: DispatchProblem, powers: np.ndarray) -> np.ndarray:
@@ -331,7 +338,7 @@ class DispatchSolution:
 
 
 def evaluate_dispatch(
-    problem: DispatchProblem, powers: Sequence[float], h: HLike = None
+    problem: DispatchProblem, powers: Sequence[float], h: Optional[PenaltyFactors] = None
 ) -> DispatchSolution:
     """The full solution record of one power vector, the package's one scalar evaluator.
 
@@ -359,16 +366,16 @@ def evaluate_dispatch(
 # the cost and emission curves into one quadratic per unit, so a call costs
 # one Horner evaluation whatever the number of gases.  The fold depends only
 # on the problem and on h's prices, so it is computed once per (problem, h)
-# and kept on the problem, keyed by the checked prices in `gases` order: a
-# different h, or a mapping changed in place, never reads a stale fold, and
-# every call still checks h.  Summed in another order than evaluate_dispatch,
+# and kept on the problem, keyed by h's prices in `gases` order: a different
+# h never reads a stale fold, and every call still matches h to the problem.
+# Summed in another order than evaluate_dispatch,
 # the objective agrees with total_cost to rounding, not bitwise;
 # tests/test_model.py holds the two together by a property.
 
 
-def _fold(problem: DispatchProblem, h: HLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-unit (a, b, c) of k1 * cost + k2 * sum_g h_g * emission_g, memoized on the problem."""
-    key = _prices(problem, h) if problem.k2 else ()
+    key = _prices(problem, h)
     folds = problem._folds
     fold = folds.get(key)
     if fold is None:
@@ -384,12 +391,12 @@ def _fold(problem: DispatchProblem, h: HLike) -> tuple[np.ndarray, np.ndarray, n
 
 
 def combined_objective_batch(
-    problem: DispatchProblem, P: np.ndarray, h: HLike = None
+    problem: DispatchProblem, P: np.ndarray, h: Optional[PenaltyFactors] = None
 ) -> np.ndarray:
     """k1 * fuel cost + k2 * sum_g h_g * E_g of every row of P, $/h; h as in evaluate_dispatch.
 
     The per-unit quadratic that h folds into is computed once per (problem,
-    h) and memoized on the problem, keyed by h's checked prices.
+    h) and memoized on the problem, keyed by h's prices.
     """
     a, b, c = _fold(problem, h)
     return (a + P * (b + c * P)).sum(axis=1)

@@ -9,14 +9,15 @@ shares any search machinery with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .model import (
     DispatchProblem,
     DispatchSolution,
-    HLike,
     InfeasibleError,
+    PenaltyFactors,
     _prices,
     combined_objective_batch,
     evaluate_dispatch,
@@ -33,24 +34,25 @@ class LambdaResult:
     iterations: int
     residual: float  # MW
 
-    def solution(self, problem: DispatchProblem, h: HLike = None) -> DispatchSolution:
+    def solution(self, problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -> DispatchSolution:
         return evaluate_dispatch(problem, self.powers, h)
 
 
-def _effective_coeffs(problem: DispatchProblem, h: HLike) -> tuple[np.ndarray, np.ndarray]:
+def _effective_coeffs(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[np.ndarray, np.ndarray]:
     """Linear and quadratic coefficients of the scalarized per-unit objective."""
     _, b, c = problem.cost_arr
     b_eff = problem.k1 * b
     c_eff = problem.k1 * c
+    prices = _prices(problem, h)
     if problem.k2:
-        for price, gas in zip(_prices(problem, h), problem.gases):
+        for price, gas in zip(prices, problem.gases):
             _, beta, gamma = problem.emission_arr[gas]
             b_eff += price * beta
             c_eff += price * gamma
     return b_eff, c_eff
 
 
-def lambda_solve(problem: DispatchProblem, h: HLike = None) -> LambdaResult:
+def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -> LambdaResult:
     """Bisection on the system marginal cost for a lossless problem.
 
     Each unit follows p_i(lambda) = clamp((lambda - b_i) / (2 c_i)) with the
@@ -100,7 +102,7 @@ def lambda_solve(problem: DispatchProblem, h: HLike = None) -> LambdaResult:
 
 
 def grid_search(
-    problem: DispatchProblem, h: HLike = None, resolution: float = 1.0
+    problem: DispatchProblem, h: Optional[PenaltyFactors] = None, resolution: float = 1.0
 ) -> DispatchSolution:
     """Enumerate the first N-1 units on a grid, close the balance with the last.
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DispatchProblem, DispatchSolution, HLike, combined_objective_batch, evaluate_dispatch
+from .model import DispatchProblem, DispatchSolution, PenaltyFactors, combined_objective_batch, evaluate_dispatch
 from .repair import repair_batch
 
 
@@ -110,7 +110,7 @@ def _leaders(objs: np.ndarray, trials: int) -> np.ndarray:
 
 
 def init_swarm(
-    problem: DispatchProblem, config: PsoConfig, h: HLike = None, trials: int = 1
+    problem: DispatchProblem, config: PsoConfig, h: Optional[PenaltyFactors] = None, trials: int = 1
 ) -> PsoState:
     """Uniform random positions repaired onto the balance; zero velocities.
 
@@ -139,7 +139,7 @@ def step(
     state: PsoState,
     problem: DispatchProblem,
     config: PsoConfig,
-    h: HLike = None,
+    h: Optional[PenaltyFactors] = None,
     iteration: int = 0,
 ) -> PsoState:
     """Advance every trial's swarm one iteration in place and return the state."""
@@ -168,12 +168,10 @@ def step(
         r[:, 0],
         r[:, 1],
     ).reshape(state.positions.shape)
-    # v and x are fresh arrays, so each clamp can write in place
+    # v is a fresh array, so its clamp can write in place; repair_batch clamps x
     np.minimum(np.maximum(v, -v_max, out=v), v_max, out=v)
     state.velocities = v
-    x = state.positions + v
-    np.minimum(np.maximum(x, lo, out=x), hi, out=x)
-    state.positions = repair_batch(problem, x)
+    state.positions = repair_batch(problem, state.positions + v)
     objs = combined_objective_batch(problem, state.positions, h)
     improved = objs < state.pbest_obj
     state.pbest_obj = np.where(improved, objs, state.pbest_obj)
@@ -187,7 +185,7 @@ def step(
 
 
 def run_trials(
-    problem: DispatchProblem, config: Optional[PsoConfig], h: HLike, trials: int
+    problem: DispatchProblem, config: Optional[PsoConfig], h: Optional[PenaltyFactors], trials: int
 ) -> list[tuple[DispatchSolution, np.ndarray]]:
     """PSO runs with seeds config.seed + i, stepped together as one swarm batch.
 
@@ -205,7 +203,7 @@ def run_trials(
 
 
 def run(
-    problem: DispatchProblem, config: Optional[PsoConfig] = None, h: HLike = None
+    problem: DispatchProblem, config: Optional[PsoConfig] = None, h: Optional[PenaltyFactors] = None
 ) -> tuple[DispatchSolution, np.ndarray]:
     """Full PSO run; returns the best dispatch and the per-iteration gbest trace."""
     return run_trials(problem, config, h, 1)[0]

@@ -21,7 +21,7 @@ def small_config(**kw):
     return GaConfig(**defaults)
 
 
-def test_config_rejects_narrow_genes_and_full_elitism():
+def test_config_rejects_narrow_genes_and_a_lone_individual():
     with pytest.raises(ValueError):
         GaConfig(bits_per_gene=3)
     # a lone individual would be all elite: the one elite needs a child beside it

@@ -11,10 +11,16 @@ from ceed.harness import (
     export_trace,
     format_report,
     load_problem,
-    read_trace,
     run_experiment,
 )
 from ceed.model import DispatchError, InfeasibleError
+
+
+def read_trace(path):
+    """Inverse of export_trace; returns the objective column."""
+    rows = path.read_text().strip().splitlines()
+    assert rows[0] == "iteration,objective"
+    return np.array([float(r.split(",")[1]) for r in rows[1:]])
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):

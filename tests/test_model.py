@@ -22,7 +22,6 @@ from ceed.model import (
     check_limits,
     combined_objective_batch,
     evaluate_dispatch,
-    fuel_cost_unit,
     transmission_loss,
 )
 from ceed.oracle import lambda_solve
@@ -30,6 +29,11 @@ from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.pso import PsoConfig
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
+
+
+def fuel_cost_unit(unit, p):
+    """Quadratic fuel cost a + b*p + c*p^2 of one unit, $/h: the model tests' scalar reference."""
+    return unit.cost[0] + unit.cost[1] * p + unit.cost[2] * p * p
 
 
 # --- fixed values -----------------------------------------------------------
@@ -227,7 +231,6 @@ def test_objective_fold_never_goes_stale(six_unit_path):
     rows = np.random.default_rng(7).uniform(problem.p_min_arr, problem.p_max_arr, (5, problem.n_units))
     h1 = penalty_factors_all(problem)
     h2 = PenaltyFactors({g: 2.0 * v for g, v in h1.values.items()}, problem.demand)
-    plain = dict(h1.values)
 
     def check(h):
         got = combined_objective_batch(problem, rows, h)
@@ -237,18 +240,13 @@ def test_objective_fold_never_goes_stale(six_unit_path):
     first = check(h1)
     assert not np.array_equal(check(h2), first)
     assert np.array_equal(check(h1), first)
-    assert np.array_equal(check(plain), first)
-    plain[Gas.SOX] *= 3.0
-    assert not np.array_equal(check(plain), first)
-    plain[Gas.SOX] = h1[Gas.SOX]
-    assert np.array_equal(check(plain), first)
-    # a plain mapping serves the scalar evaluator too
-    assert evaluate_dispatch(problem, rows[0], plain) == evaluate_dispatch(problem, rows[0], h1)
-    # a memoized fold never stands in for the checks on h
+    assert np.array_equal(check(PenaltyFactors(h1.values, problem.demand)), first)
+    # a memoized fold never stands in for matching h to the problem
     with pytest.raises(ValueError, match="demand"):
         combined_objective_batch(problem, rows, PenaltyFactors(h1.values, 2000.0))
+    no_sox = PenaltyFactors({g: v for g, v in h1.values.items() if g is not Gas.SOX}, problem.demand)
     with pytest.raises(ValueError, match="missing"):
-        combined_objective_batch(problem, rows, {Gas.NOX: 1.0})
+        combined_objective_batch(problem, rows, no_sox)
     with pytest.raises(ValueError, match="required"):
         combined_objective_batch(problem, rows, None)
 
@@ -338,10 +336,12 @@ def test_penalty_factors_demand_mismatch_is_an_error(rng):
 
 
 def test_every_price_reader_rejects_a_bad_plain_price(six_unit_path):
-    # a plain mapping passes no PenaltyFactors check, so the objective's own
-    # rule must catch it, even once a good fold is memoized on the problem
+    # prices are checked once, when PenaltyFactors is built; a plain mapping
+    # would skip that check, so every reader refuses one, good prices or bad,
+    # even once a good fold is memoized on the problem
     problem = load_problem(six_unit_path, 1500.0)
-    good = dict(penalty_factors_all(problem).values)
+    h = penalty_factors_all(problem)
+    good = dict(h.values)
     rows = np.random.default_rng(3).uniform(problem.p_min_arr, problem.p_max_arr, (4, problem.n_units))
     readers = (
         lambda h: combined_objective_batch(problem, rows, h),
@@ -349,12 +349,14 @@ def test_every_price_reader_rejects_a_bad_plain_price(six_unit_path):
         lambda h: lambda_solve(problem, h),
         lambda h: pso.run(problem, PsoConfig(particles=2, iterations=1), h),
     )
-    missing = {gas: price for gas, price in good.items() if gas is not Gas.SOX}
-    for bad in [{**good, Gas.SOX: v} for v in (np.nan, np.inf, 0.0, -1.0)] + [missing]:
+    for v in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="penalty factor for sox"):
+            PenaltyFactors({**good, Gas.SOX: v}, problem.demand)
+    for plain in (good, {**good, Gas.SOX: -1.0}):
         for read in readers:
-            read(good)
-            with pytest.raises(ValueError, match="penalty factor"):
-                read(bad)
+            read(h)
+            with pytest.raises(TypeError, match="PenaltyFactors"):
+                read(plain)
 
 
 def test_dimension_mismatch_is_an_error(rng):
