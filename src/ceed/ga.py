@@ -12,12 +12,12 @@ breed makes the next generation of every trial at once, on arrays of
 shape (trials, individuals, bits), and no operation mixes two trials'
 rows.  Each trial draws from its own seeded Generator in blocks of whole
 generations, at most DRAW_BLOCK child bits to a block.  A block is one call
-for the uniforms, laid out generation by generation as the roulette spins
-and shuffle keys of every individual, then a crossover coin and a cut
-uniform per pair; then the sorted positions of the block's flipped child
-bits, drawn as geometric gaps (flip_positions) and set in a 0/1 mask that
-breed XORs into the children.  The block length depends on the
-configuration alone, so a trial draws the same in a batch as alone.
+for the uniforms, laid out generation by generation as the two roulette
+spins of every pair of parents, then a crossover coin and a cut uniform per
+pair; then the sorted positions of the block's flipped child bits, drawn as
+geometric gaps (flip_positions) and set in a 0/1 mask that breed XORs into
+the children.  The block length depends on the configuration alone, so a
+trial draws the same in a batch as alone.
 """
 
 from __future__ import annotations
@@ -157,22 +157,20 @@ def breed(populations: np.ndarray, objectives: np.ndarray, uniforms: np.ndarray,
     """The next generation of every trial: its elite, then its mutated children.
 
     populations is (trials, n, bits) with objectives (trials, n), and
-    uniforms holds each trial's n spins, n shuffle keys, then a coin and a
-    cut uniform for each of its n // 2 pairs.  flips is a (trials, n - 1,
-    bits) 0/1 mask of the child bits that flip.  When n is even the last
-    pair's second child has no place and is dropped.
+    uniforms holds each trial's 2 spins, then a coin and a cut uniform, for
+    each of its n // 2 pairs, as (trials, 4 * pairs).  flips is a (trials,
+    n - 1, bits) 0/1 mask of the child bits that flip.  When n is even the
+    last pair's second child has no place and is dropped.
     """
     trials, n, _ = populations.shape
     pairs = n // 2
-    rows = np.arange(trials)[:, None]
-    # the wheel is spun once per individual, the pool is shuffled and its
-    # leading 2 * pairs picks are mated in sequential pairs
-    picks = roulette_select(objectives, uniforms[:, :n])
+    # two spins per pair; the spins are independent, so mating the picks in
+    # sequence pairs the parents at random
     lineup = np.empty((trials, 1 + 2 * pairs), dtype=np.intp)
     lineup[:, 0] = objectives.argmin(axis=1)
-    lineup[:, 1:] = picks[rows, uniforms[:, n : 2 * n].argsort(axis=1)[:, : 2 * pairs]]
-    nxt = populations[rows, lineup]
-    coins, cuts = uniforms[:, 2 * n : 2 * n + pairs], uniforms[:, 2 * n + pairs :]
+    lineup[:, 1:] = roulette_select(objectives, uniforms[:, : 2 * pairs])
+    nxt = populations[np.arange(trials)[:, None], lineup]
+    coins, cuts = uniforms[:, 2 * pairs : 3 * pairs], uniforms[:, 3 * pairs :]
     crossover(nxt[:, 1:], coins, cuts, P_CROSSOVER)
     nxt[:, 1:n] ^= flips
     return nxt[:, :n]
@@ -242,7 +240,7 @@ def _draws(
     trials, pairs = len(rngs), individuals // 2
     span = (individuals - 1) * length  # child bits of one trial's generation
     per_block = max(1, DRAW_BLOCK // span)
-    uniforms = np.empty((trials, min(per_block, breedings), 2 * (individuals + pairs)))
+    uniforms = np.empty((trials, min(per_block, breedings), 4 * pairs))
     flips = np.empty((trials, min(per_block, breedings), individuals - 1, length), dtype=np.uint8)
     for first in range(0, breedings, per_block):
         block = min(per_block, breedings - first)

@@ -368,9 +368,9 @@ def evaluate_dispatch(
 # on the problem and on h's prices, so it is computed once per (problem, h)
 # and kept on the problem, keyed by h's prices in `gases` order: a different
 # h never reads a stale fold, and every call still matches h to the problem.
-# Summed in another order than evaluate_dispatch,
-# the objective agrees with total_cost to rounding, not bitwise;
-# tests/test_model.py holds the two together by a property.
+# Summed in another order than evaluate_dispatch, the objective agrees with
+# total_cost to rounding, not bitwise; tests/test_model.py holds the two
+# together by a property.
 
 
 def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
