@@ -78,7 +78,7 @@ class GeneratorUnit:
         for gas, coeffs in self.emissions.items():
             if len(coeffs) != 3:
                 raise ValueError(f"unit {self.id}: {gas.value} needs exactly (alpha, beta, gamma)")
-        # freeze the mapping so the dataclass stays hashable and immutable
+        # a plain-dict copy detaches the unit from the caller's mapping; it is not frozen
         object.__setattr__(self, "emissions", dict(self.emissions))
 
 

@@ -29,12 +29,6 @@ from .model import BALANCE_TOL, DispatchProblem, InfeasibleError, balance_residu
 # Stands in for np.errstate on calls where no division can misfire.
 _LOUD = nullcontext()
 
-# Rows that land stay in the correction loop, frozen, until they hold this
-# many entries: a small batch pays more for gathering the rest of its arrays
-# than for carrying its landed rows, a large one (50 trials of a GA
-# population) the other way round.
-_GATHER_ENTRIES = 1024
-
 
 def _quiet():
     """Silence the inf and NaN of rows the ray cannot move; the restart handles them."""
@@ -89,9 +83,9 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     (rows,) = (~settled).nonzero()
     x, s, sx, p, r = x[rows], s[rows], sx[rows], out[rows], r[rows]
     # h rises with S, so the scales tried bracket the root; a step that leaves
-    # the bracket is replaced by bisection.  A row that lands keeps its s, p and
-    # r from then on.  Lossless, each of the two starts needs at most N + 1
-    # steps; 64 halvings exhaust a double
+    # the bracket is replaced by bisection.  The rows still off stay in the loop
+    # until all land, each frozen at its s, p and r once it lands.  Lossless,
+    # each of the two starts needs at most N + 1 steps; 64 halvings exhaust a double
     below, above = np.zeros(rows.size), np.full(rows.size, np.inf)
     restarted, landed = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
     with _quiet():
@@ -103,7 +97,7 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             if not np.isfinite(s).all():
                 stuck = ~np.isfinite(s)
                 if (stuck & restarted).any():
-                    r = r[stuck & restarted]
+                    landed = ~(stuck & restarted)
                     break
                 x[stuck] = 0.5 * (lo + hi)
                 s = np.where(stuck, _ray_start(problem, x), s)
@@ -116,14 +110,6 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             if landed.all():
                 out[rows] = p
                 return out
-            if landed.sum() * problem.n_units >= _GATHER_ENTRIES:
-                out[rows[landed]] = p[landed]
-                keep = ~landed
-                rows, x, s, sx, p, r = rows[keep], x[keep], s[keep], sx[keep], p[keep], r[keep]
-                below, above = below[keep], above[keep]
-                restarted, landed = restarted[keep], landed[keep]
-        else:
-            r = r[~landed]
     raise InfeasibleError(
-        f"cannot close the power balance at demand {problem.demand:g} MW: residual {r[0]:.6g} MW"
+        f"cannot close the power balance at demand {problem.demand:g} MW: residual {r[~landed][0]:.6g} MW"
     )

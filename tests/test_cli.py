@@ -168,11 +168,15 @@ def _add_unknown_gas(doc):
         (lambda doc: {**doc, "b_matrix": [[1e-5, 2e-6], [5e-6, 1e-5]]}, "asymmetric"),
         (lambda doc: {**doc, "b_matrix": [[1e-5, 0.0]]}, "square"),
         (_set_unit_field("p_min", 400.0), "unit #1: unit 1"),
+        # ids break penalty-walk ties and name units, so they are never rounded or cast
+        (_set_unit_field("id", 2.5), "unit #1: 'id' must be an integer, got 2.5"),
+        (_set_unit_field("id", True), "unit #1: 'id' must be an integer, got True"),
+        (_set_unit_field("id", "2"), "unit #1: 'id' must be an integer, got '2'"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
          "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
          "b_matrix-dict", "b_matrix-string", "b_matrix-null", "b_matrix-asymmetric",
-         "b_matrix-shape", "p_min-above-p_max"],
+         "b_matrix-shape", "p_min-above-p_max", "id-fraction", "id-bool", "id-string"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)

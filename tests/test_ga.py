@@ -173,7 +173,7 @@ def generation_inputs(individuals, seed, length=24):
 
 
 @pytest.mark.parametrize("individuals", [2, 7, 8, 9, 10])
-def test_next_generation_shape_dtype_and_elites(individuals):
+def test_breed_shape_dtype_and_elite(individuals):
     population, objectives, rng = generation_inputs(individuals, individuals)
     nxt = one_generation(population, objectives, rng)
     assert nxt.shape == population.shape and nxt.dtype == np.uint8
@@ -181,7 +181,7 @@ def test_next_generation_shape_dtype_and_elites(individuals):
 
 
 @pytest.mark.parametrize("individuals", [10, 11, 12])
-def test_next_generation_conserves_bits_per_pair(individuals, monkeypatch):
+def test_breed_conserves_bits_per_pair(individuals, monkeypatch):
     # with p_c = 1 and p_m = 0 every child pair holds the bits of two parents
     monkeypatch.setattr(ga, "P_CROSSOVER", 1.0)
     monkeypatch.setattr(ga, "P_MUTATION", 0.0)
@@ -193,7 +193,7 @@ def test_next_generation_conserves_bits_per_pair(individuals, monkeypatch):
         assert (children[k] + children[k + 1]).tobytes() in pair_sums
 
 
-def test_next_generation_flips_every_child_bit_at_rate_one(monkeypatch):
+def test_breed_flips_every_child_bit_at_rate_one(monkeypatch):
     # with p_c = 0 and p_m = 1 each child is the complement of a parent
     monkeypatch.setattr(ga, "P_CROSSOVER", 0.0)
     monkeypatch.setattr(ga, "P_MUTATION", 1.0)

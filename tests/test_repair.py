@@ -99,9 +99,11 @@ def test_lossy_demand_beyond_net_capacity_raises():
 
 
 @pytest.mark.parametrize("lossy", [False, True])
-def test_large_batch_rows_equal_lone_rows(six_unit_path, lossy):
-    # enough rows land for the loop to gather the rest, as in 50-trial GA batches
-    problem = load_problem(six_unit_path, 2000.0)
+@pytest.mark.parametrize("demand", [1500.0, 2000.0])
+def test_large_batch_rows_equal_lone_rows(six_unit_path, demand, lossy):
+    # 600 rows, as in a 50-trial GA batch: rows that land early wait, frozen,
+    # for the rest without moving a bit of any row
+    problem = load_problem(six_unit_path, demand)
     if lossy:
         b = 2e-5 * (np.eye(6) + 0.1)
         problem = make_problem(problem.units, problem.demand, losses=LossMatrix(b))
