@@ -16,8 +16,10 @@ for the uniforms, laid out generation by generation as the two roulette
 spins of every pair of parents, then a crossover coin and a cut uniform per
 pair; then the sorted positions of the block's flipped child bits, drawn as
 geometric gaps (flip_positions) and set in a 0/1 mask that breed XORs into
-the children.  The block length depends on the configuration alone, so a
-trial draws the same in a batch as alone.
+the children.  A block also yields the crossover masks of all its
+generations, built in one step from their coins and cuts (crossover_masks),
+which depend on nothing else.  The block length depends on the
+configuration alone, so a trial draws the same in a batch as alone.
 """
 
 from __future__ import annotations
@@ -99,22 +101,31 @@ def roulette_select(objectives: np.ndarray, spins: np.ndarray) -> np.ndarray:
     return (wheel[:, None, :] > spins[:, :, None] * wheel[:, None, -1:]).argmax(axis=2)
 
 
-def crossover(parents: np.ndarray, coins: np.ndarray, cuts: np.ndarray, p: float) -> np.ndarray:
-    """Single-point suffix exchange within each pair of rows, in place; returns parents.
+def crossover_masks(coins: np.ndarray, cuts: np.ndarray, length: int, p: float) -> np.ndarray:
+    """Per pair of parents, a 0/1 mask of the bits a single-point suffix exchange swaps.
+
+    coins and cuts are uniforms of one shape, one of each per pair; the
+    mask adds an axis of `length` bits.  A pair whose coin is below p
+    exchanges its bits from 1 + floor(cut * (length - 1)) on; a pair that
+    does not cross swaps none.  The mask is uint8, the type of the bits it
+    is applied to.
+    """
+    positions = _bit_positions(length)
+    # bit j lies at or past the cut 1 + floor(x) exactly when j > floor(x)
+    kept = np.where(coins < p, cuts * (length - 1), length).astype(positions.dtype)
+    return (positions > kept[..., None]).view(np.uint8)
+
+
+def crossover(parents: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Exchange the masked bits within each pair of rows, in place; returns parents.
 
     parents is (trials, 2 * pairs, bits), rows 2k and 2k + 1 of a trial
-    forming pair k, and coins and cuts are (trials, pairs) uniforms.  A pair
-    whose coin is below p exchanges its bits from 1 + floor(cut * (bits - 1))
-    on, so the children take their parents' places.
+    forming pair k, and masks is (trials, pairs, bits), as crossover_masks
+    gives, so the children take their parents' places.
     """
-    length = parents.shape[2]
-    positions = _bit_positions(length)
     first, second = parents[:, 0::2], parents[:, 1::2]
-    # bit j lies at or past the cut 1 + floor(x) exactly when j > floor(x);
-    # a pair that does not cross keeps every bit
-    kept = np.where(coins < p, cuts * (length - 1), length).astype(positions.dtype)
     differ = first ^ second
-    differ &= positions > kept[..., None]
+    differ &= masks
     first ^= differ
     second ^= differ
     return parents
@@ -146,21 +157,32 @@ def flip_positions(rng: np.random.Generator, span: int, p: float) -> np.ndarray:
     # enough gaps to pass the end of the span, nearly always in one call
     chunk = int(expected + 6.0 * math.sqrt(expected) + 8.0)
     rate = -math.log1p(-p)
-    ends = np.ceil(rng.standard_exponential(chunk) / rate).astype(np.int64).cumsum()
+    # a gap past the span ends the flips whatever its length, so E is capped
+    # where its gap passes span + 1: a tiny p cannot overflow the division or
+    # the integer cast
+    cap = (span + 1.0) * rate
+
+    def gaps() -> np.ndarray:
+        return np.ceil(np.minimum(rng.standard_exponential(chunk), cap) / rate).astype(np.int64)
+
+    ends = gaps().cumsum()
     while ends[-1] <= span:
-        gaps = np.ceil(rng.standard_exponential(chunk) / rate).astype(np.int64)
-        ends = np.concatenate([ends, ends[-1] + gaps.cumsum()])
+        ends = np.concatenate([ends, ends[-1] + gaps().cumsum()])
     return ends[: ends.searchsorted(span, side="right")] - 1
 
 
-def breed(populations: np.ndarray, objectives: np.ndarray, uniforms: np.ndarray, flips: np.ndarray) -> np.ndarray:
+def breed(
+    populations: np.ndarray, objectives: np.ndarray, uniforms: np.ndarray, masks: np.ndarray, flips: np.ndarray
+) -> np.ndarray:
     """The next generation of every trial: its elite, then its mutated children.
 
     populations is (trials, n, bits) with objectives (trials, n), and
     uniforms holds each trial's 2 spins, then a coin and a cut uniform, for
-    each of its n // 2 pairs, as (trials, 4 * pairs).  flips is a (trials,
-    n - 1, bits) 0/1 mask of the child bits that flip.  When n is even the
-    last pair's second child has no place and is dropped.
+    each of its n // 2 pairs, as (trials, 4 * pairs); breed reads the spins,
+    and masks is the (trials, pairs, bits) crossover_masks of the coins and
+    cuts.  flips is a (trials, n - 1, bits) 0/1 mask of the child bits that
+    flip.  When n is even the last pair's second child has no place and is
+    dropped.
     """
     trials, n, _ = populations.shape
     pairs = n // 2
@@ -170,8 +192,7 @@ def breed(populations: np.ndarray, objectives: np.ndarray, uniforms: np.ndarray,
     lineup[:, 0] = objectives.argmin(axis=1)
     lineup[:, 1:] = roulette_select(objectives, uniforms[:, : 2 * pairs])
     nxt = populations[np.arange(trials)[:, None], lineup]
-    coins, cuts = uniforms[:, 2 * pairs : 3 * pairs], uniforms[:, 3 * pairs :]
-    crossover(nxt[:, 1:], coins, cuts, P_CROSSOVER)
+    crossover(nxt[:, 1:], masks)
     nxt[:, 1:n] ^= flips
     return nxt[:, :n]
 
@@ -228,14 +249,16 @@ def _evaluate(
 
 def _draws(
     rngs: list[np.random.Generator], breedings: int, individuals: int, length: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """breed's uniforms and flip mask for each of `breedings` generations.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """breed's uniforms, crossover masks and flip mask for each of `breedings` generations.
 
     A block covers as many whole generations as fit DRAW_BLOCK child bits
     of one trial (at least one).  Each trial draws the block's uniforms in
-    one call, then the flip positions of all its child bits in the block.
-    Every block is drawn into the same two buffers, so each yielded pair is
-    valid until the next one is asked for.
+    one call, then the flip positions of all its child bits in the block;
+    the crossover masks of every generation of the block are then built in
+    one step from its coins and cuts.  Every block is drawn into the same
+    uniform and flip buffers, so each yielded triple is valid until the
+    next one is asked for.
     """
     trials, pairs = len(rngs), individuals // 2
     span = (individuals - 1) * length  # child bits of one trial's generation
@@ -248,5 +271,7 @@ def _draws(
         for rng, trial_uniforms, trial_flips in zip(rngs, uniforms[:, :block], flips[:, :block]):
             rng.random(out=trial_uniforms)
             trial_flips.reshape(-1)[flip_positions(rng, block * span, P_MUTATION)] = 1
+        drawn = uniforms[:, :block]
+        masks = crossover_masks(drawn[..., 2 * pairs : 3 * pairs], drawn[..., 3 * pairs :], length, P_CROSSOVER)
         for g in range(block):
-            yield uniforms[:, g], flips[:, g]
+            yield uniforms[:, g], masks[:, g], flips[:, g]

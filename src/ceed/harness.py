@@ -87,11 +87,8 @@ def load_problem(
         try:
             if not isinstance(entry, dict) or not isinstance(entry["emissions"], dict):
                 raise DispatchError(f"{where}: a unit and its 'emissions' must be JSON objects")
-            uid = entry["id"]
-            if not isinstance(uid, int) or isinstance(uid, bool):
-                raise TypeError(f"'id' must be an integer, got {uid!r}")
             fields = dict(
-                id=uid,
+                id=entry["id"],
                 p_min=float(entry["p_min"]),
                 p_max=float(entry["p_max"]),
                 cost=tuple(float(v) for v in entry["cost"]),
@@ -104,9 +101,9 @@ def load_problem(
         except KeyError as exc:
             raise DispatchError(f"{where} is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
-            # an id that is no integer, a null limit, a number where a list of
-            # coefficients belongs, a string that is no number, a gas key that
-            # is no Gas, or a unit GeneratorUnit rejects
+            # a null limit, a number where a list of coefficients belongs, a
+            # string that is no number, a gas key that is no Gas, or a unit
+            # GeneratorUnit rejects, an id that is no integer among them
             raise ProblemFileError(f"{where}: {exc}") from exc
 
     if demand is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,6 +65,11 @@ class GeneratorUnit:
     emissions: Mapping[Gas, tuple[float, float, float]]
 
     def __post_init__(self) -> None:
+        # ids break penalty-walk ties and name units: anything but an integer is
+        # rejected, never rounded, and an integer of any type is kept as an int
+        if not isinstance(self.id, numbers.Integral) or isinstance(self.id, bool):
+            raise ValueError(f"'id' must be an integer, got {self.id!r}")
+        object.__setattr__(self, "id", int(self.id))
         coeffs = [c for curve in (self.cost, *self.emissions.values()) for c in curve]
         if not all(math.isfinite(v) for v in (self.p_min, self.p_max, *coeffs)):
             raise ValueError(f"unit {self.id}: limits and coefficients must be finite")

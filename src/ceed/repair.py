@@ -13,9 +13,11 @@ Rows still off take correction steps to the exact root of h on the current
 active set: with d = x on the units off their limits and 0 elsewhere, p moves
 as p + e d, so h(S + e) = r + slope e - curve e^2 with slope = sum(d) - 2 d'Bp
 and curve = d'Bd; a step lands unless a further unit pins.  Lossless, the
-step is S - r / sum(d).  A row the ray cannot move (a zero x_i stays zero)
-restarts once from the limit midpoints.  Rows never mix: a row's result
-ignores its batch.
+step is S - r / sum(d).  A step that leaves the bracket of scales already
+tried is replaced by bisection, and the bisection midpoints are built only on
+the steps where some row leaves it.  A row the ray cannot move (a zero x_i
+stays zero) restarts once from the limit midpoints.  Rows never mix: a row's
+result ignores its batch.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ def _correction(
     At scale s the row is p, with residual r; d is x on the units off their
     limits and 0 elsewhere, so p moves as p + e d until a further unit clips.
     """
-    total = d.sum(axis=1)
+    total = np.add.reduce(d, axis=1)
     if problem.losses is None:
         return s - r / total
     db = d @ problem.losses.b
-    half_slope = 0.5 * total - (db * p).sum(axis=1)
-    curve = (db * d).sum(axis=1)
+    half_slope = 0.5 * total - np.add.reduce(db * p, axis=1)
+    curve = np.add.reduce(db * d, axis=1)
     # smaller root of r + 2*half_slope*e - curve*e^2 = 0, written without cancellation
     return s - r / (half_slope + np.sqrt(np.maximum(half_slope * half_slope + curve * r, 0.0)))
 
@@ -85,15 +87,24 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     # h rises with S, so the scales tried bracket the root; a step that leaves
     # the bracket is replaced by bisection.  The rows still off stay in the loop
     # until all land, each frozen at its s, p and r once it lands.  Lossless,
-    # each of the two starts needs at most N + 1 steps; 64 halvings exhaust a double
+    # each of the two starts needs at most N + 1 steps; 64 halvings exhaust a
+    # double.  p and the bracket are the loop's own arrays, updated in place
     below, above = np.zeros(rows.size), np.full(rows.size, np.inf)
     restarted, landed = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
     with _quiet():
         for _ in range(2 * problem.n_units + 64):
-            below, above = np.where(r < 0, s, below), np.where(r > 0, s, above)
-            t = _correction(problem, np.where(p == sx, x, 0.0), s, p, r)
-            t = np.where((t > below) & (t < above), t, 0.5 * (below + above))
-            s = np.where(landed, s, t)
+            np.copyto(below, s, where=r < 0)
+            np.copyto(above, s, where=r > 0)
+            # d as a product, not a select: the active set changes every step,
+            # and a select mispredicts.  The two differ only in the sign of a
+            # zero, which can only flip the sign of an infinite step (out of the
+            # bracket either way), and at a NaN x_i, whose row's s is NaN already
+            t = _correction(problem, x * (p == sx), s, p, r)
+            inside = (t > below) & (t < above)
+            if not inside.all():
+                t = np.where(inside, t, 0.5 * (below + above))
+            np.copyto(t, s, where=landed)
+            s = t
             if not np.isfinite(s).all():
                 stuck = ~np.isfinite(s)
                 if (stuck & restarted).any():
@@ -103,7 +114,7 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
                 s = np.where(stuck, _ray_start(problem, x), s)
                 below[stuck], above[stuck], restarted[stuck] = 0.0, np.inf, True
             sx = s[:, None] * x
-            p = np.maximum(sx, lo)
+            np.maximum(sx, lo, out=p)
             np.minimum(p, hi, out=p)
             r = balance_residual(problem, p)
             landed = np.abs(r) <= BALANCE_TOL

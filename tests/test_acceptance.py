@@ -9,7 +9,7 @@ penalty factors, and the table's arithmetic identities.
 
 import numpy as np
 
-from ceed.ga import GaConfig, crossover, flip_positions, roulette_select
+from ceed.ga import GaConfig, crossover, crossover_masks, flip_positions, roulette_select
 from ceed.ga import run as ga_run
 from ceed.harness import ExperimentSpec, load_problem, run_experiment
 from ceed.model import (
@@ -193,7 +193,7 @@ def test_criterion_6_invariant_suite(rng):
     a = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
     b = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
     parents = np.stack([a, b], axis=1).reshape(1, 400, 48)
-    children = crossover(parents, cross_rng.random((1, 200)), cross_rng.random((1, 200)), 1.0)[0]
+    children = crossover(parents, crossover_masks(cross_rng.random((1, 200)), cross_rng.random((1, 200)), 48, 1.0))[0]
     if not np.array_equal(children[0::2] + children[1::2], a + b):
         failures.append("crossover lost bits")
 

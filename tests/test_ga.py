@@ -10,7 +10,7 @@ from ceed.model import BALANCE_TOL, balance_residual, check_limits
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
 from ceed import ga
-from ceed.ga import GaConfig, breed, crossover, decode, flip_positions, roulette_select, run, run_trials
+from ceed.ga import GaConfig, breed, crossover, crossover_masks, decode, flip_positions, roulette_select, run, run_trials
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
 
@@ -112,7 +112,7 @@ def test_crossover_suffix_swap_and_bit_conservation():
     rng = np.random.default_rng(9)
     a = np.zeros((1, 4), dtype=np.uint8)
     b = np.ones((1, 4), dtype=np.uint8)
-    ca, cb = crossover(pairs_of(a, b), rng.random((1, 1)), rng.random((1, 1)), 1.0)[0]
+    ca, cb = crossover(pairs_of(a, b), crossover_masks(rng.random((1, 1)), rng.random((1, 1)), 4, 1.0))[0]
     assert ca.sum() + cb.sum() == 4  # bits conserved across the pair
     assert not np.array_equal(ca, a[0])  # p_c = 1 always crosses
     # one suffix swap: child a keeps a prefix of a and takes the suffix of b
@@ -120,11 +120,11 @@ def test_crossover_suffix_swap_and_bit_conservation():
     # the cut 1 + floor(u * (bits - 1)) runs over 1 ... bits - 1 and no further
     zeros, ones = np.zeros((2, 4), dtype=np.uint8), np.ones((2, 4), dtype=np.uint8)
     cuts = np.array([[0.0, np.nextafter(1.0, 0.0)]])
-    edges = crossover(pairs_of(zeros, ones), np.zeros((1, 2)), cuts, 1.0)[0]
+    edges = crossover(pairs_of(zeros, ones), crossover_masks(np.zeros((1, 2)), cuts, 4, 1.0))[0]
     assert edges[0].tolist() == [0, 1, 1, 1] and edges[2].tolist() == [0, 0, 0, 1]
     pa = rng.integers(0, 2, (50, 32), dtype=np.uint8)
     pb = rng.integers(0, 2, (50, 32), dtype=np.uint8)
-    children = crossover(pairs_of(pa, pb), rng.random((1, 50)), rng.random((1, 50)), 1.0)[0]
+    children = crossover(pairs_of(pa, pb), crossover_masks(rng.random((1, 50)), rng.random((1, 50)), 32, 1.0))[0]
     assert np.array_equal(children[0::2] + children[1::2], pa + pb)  # per-position multiset of every pair
 
 
@@ -132,7 +132,7 @@ def test_crossover_disabled_copies_parents():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 2, (4, 16), dtype=np.uint8)
     b = rng.integers(0, 2, (4, 16), dtype=np.uint8)
-    children = crossover(pairs_of(a, b), rng.random((1, 4)), rng.random((1, 4)), 0.0)[0]
+    children = crossover(pairs_of(a, b), crossover_masks(rng.random((1, 4)), rng.random((1, 4)), 16, 0.0))[0]
     assert np.array_equal(children[0::2], a) and np.array_equal(children[1::2], b)
 
 
@@ -160,10 +160,19 @@ def test_mutation_first_and_last_bit_flip_at_the_rate():
     assert abs(last - draws * pm) <= 3 * sigma
 
 
+@pytest.mark.parametrize("p", [1e-20, 5e-324])
+def test_mutation_at_a_tiny_rate_stays_in_the_span(p):
+    # a gap of ~1e20 bits would wrap in the integer cast, and p = 5e-324 would
+    # overflow the division; both warn, and pytest turns warnings into errors
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        flips = flip_positions(rng, 1000, p)
+        assert np.all((0 <= flips) & (flips < 1000))
+
+
 def one_generation(population, objectives, rng):
     """breed one trial through the run's own draws."""
-    uniforms, flips = next(ga._draws([rng], 1, *population.shape))
-    return breed(population[None], objectives[None], uniforms, flips)[0]
+    return breed(population[None], objectives[None], *next(ga._draws([rng], 1, *population.shape)))[0]
 
 
 def generation_inputs(individuals, seed, length=24):
@@ -211,10 +220,11 @@ def test_breed_keeps_trials_apart():
     objectives = rng.random((2, 9))
     batch = ga._draws([np.random.default_rng(1), np.random.default_rng(2)], 3, 9, 40)
     alone = ga._draws([np.random.default_rng(2)], 3, 9, 40)
-    for (uniforms, flips), (lone_uniforms, lone_flips) in zip(batch, alone):
-        assert np.array_equal(uniforms[1:], lone_uniforms) and np.array_equal(flips[1:], lone_flips)
-        together = breed(populations, objectives, uniforms, flips)
-        assert np.array_equal(together[1:], breed(populations[1:], objectives[1:], lone_uniforms, lone_flips))
+    for draws, lone_draws in zip(batch, alone):
+        for drawn, lone_drawn in zip(draws, lone_draws):
+            assert np.array_equal(drawn[1:], lone_drawn)
+        together = breed(populations, objectives, *draws)
+        assert np.array_equal(together[1:], breed(populations[1:], objectives[1:], *lone_draws))
 
 
 def test_run_is_deterministic(rng):
@@ -267,8 +277,22 @@ def test_property_trace_never_rises(data):
     generations=6,
     seed=2**32 - 9,
 )
+# 2 individuals of 64 bits: a block of 256 generations, then one of 3
+@example(
+    problem=random_problem(np.random.default_rng(3), 4),
+    trials=3,
+    individuals=2,
+    generations=260,
+    seed=17,
+)
 def test_property_batched_trials_equal_lone_runs(problem, trials, individuals, generations, seed):
     config = GaConfig(individuals=individuals, generations=generations, seed=seed)
+    # every generation's crossover masks are those of its own coins and cuts
+    length, pairs = problem.n_units * config.bits_per_gene, individuals // 2
+    rngs = [np.random.default_rng(seed + i) for i in range(trials)]
+    for uniforms, masks, _ in ga._draws(rngs, max(generations - 1, 0), individuals, length):
+        coins, cuts = uniforms[:, 2 * pairs : 3 * pairs], uniforms[:, 3 * pairs :]
+        assert np.array_equal(masks, crossover_masks(coins, cuts, length, ga.P_CROSSOVER))
     h = penalty_factors_all(problem)
     batch = run_trials(problem, config, h, trials)
     assert len(batch) == trials

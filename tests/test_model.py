@@ -5,6 +5,8 @@ properties (additivity, scalarization identities, loss-matrix behavior),
 then construction-time validation.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +254,18 @@ def test_objective_fold_never_goes_stale(six_unit_path):
 
 
 # --- validation at construction ---------------------------------------------
+
+
+@pytest.mark.parametrize("uid", [2.5, "two", True], ids=["fraction", "string", "bool"])
+def test_unit_rejects_an_id_that_is_no_integer(uid):
+    # a mix of int and str ids would turn the penalty walk's tie-break key into strings
+    with pytest.raises(ValueError, match=f"^'id' must be an integer, got {re.escape(repr(uid))}$"):
+        make_unit(uid, 10.0, 100.0)
+
+
+def test_unit_takes_a_numpy_integer_id_as_a_plain_int():
+    unit = make_unit(np.int64(3), 10.0, 100.0)
+    assert unit.id == 3 and type(unit.id) is int
 
 
 def test_unit_rejects_inverted_limits():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ceed.repair
 from ceed.harness import load_problem
 from ceed.model import BALANCE_TOL, InfeasibleError, LossMatrix, balance_residual, check_limits
 from ceed.repair import _correction, repair_batch
@@ -112,6 +113,35 @@ def test_large_batch_rows_equal_lone_rows(six_unit_path, demand, lossy):
     for i in range(P.shape[0]):
         assert np.array_equal(batch[i], repair_batch(problem, P[i : i + 1])[0])
         assert_repaired(problem, batch[i])
+
+
+# Residual evaluations per repair_batch call on seeded uniform six-unit rows,
+# batches of 1, 1, 10, 10, 10 and 500 rows, then the 500 repaired rows again:
+# one for the first scale and one per correction step.
+RESIDUAL_CALLS = {
+    (1500.0, False): [2, 2, 2, 3, 3, 3, 1],
+    (2000.0, False): [3, 3, 4, 3, 4, 4, 1],
+    (2000.0, True): [3, 3, 3, 3, 4, 4, 1],
+}
+
+
+@pytest.mark.parametrize("demand, lossy", list(RESIDUAL_CALLS))
+def test_each_correction_step_evaluates_the_residual_once(six_unit_path, monkeypatch, demand, lossy):
+    # a step counter wraps the module attribute repair looks up at call time
+    problem = load_problem(six_unit_path, demand)
+    if lossy:
+        problem = make_problem(problem.units, problem.demand, losses=LossMatrix(2e-5 * (np.eye(6) + 0.1)))
+    calls = []
+    monkeypatch.setattr(ceed.repair, "balance_residual", lambda *args: calls.append(1) or balance_residual(*args))
+    rng = np.random.default_rng(12)
+    counts = []
+    for rows in (1, 1, 10, 10, 10, 500):
+        calls.clear()
+        repaired = repair_batch(problem, rng.uniform(problem.p_min_arr, problem.p_max_arr, (rows, 6)))
+        counts.append(len(calls))
+    calls.clear()
+    repair_batch(problem, repaired)
+    assert counts + [len(calls)] == RESIDUAL_CALLS[demand, lossy]
 
 
 # --- the correction step ------------------------------------------------------
