@@ -89,11 +89,11 @@ def load_problem(
                 raise DispatchError(f"{where}: a unit and its 'emissions' must be JSON objects")
             fields = dict(
                 id=entry["id"],
-                p_min=float(entry["p_min"]),
-                p_max=float(entry["p_max"]),
-                cost=tuple(float(v) for v in entry["cost"]),
+                p_min=float(_json_numbers(entry["p_min"], "p_min")),
+                p_max=float(_json_numbers(entry["p_max"], "p_max")),
+                cost=tuple(float(v) for v in _json_numbers(entry["cost"], "cost")),
                 emissions={
-                    Gas(g): tuple(float(v) for v in coeffs)
+                    Gas(g): tuple(float(v) for v in _json_numbers(coeffs, g))
                     for g, coeffs in entry["emissions"].items()
                 },
             )
@@ -102,8 +102,8 @@ def load_problem(
             raise DispatchError(f"{where} is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             # a null limit, a number where a list of coefficients belongs, a
-            # string that is no number, a gas key that is no Gas, or a unit
-            # GeneratorUnit rejects, an id that is no integer among them
+            # string or a boolean for a number, a gas key that is no Gas, or a
+            # unit GeneratorUnit rejects, an id that is no integer among them
             raise ProblemFileError(f"{where}: {exc}") from exc
 
     if demand is None:
@@ -111,10 +111,11 @@ def load_problem(
     if demand is None:
         raise DispatchError(f"{path}: no demand in file and none supplied")
     try:
-        b = None if raw.get("b_matrix") is None else np.array(raw["b_matrix"], dtype=float)
-        demand = float(demand)
+        matrix = raw.get("b_matrix")
+        b = None if matrix is None else np.array(_json_numbers(matrix, "b_matrix"), dtype=float)
+        demand = float(_json_numbers(demand, "demand"))
     except (TypeError, ValueError) as exc:
-        # a mapping, ragged rows or a string that is no number; LossMatrix
+        # a mapping, ragged rows, a string or a boolean; LossMatrix
         # checks shape, finiteness and symmetry below
         raise ProblemFileError(f"{path}: 'b_matrix' and 'demand' must hold numbers: {exc}") from exc
     try:
@@ -124,6 +125,20 @@ def load_problem(
         # a loss matrix of the wrong shape, not finite or asymmetric, or units
         # that do not make a problem (InfeasibleError is no ValueError)
         raise ProblemFileError(f"{path}: {exc}") from exc
+
+
+def _json_numbers(value, name: str):
+    """value, once no string or boolean is in it or in its nested lists.
+
+    float() reads "123" as 123.0 and true as 1.0, and a string as a list of
+    digits, so a JSON number is the only form a number may take in a file.
+    """
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"could not convert {value!r} to a number in {name!r}")
+    if isinstance(value, list):
+        for item in value:
+            _json_numbers(item, name)
+    return value
 
 
 @dataclass(frozen=True)

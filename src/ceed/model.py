@@ -201,9 +201,9 @@ class DispatchProblem:
         return _frozen(np.array(curves, dtype=float).swapaxes(1, 2).copy())
 
     @cached_property
-    def _folds(self) -> dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """combined_objective_batch's memo: the last prices and their folded (a, b, c)."""
-        return {}
+    def _fold_memo(self) -> tuple[object, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """combined_objective_batch's memo: the last h and its folded (a, b, c)."""
+        return _NO_H, None
 
     @property
     def cost_arr(self) -> np.ndarray:
@@ -371,28 +371,34 @@ def evaluate_dispatch(
 # Rows of P are candidate power vectors.  The weights k1 and k2 * h_g fold
 # the cost and emission curves into one quadratic per unit, so a call costs
 # one Horner evaluation whatever the number of gases.  The fold depends only
-# on the problem and on h's prices, so it is computed once per (problem, h)
-# and kept on the problem, keyed by h's prices in `gases` order: a different
-# h never reads a stale fold, and every call still matches h to the problem.
+# on the problem and on h, so the problem keeps one (h, fold) pair and hands
+# the fold back when the same h object arrives again.  Identity is enough:
+# PenaltyFactors is frozen with read-only prices checked when it is built,
+# and the pair is stored only after _prices has matched that h to this
+# problem.  Any other h, equal or not, goes through _prices and replaces the
+# pair, so a rejected h leaves the last valid one in place.
 # Summed in another order than evaluate_dispatch, the objective agrees with
 # total_cost to rounding, not bitwise; tests/test_model.py holds the two
 # together by a property.
 
+# The memo's h before any fold: no h is this object.
+_NO_H = object()
+
 
 def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-unit (a, b, c) of k1 * cost + k2 * sum_g h_g * emission_g, memoized on the problem."""
-    key = _prices(problem, h)
-    folds = problem._folds
-    fold = folds.get(key)
-    if fold is None:
-        weights = np.zeros(1 + len(problem.gases))
-        weights[0] = problem.k1
-        if problem.k2:
-            weights[1:] = key
-        a, b, c = _frozen((weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1))
-        # one entry: a run uses one h, and a sweep over prices must not grow the memo
-        folds.clear()
-        fold = folds[key] = (a, b, c)
+    last, fold = problem._fold_memo
+    if last is h:
+        return fold
+    prices = _prices(problem, h)
+    weights = np.zeros(1 + len(problem.gases))
+    weights[0] = problem.k1
+    if problem.k2:
+        weights[1:] = prices
+    a, b, c = _frozen((weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1))
+    # one pair, replaced whole: a run uses one h, and a sweep over prices must not grow the memo
+    fold = (a, b, c)
+    object.__setattr__(problem, "_fold_memo", (h, fold))
     return fold
 
 
@@ -402,7 +408,7 @@ def combined_objective_batch(
     """k1 * fuel cost + k2 * sum_g h_g * E_g of every row of P, $/h; h as in evaluate_dispatch.
 
     The per-unit quadratic that h folds into is computed once per (problem,
-    h) and memoized on the problem, keyed by h's prices.
+    h) and memoized on the problem, keyed by the identity of h.
     """
     a, b, c = _fold(problem, h)
     return (a + P * (b + c * P)).sum(axis=1)

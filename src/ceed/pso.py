@@ -19,7 +19,14 @@ result is bitwise that of a lone run with its seed.  Each iteration takes a
 trial's r1, then its r2.  A trial draws them for several iterations in one
 call, at most DRAW_BLOCK entries for the whole batch; Generator.random
 consumes its stream in order, so the block length leaves every draw as it
-would be one iteration at a time.
+would be one iteration at a time.  A block holds C1 * r1 and C2 * r2, scaled
+once when it is drawn: the same products the velocity law would form.
+
+An iteration does only per-iteration work.  init_swarm computes the velocity
+bounds and each trial's first row once; step writes the velocity law into
+the swarm's own velocities in the formula's order, so the result is bitwise
+that of the formula evaluated into new arrays, and copies improved rows into
+pbest in place.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ DRAW_BLOCK = 1 << 14  # most uniforms a batch draws ahead, over all its trials
 _PHI = C1 + C2  # > 4, so the swarm contracts
 # Clerc-Kennedy chi = 2 / |2 - phi - sqrt(phi^2 - 4 phi)|
 CONSTRICTION = 2.0 / abs(2.0 - _PHI - math.sqrt(_PHI * _PHI - 4.0 * _PHI))
+# C1 and C2 against the (r1, r2) axis of a draw block, applied once per block
+_COEFFS = np.array([C1, C2])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,10 @@ class PsoState:
 
     Rows index particles trial by trial (trial i owns the i-th block of
     `particles` rows) and columns index units; each trial has its own gbest
-    and its own seeded Generator.
+    and its own seeded Generator.  positions, velocities, pbest_pos and
+    gbest_pos are separate arrays: step writes velocities and pbest in place
+    and replaces positions and gbest.  What no iteration changes is computed
+    once by init_swarm: the velocity bounds and each trial's first row.
     """
 
     positions: np.ndarray
@@ -81,8 +93,11 @@ class PsoState:
     gbest_pos: np.ndarray  # (trials, units)
     gbest_obj: np.ndarray  # (trials,)
     rngs: tuple[np.random.Generator, ...] = field(repr=False)
-    # r1 and r2 drawn ahead, (trials, iterations, 2, particles, units) and
-    # refilled in place, and how many of those iterations step has used
+    v_max: np.ndarray = field(repr=False)  # V_MAX_FRACTION * (p_max - p_min)
+    v_min: np.ndarray = field(repr=False)  # -v_max
+    offsets: np.ndarray = field(repr=False)  # first row of each trial
+    # C1 * r1 and C2 * r2 drawn ahead, (trials, iterations, 2, particles,
+    # units) and refilled in place, and how many of those iterations step has used
     draws: np.ndarray = field(default_factory=lambda: np.empty((0, 0)), repr=False)
     used: int = 0
 
@@ -94,19 +109,29 @@ def velocity_update(
     gbest: np.ndarray,
     w: float,
     cf: float,
-    c1: float,
-    c2: float,
-    r1: np.ndarray,
-    r2: np.ndarray,
+    c1r1: np.ndarray,
+    c2r2: np.ndarray,
 ) -> np.ndarray:
-    """One velocity step, kept separate so the kernel is testable in closed form."""
-    return cf * (w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x))
+    """v <- cf * (w * v + c1r1 * (pbest - x) + c2r2 * (gbest - x)), in place; returns v.
+
+    Kept separate so the kernel is testable in closed form.  The operations
+    are those of the formula in its order, so the result is bitwise that of
+    evaluating it into a new array.
+    """
+    v *= w
+    pull = pbest - x
+    pull *= c1r1
+    v += pull
+    np.subtract(gbest, x, out=pull)
+    pull *= c2r2
+    v += pull
+    v *= cf
+    return v
 
 
-def _leaders(objs: np.ndarray, trials: int) -> np.ndarray:
+def _leaders(objs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Row of each trial's lowest objective, the first one on ties."""
-    per_trial = objs.reshape(trials, -1)
-    return per_trial.argmin(axis=1) + per_trial.shape[1] * np.arange(trials)
+    return objs.reshape(len(offsets), -1).argmin(axis=1) + offsets
 
 
 def init_swarm(
@@ -123,7 +148,9 @@ def init_swarm(
     shape = (config.particles, problem.n_units)
     positions = repair_batch(problem, np.concatenate([rng.uniform(lo, hi, size=shape) for rng in rngs]))
     objs = combined_objective_batch(problem, positions, h)
-    leaders = _leaders(objs, trials)
+    offsets = config.particles * np.arange(trials)
+    leaders = _leaders(objs, offsets)
+    v_max = V_MAX_FRACTION * (hi - lo)
     return PsoState(
         positions=positions,
         velocities=np.zeros_like(positions),
@@ -132,6 +159,9 @@ def init_swarm(
         gbest_pos=positions[leaders],
         gbest_obj=objs[leaders],
         rngs=rngs,
+        v_max=v_max,
+        v_min=-v_max,
+        offsets=offsets,
     )
 
 
@@ -143,9 +173,7 @@ def step(
     iteration: int = 0,
 ) -> PsoState:
     """Advance every trial's swarm one iteration in place and return the state."""
-    lo, hi = problem.p_min_arr, problem.p_max_arr
-    v_max = V_MAX_FRACTION * (hi - lo)
-    trials = len(state.rngs)
+    trials = len(state.offsets)
     grid = (trials, len(state.positions) // trials, problem.n_units)
     if state.used == state.draws.shape[1]:
         ahead = max(1, min(DRAW_BLOCK // (2 * state.positions.size), config.iterations - iteration))
@@ -153,30 +181,31 @@ def step(
             state.draws = np.empty((trials, ahead, 2, *grid[1:]))
         for rng, block in zip(state.rngs, state.draws):
             rng.random(out=block)
+        state.draws *= _COEFFS
         state.used = 0
     r = state.draws[:, state.used]
     state.used += 1
-    v = velocity_update(
-        state.velocities.reshape(grid),
+    v = state.velocities
+    velocity_update(
+        v.reshape(grid),
         state.positions.reshape(grid),
         state.pbest_pos.reshape(grid),
         state.gbest_pos[:, None],
         config.inertia(iteration),
         CONSTRICTION,
-        C1,
-        C2,
         r[:, 0],
         r[:, 1],
-    ).reshape(state.positions.shape)
-    # v is a fresh array, so its clamp can write in place; repair_batch clamps x
-    np.minimum(np.maximum(v, -v_max, out=v), v_max, out=v)
-    state.velocities = v
-    state.positions = repair_batch(problem, state.positions + v)
+    )
+    np.minimum(np.maximum(v, state.v_min, out=v), state.v_max, out=v)
+    # repair_batch clamps x onto the limits in a new array, so the sum can
+    # overwrite the positions it replaces
+    x = np.add(state.positions, v, out=state.positions)
+    state.positions = repair_batch(problem, x)
     objs = combined_objective_batch(problem, state.positions, h)
     improved = objs < state.pbest_obj
-    state.pbest_obj = np.where(improved, objs, state.pbest_obj)
-    state.pbest_pos = np.where(improved[:, None], state.positions, state.pbest_pos)
-    leaders = _leaders(state.pbest_obj, trials)
+    np.copyto(state.pbest_obj, objs, where=improved)
+    np.copyto(state.pbest_pos, state.positions, where=improved[:, None])
+    leaders = _leaders(state.pbest_obj, state.offsets)
     better = state.pbest_obj[leaders] < state.gbest_obj
     if better.any():
         state.gbest_obj = np.where(better, state.pbest_obj[leaders], state.gbest_obj)

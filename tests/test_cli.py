@@ -1,12 +1,16 @@
 """CLI surface: subcommands, output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ceed import harness
 from ceed.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
-from ceed.harness import load_problem
+from ceed.harness import ProblemFileError, load_problem
 from ceed.model import DispatchError
 
 from test_harness import write_problem
@@ -19,6 +23,18 @@ def test_penalty_prints_fixture_factors(six_unit_path, capsys):
     assert "h_nox = 3.1669" in out
     assert "h_cox = 0.1221" in out
     assert "h_sox = 0.9182" in out
+
+
+def test_python_m_ceed_runs_the_cli(six_unit_path):
+    # the module entry point works without the console script being installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ceed", "penalty", "--problem", str(six_unit_path), "--demand", "1500"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "h_nox = 3.1669" in done.stdout
 
 
 def test_penalty_factors_grow_with_demand(six_unit_path, capsys):
@@ -144,6 +160,13 @@ def _set_unit_field(name, value):
     return edit
 
 
+def _set_emissions(gas, value):
+    def edit(doc):
+        doc["units"][0]["emissions"][gas] = value
+        return doc
+    return edit
+
+
 def _add_unknown_gas(doc):
     doc["units"][0]["emissions"]["smog"] = [1.0, 0.1, 0.001]
     return doc
@@ -172,11 +195,23 @@ def _add_unknown_gas(doc):
         (_set_unit_field("id", 2.5), "unit #1: 'id' must be an integer, got 2.5"),
         (_set_unit_field("id", True), "unit #1: 'id' must be an integer, got True"),
         (_set_unit_field("id", "2"), "unit #1: 'id' must be an integer, got '2'"),
+        # float() reads a digit string as one coefficient per digit, a numeric
+        # string as its number and a boolean as 1 or 0; none of them is a JSON number
+        (_set_unit_field("cost", "123"), "unit #1: could not convert '123' to a number in 'cost'"),
+        (_set_unit_field("p_max", "250"), "unit #1: could not convert '250' to a number in 'p_max'"),
+        (_set_unit_field("p_min", True), "unit #1: could not convert True to a number in 'p_min'"),
+        (_set_unit_field("cost", [120.0, False, 0.01]), "unit #1: could not convert False to a number in 'cost'"),
+        (_set_emissions("nox", [8.0, True, 0.0008]), "unit #1: could not convert True to a number in 'nox'"),
+        (_set_emissions("sox", "202"), "unit #1: could not convert '202' to a number in 'sox'"),
+        (lambda doc: {**doc, "b_matrix": [[True, 0.0], [0.0, 1e-5]]}, "'b_matrix'.*True"),
+        (lambda doc: {**doc, "b_matrix": [["1e-5", 0.0], [0.0, 1e-5]]}, "'b_matrix'.*'1e-5'"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
          "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
          "b_matrix-dict", "b_matrix-string", "b_matrix-null", "b_matrix-asymmetric",
-         "b_matrix-shape", "p_min-above-p_max", "id-fraction", "id-bool", "id-string"],
+         "b_matrix-shape", "p_min-above-p_max", "id-fraction", "id-bool", "id-string",
+         "cost-digit-string", "p_max-numeric-string", "p_min-bool", "cost-bool", "emissions-bool",
+         "emissions-digit-string", "b_matrix-bool", "b_matrix-numeric-string"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)
@@ -187,6 +222,14 @@ def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("demand", [True, "330"], ids=["bool", "numeric-string"])
+def test_file_demand_that_is_no_number_is_a_file_error(tmp_path, demand):
+    # read as a number, true would be a 1 MW demand, rejected as infeasible
+    path = write_problem(tmp_path, demand=demand)
+    with pytest.raises(ProblemFileError, match=rf"problem\.json: .*could not convert {demand!r} to a number in 'demand'"):
+        load_problem(path)
 
 
 def test_invalid_problem_exits_1(tmp_path, capsys):

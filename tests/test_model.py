@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ceed import pso
+from ceed import model, pso
 from ceed.harness import load_problem
 from ceed.model import (
     BALANCE_TOL,
@@ -243,14 +243,42 @@ def test_objective_fold_never_goes_stale(six_unit_path):
     assert not np.array_equal(check(h2), first)
     assert np.array_equal(check(h1), first)
     assert np.array_equal(check(PenaltyFactors(h1.values, problem.demand)), first)
-    # a memoized fold never stands in for matching h to the problem
-    with pytest.raises(ValueError, match="demand"):
-        combined_objective_batch(problem, rows, PenaltyFactors(h1.values, 2000.0))
+    # a memoized fold never stands in for matching h to the problem, and an h
+    # that is rejected leaves the last valid h scoring as on a fresh problem
     no_sox = PenaltyFactors({g: v for g, v in h1.values.items() if g is not Gas.SOX}, problem.demand)
-    with pytest.raises(ValueError, match="missing"):
-        combined_objective_batch(problem, rows, no_sox)
-    with pytest.raises(ValueError, match="required"):
-        combined_objective_batch(problem, rows, None)
+    for rejected, error, message in (
+        (PenaltyFactors(h1.values, 2000.0), ValueError, "demand"),
+        (no_sox, ValueError, "missing"),
+        (None, ValueError, "required"),
+        (dict(h1.values), TypeError, "PenaltyFactors"),
+    ):
+        with pytest.raises(error, match=message):
+            combined_objective_batch(problem, rows, rejected)
+        assert np.array_equal(check(h1), first)
+
+
+def test_objective_prices_a_repeated_h_only_once(monkeypatch, six_unit_path):
+    # the memo is keyed by the identity of h: a repeat call with the same h
+    # object never reaches _prices, and any other h object does, once
+    problem = load_problem(six_unit_path, 1500.0)
+    rows = np.random.default_rng(3).uniform(problem.p_min_arr, problem.p_max_arr, (4, problem.n_units))
+    h = penalty_factors_all(problem)
+    seen = []
+    original = model._prices
+
+    def counted(problem, h):
+        seen.append(h)
+        return original(problem, h)
+
+    monkeypatch.setattr(model, "_prices", counted)
+    first = combined_objective_batch(problem, rows, h)
+    for _ in range(3):
+        assert np.array_equal(combined_objective_batch(problem, rows, h), first)
+    assert seen == [h]
+    equal = PenaltyFactors(h.values, problem.demand)
+    assert np.array_equal(combined_objective_batch(problem, rows, equal), first)
+    assert np.array_equal(combined_objective_batch(problem, rows, equal), first)
+    assert seen == [h, equal] and seen[1] is equal
 
 
 # --- validation at construction ---------------------------------------------

@@ -66,14 +66,62 @@ def test_init_single_unit_lands_on_demand():
 
 
 def test_velocity_update_drift_closed_form():
-    # with w = cf = 1 and c1 = c2 = 0 the velocity is carried unchanged,
-    # so positions follow x + v0 exactly
+    # with w = cf = 1 and c1 * r1 = c2 * r2 = 0 the velocity is carried
+    # unchanged, so positions follow x + v0 exactly
     v0 = np.array([[3.0, -2.0]])
     x = np.array([[100.0, 200.0]])
-    r = np.zeros_like(x)
-    v = velocity_update(v0, x, x, x[0], 1.0, 1.0, 0.0, 0.0, r, r)
+    zero = np.zeros_like(x)
+    v = velocity_update(v0.copy(), x, x, x[0], 1.0, 1.0, zero, zero)
     assert v == pytest.approx(v0)
     assert (x + v)[0] == pytest.approx([103.0, 198.0])
+
+
+def test_velocity_update_writes_the_formula_into_v():
+    # the in-place kernel equals the velocity law evaluated into a new array, bitwise
+    rng = np.random.default_rng(5)
+    v, x, pbest, c1r1, c2r2 = (rng.uniform(-50.0, 50.0, (3, 4, 5)) for _ in range(5))
+    gbest = rng.uniform(-50.0, 50.0, (3, 1, 5))
+    expected = 0.7 * (0.6 * v + c1r1 * (pbest - x) + c2r2 * (gbest - x))
+    out = velocity_update(v, x, pbest, gbest, 0.6, 0.7, c1r1, c2r2)
+    assert out is v
+    assert v.tobytes() == expected.tobytes()
+
+
+def _swarm_arrays(state):
+    return state.positions, state.velocities, state.pbest_pos, state.gbest_pos
+
+
+def test_swarm_arrays_share_no_memory_and_velocities_stay_capped(rng):
+    # step writes velocities and pbest in place, so no two of the swarm's
+    # arrays may be views of one buffer
+    problem = random_problem(rng, 5)
+    h = penalty_factors_all(problem)
+    cfg = small_config(iterations=30)
+    state = init_swarm(problem, cfg, h, 3)
+    cap = pso.V_MAX_FRACTION * (problem.p_max_arr - problem.p_min_arr)
+    for t in range(cfg.iterations + 1):
+        arrays = _swarm_arrays(state)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        assert np.all(np.abs(state.velocities) <= cap)
+        if t < cfg.iterations:
+            step(state, problem, cfg, h, t)
+
+
+def test_step_runs_the_module_velocity_kernel_once(monkeypatch, rng):
+    # the kernel tested in closed form above is the one the solver runs
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return velocity_update(*args)
+
+    monkeypatch.setattr(pso, "velocity_update", counted)
+    problem = random_problem(rng, 4)
+    cfg = small_config(iterations=7)
+    run_trials(problem, cfg, penalty_factors_all(problem), 2)
+    assert calls == [(2, cfg.particles, 4)] * cfg.iterations
 
 
 def test_step_fixed_point_when_converged():
