@@ -6,6 +6,8 @@ particle swarm and a binary-coded genetic algorithm, cross-checked by
 equal-incremental-cost and grid oracles.
 """
 
+import importlib
+
 from .model import (
     ALL_GASES,
     BALANCE_TOL,
@@ -23,9 +25,6 @@ from .model import (
     transmission_loss,
 )
 from .penalty import penalty_factors_all, unit_ratios
-from .oracle import LambdaResult, grid_search, lambda_solve
-from .pso import PsoConfig
-from .ga import GaConfig
 from .harness import (
     ExperimentSpec,
     TrialReport,
@@ -34,7 +33,32 @@ from .harness import (
     load_problem,
     run_experiment,
 )
-from . import ga, pso
+
+# The solvers and the oracles load on first use: reading a problem file and
+# its penalty factors needs neither.  Name -> submodule that defines it.
+_LAZY = {
+    "LambdaResult": "oracle",
+    "grid_search": "oracle",
+    "lambda_solve": "oracle",
+    "PsoConfig": "pso",
+    "GaConfig": "ga",
+    "ga": "ga",
+    "pso": "pso",
+    "oracle": "oracle",
+    "repair": "repair",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "ALL_GASES",

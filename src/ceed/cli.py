@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 
 from .harness import ExperimentSpec, format_report, load_problem, run_experiment
 from .model import DispatchError, InfeasibleError
-from .oracle import lambda_solve
 from .penalty import penalty_factors_all
 
 EXIT_OK = 0
@@ -26,8 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the population solvers on a problem file")
     solve.add_argument("--problem", required=True, help="problem file (JSON)")
     solve.add_argument(
-        "--demand", type=float, action="append", required=True,
-        help="demand in MW; repeat the flag for several demands",
+        "--demand", type=float, action="append",
+        help="demand in MW; repeat the flag for several demands (default: the file's demand)",
     )
     solve.add_argument("--solver", choices=("pso", "ga", "both"), default="both")
     solve.add_argument("--trials", type=int, default=50)
@@ -42,20 +41,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     penalty = sub.add_parser("penalty", help="print the per-gas penalty factors")
     penalty.add_argument("--problem", required=True)
-    penalty.add_argument("--demand", type=float, required=True)
+    penalty.add_argument("--demand", type=float, help="demand in MW (default: the file's demand)")
 
     oracle = sub.add_parser("oracle", help="equal-incremental-cost reference dispatch")
     oracle.add_argument("--problem", required=True)
-    oracle.add_argument("--demand", type=float, required=True)
+    oracle.add_argument("--demand", type=float, help="demand in MW (default: the file's demand)")
     oracle.add_argument("--k1", type=int, choices=(0, 1), default=1)
     oracle.add_argument("--k2", type=int, choices=(0, 1), default=1)
     return parser
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    # without --demand, load_problem reads the file's demand or says it has none
+    demands = args.demand or [load_problem(args.problem).demand]
     spec = ExperimentSpec(
         problem_path=args.problem,
-        demands=tuple(args.demand),
+        demands=tuple(demands),
         solver=args.solver,
         trials=args.trials,
         base_seed=args.seed,
@@ -80,6 +81,8 @@ def _cmd_penalty(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import lambda_solve
+
     problem = load_problem(args.problem, args.demand, args.k1, args.k2)
     h = penalty_factors_all(problem) if args.k2 else None
     result = lambda_solve(problem, h)

@@ -15,12 +15,10 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from statistics import mean, median
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from . import ga, pso
 from .model import (
     ALL_GASES,
     DispatchError,
@@ -32,6 +30,11 @@ from .model import (
     PenaltyFactors,
 )
 from .penalty import penalty_factors_all
+
+# The solvers load on first use (in _solver_config and _run_trial): reading a
+# problem file and its penalty factors needs neither.
+if TYPE_CHECKING:
+    from . import ga, pso
 
 
 class ProblemFileError(DispatchError, ValueError):
@@ -102,8 +105,9 @@ def load_problem(
             raise DispatchError(f"{where} is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             # a null limit, a number where a list of coefficients belongs, a
-            # string or a boolean for a number, a gas key that is no Gas, or a
-            # unit GeneratorUnit rejects, an id that is no integer among them
+            # string, a boolean or an object for a number, a gas key that is no
+            # Gas, or a unit GeneratorUnit rejects, an id that is no integer
+            # among them
             raise ProblemFileError(f"{where}: {exc}") from exc
 
     if demand is None:
@@ -128,12 +132,13 @@ def load_problem(
 
 
 def _json_numbers(value, name: str):
-    """value, once no string or boolean is in it or in its nested lists.
+    """value, once no string, boolean or object is in it or in its nested lists.
 
-    float() reads "123" as 123.0 and true as 1.0, and a string as a list of
-    digits, so a JSON number is the only form a number may take in a file.
+    float() reads "123" as 123.0 and true as 1.0, a string as a list of
+    digits and an object as the list of its keys, so a JSON number is the
+    only form a number may take in a file.
     """
-    if isinstance(value, (str, bool)):
+    if isinstance(value, (str, bool, dict)):
         raise TypeError(f"could not convert {value!r} to a number in {name!r}")
     if isinstance(value, list):
         for item in value:
@@ -222,6 +227,8 @@ class TrialReport:
 
 
 def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
+    from . import ga, pso
+
     if solver == "pso":
         cfg = spec.pso_config or pso.PsoConfig()
     else:
@@ -233,6 +240,8 @@ def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
 
 def _run_trial(args) -> tuple[Trial, ...]:
     """One batch: `count` trials from index `first`, run together and timed together."""
+    from . import ga, pso
+
     problem, solver, config, h, first, count = args
     runner = pso.run_trials if solver == "pso" else ga.run_trials
     start = time.perf_counter()
@@ -263,7 +272,7 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
                 for first, count in _batches(spec.trials, spec.workers)
             ]
             if spec.workers > 0:
-                # imported here: the pool module is a third of the package's import time
+                # imported here: the pool module takes about as long to load as `import ceed`
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -301,6 +310,8 @@ def _solution_lines(tag: str, solution: DispatchSolution) -> list[str]:
 
 def format_report(report: TrialReport) -> str:
     """Human-readable report; everything above the timing marker is deterministic."""
+    from statistics import mean, median
+
     costs = sorted(report.total_costs)
     lines = [
         f"solver={report.solver} demand={report.demand:g} MW trials={len(report.trials)}",

@@ -58,7 +58,9 @@ def _correction(
     total = np.add.reduce(d, axis=1)
     if problem.losses is None:
         return s - r / total
-    db = d @ problem.losses.b
+    # d'B by einsum's per-row loop: d @ B takes BLAS's one-row path on a lone
+    # row, which rounds otherwise than on a batch
+    db = np.einsum("ri,ij->rj", d, problem.losses.b)
     half_slope = 0.5 * total - np.add.reduce(db * p, axis=1)
     curve = np.add.reduce(db * d, axis=1)
     # smaller root of r + 2*half_slope*e - curve*e^2 = 0, written without cancellation
@@ -80,7 +82,7 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     np.minimum(out, hi, out=out)
     r = balance_residual(problem, out)
     settled = np.abs(r) <= BALANCE_TOL
-    if settled.all():
+    if np.count_nonzero(settled) == settled.size:
         return out
     (rows,) = (~settled).nonzero()
     x, s, sx, p, r = x[rows], s[rows], sx[rows], out[rows], r[rows]
@@ -101,7 +103,7 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             # bracket either way), and at a NaN x_i, whose row's s is NaN already
             t = _correction(problem, x * (p == sx), s, p, r)
             inside = (t > below) & (t < above)
-            if not inside.all():
+            if np.count_nonzero(inside) < inside.size:
                 t = np.where(inside, t, 0.5 * (below + above))
             np.copyto(t, s, where=landed)
             s = t
@@ -118,7 +120,7 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             np.minimum(p, hi, out=p)
             r = balance_residual(problem, p)
             landed = np.abs(r) <= BALANCE_TOL
-            if landed.all():
+            if np.count_nonzero(landed) == landed.size:
                 out[rows] = p
                 return out
     raise InfeasibleError(

@@ -205,13 +205,17 @@ def _add_unknown_gas(doc):
         (_set_emissions("sox", "202"), "unit #1: could not convert '202' to a number in 'sox'"),
         (lambda doc: {**doc, "b_matrix": [[True, 0.0], [0.0, 1e-5]]}, "'b_matrix'.*True"),
         (lambda doc: {**doc, "b_matrix": [["1e-5", 0.0], [0.0, 1e-5]]}, "'b_matrix'.*'1e-5'"),
+        # iterated, an object yields its keys, which float() would read as numbers
+        (_set_unit_field("cost", {"1": 0, "2": 0, "3": 0}), r"unit #1: could not convert \{'1': 0.*in 'cost'"),
+        (_set_emissions("nox", {"8": 0, "0.05": 0, "0.0008": 0}), r"unit #1: could not convert \{'8': 0.*in 'nox'"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
          "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
          "b_matrix-dict", "b_matrix-string", "b_matrix-null", "b_matrix-asymmetric",
          "b_matrix-shape", "p_min-above-p_max", "id-fraction", "id-bool", "id-string",
          "cost-digit-string", "p_max-numeric-string", "p_min-bool", "cost-bool", "emissions-bool",
-         "emissions-digit-string", "b_matrix-bool", "b_matrix-numeric-string"],
+         "emissions-digit-string", "b_matrix-bool", "b_matrix-numeric-string", "cost-object",
+         "emissions-object"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)
@@ -230,6 +234,25 @@ def test_file_demand_that_is_no_number_is_a_file_error(tmp_path, demand):
     path = write_problem(tmp_path, demand=demand)
     with pytest.raises(ProblemFileError, match=rf"problem\.json: .*could not convert {demand!r} to a number in 'demand'"):
         load_problem(path)
+
+
+@pytest.mark.parametrize("command", ["penalty", "oracle", "solve"])
+def test_file_demand_stands_in_for_the_flag(tmp_path, capsys, command):
+    path = write_problem(tmp_path, demand=330.0)
+    extra = ["--solver", "pso", "--trials", "1", "--iterations", "5"] if command == "solve" else []
+    outputs = []
+    for demand in ([], ["--demand", "330"]):
+        assert main([command, "--problem", str(path), *demand, *extra]) == EXIT_OK
+        # the timing section of a solve report never reproduces
+        outputs.append(capsys.readouterr().out.split("-- timing")[0])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["penalty", "oracle", "solve"])
+def test_no_demand_in_flag_or_file_exits_1(tmp_path, capsys, command):
+    path = write_problem(tmp_path)
+    assert main([command, "--problem", str(path)]) == EXIT_ERROR
+    assert "no demand in file and none supplied" in capsys.readouterr().err
 
 
 def test_invalid_problem_exits_1(tmp_path, capsys):

@@ -115,6 +115,17 @@ def test_large_batch_rows_equal_lone_rows(six_unit_path, demand, lossy):
         assert_repaired(problem, batch[i])
 
 
+def test_lossy_lone_row_lands_on_its_batch_bits(six_unit_path):
+    # d @ B on a one-row batch takes BLAS's one-row path, which rounds otherwise
+    # than on a batch; with it, row 40 of these rows landed on other bits alone
+    base = load_problem(six_unit_path, 2000.0)
+    problem = make_problem(base.units, base.demand, losses=LossMatrix(2e-5 * (np.eye(6) + 0.1)))
+    P = np.random.default_rng(50).uniform(problem.p_min_arr, problem.p_max_arr, (50, 6))
+    batch = repair_batch(problem, P)
+    for i in range(P.shape[0]):
+        assert np.array_equal(batch[i], repair_batch(problem, P[i : i + 1])[0]), i
+
+
 # Residual evaluations per repair_batch call on seeded uniform six-unit rows,
 # batches of 1, 1, 10, 10, 10 and 500 rows, then the 500 repaired rows again:
 # one for the first scale and one per correction step.
