@@ -6,7 +6,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .harness import ExperimentSpec, format_report, load_problem, run_experiment
+from .harness import ExperimentSpec, format_demand, format_report, load_problem, run_experiment
 from .model import DispatchError, InfeasibleError
 from .penalty import penalty_factors_all
 
@@ -74,7 +74,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_penalty(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem, args.demand)
     h = penalty_factors_all(problem)
-    print(f"demand = {problem.demand:g} MW")
+    print(f"demand = {format_demand(problem.demand)} MW")
     for gas in problem.gases:
         print(f"h_{gas.value} = {h[gas]:.6g} $/kg")
     return EXIT_OK

@@ -52,8 +52,8 @@ class GaConfig:
             raise ValueError(f"individuals must be >= 2, got {self.individuals}")
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
-        if self.bits_per_gene < 4:
-            raise ValueError(f"bits_per_gene must be >= 4, got {self.bits_per_gene}")
+        if not 4 <= self.bits_per_gene <= 53:
+            raise ValueError(f"bits_per_gene must be in [4, 53] to decode exactly, got {self.bits_per_gene}")
 
 
 def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.ndarray:

@@ -38,112 +38,113 @@ if TYPE_CHECKING:
 
 
 class ProblemFileError(DispatchError, ValueError):
-    """A problem file whose values the model rejects; the message names the file."""
+    """A problem file the reader or the model refuses; the message names the file."""
 
 
 SOLVER_NAMES = ("pso", "ga")
 # The config field that holds each solver's step budget.
 _BUDGET = {"pso": "iterations", "ga": "generations"}
 
+_NUMBER = frozenset({int, float})  # the types json.loads gives a JSON number; true and false are bools
+_NESTED = ("a number", "a list of numbers", "a list of lists of numbers")
+_GASES = {gas.value: gas for gas in Gas}
 
-def load_problem(
-    path: Union[str, Path],
-    demand: Optional[float] = None,
-    k1: int = 1,
-    k2: int = 1,
-) -> DispatchProblem:
-    """Parse and validate a problem file.
 
-    The file supplies units, gases and optionally a loss matrix and a
-    default demand; a demand passed here overrides the file.  The loss
-    matrix is checked by LossMatrix: mild asymmetry is averaged away with a
-    warning, anything beyond the model tolerance is rejected.  Values the
-    model rejects raise ProblemFileError naming the file; a demand the
-    units cannot meet raises InfeasibleError.
+def _floats(value, key: str, depth: int = 0):
+    """A JSON number as a float, or `depth` nested JSON lists of them as tuples."""
+    if depth and type(value) is list:
+        if depth == 1 and _NUMBER.issuperset(map(type, value)):
+            return tuple(map(float, value))
+        return tuple(_floats(v, key, depth - 1) for v in value)
+    if not depth and type(value) in _NUMBER:
+        return float(value)
+    if type(value) in _NUMBER or type(value) is list:
+        raise TypeError(f"{key!r} must hold {_NESTED[depth]}, got {value!r}")
+    # float() would read a digit string, a boolean or an object's keys as numbers
+    raise TypeError(f"could not convert {value!r} to a number in {key!r}")
+
+
+def _kind(value, kind: type, key: str, what: str):
+    if type(value) is not kind:
+        raise TypeError(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _gas(name, key: str) -> Gas:
+    if type(name) is not str or name not in _GASES:
+        raise ValueError(f"{name!r} is an unknown gas in {key!r}")
+    return _GASES[name]
+
+
+# Every key a problem file and its units may hold, with the reader of its
+# JSON value.  A file needs "units", a unit all its keys.  What the model
+# checks (integer ids, three coefficients, finite values, limits, B) it keeps.
+_FILE_KEYS = {
+    "units": lambda v, key: _kind(v, list, key, "a list of unit objects"),
+    "name": lambda v, key: _kind(v, str, key, "a string"),
+    "gases": lambda v, key: tuple(_gas(g, key) for g in _kind(v, list, key, "a list of gas names")),
+    "demand": _floats,
+    "b_matrix": lambda v, key: None if v is None else _floats(v, key, 2),
+}
+_UNIT_KEYS = {
+    "id": lambda v, key: v,
+    "p_min": _floats,
+    "p_max": _floats,
+    "cost": lambda v, key: _floats(v, key, 1),
+    "emissions": lambda v, key: {
+        _gas(gas, key): _floats(curve, gas, 1)
+        for gas, curve in _kind(v, dict, key, "an object of gas curves").items()
+    },
+}
+
+
+def _read(obj, readers: dict, required) -> dict:
+    """obj's values through `readers`, once obj is a JSON object with each required key and no other."""
+    if type(obj) is not dict:
+        raise TypeError(f"expected a JSON object, got {obj!r}")
+    if not required <= obj.keys() <= readers.keys():
+        wrong = [f"unknown key {key!r}" for key in sorted(obj.keys() - readers.keys())]
+        raise ValueError("; ".join(wrong + [f"missing key {key!r}" for key in sorted(required - obj.keys())]))
+    return {key: readers[key](value, key) for key, value in obj.items()}
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refused when it repeats a key, of which json.loads keeps the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {max(keys, key=keys.count)!r}")
+    return obj
+
+
+def load_problem(path: Union[str, Path], demand: Optional[float] = None,
+                 k1: int = 1, k2: int = 1) -> DispatchProblem:
+    """Read a problem file, whose keys are those of _FILE_KEYS and its units' those of _UNIT_KEYS.
+
+    A demand passed here overrides the file's, which is checked all the same.
+    Any other file, or one with values the model rejects, raises ProblemFileError
+    naming it; a demand beyond the units raises InfeasibleError.
     """
-    path = Path(path)
+    where = path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        file = _read(json.loads(path.read_text(), object_pairs_hook=_unique_keys), _FILE_KEYS, {"units"})
+        units = []
+        for i, entry in enumerate(file["units"], start=1):
+            where = f"{path}: unit #{i}"
+            units.append(GeneratorUnit(**_read(entry, _UNIT_KEYS, _UNIT_KEYS.keys())))
+        where = path
+        if demand is None and "demand" not in file:
+            raise ValueError("no demand in file and none supplied")
+        demand = file["demand"] if demand is None else float(demand)
+        losses = None if file.get("b_matrix") is None else LossMatrix(file["b_matrix"])
+        gases = file.get("gases", ALL_GASES)
+        return DispatchProblem(units=tuple(units), demand=demand, gases=gases, losses=losses, k1=k1, k2=k2)
     except OSError as exc:
         raise DispatchError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DispatchError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-    if not isinstance(raw, dict):
-        raise DispatchError(f"{path}: a problem file must hold a JSON object")
-    entries = raw.get("units")
-    if not entries:
-        raise DispatchError(f"{path}: problem file defines no units")
-    if not isinstance(entries, list):
-        raise DispatchError(f"{path}: 'units' must be a list of unit objects")
-    names = raw.get("gases", [g.value for g in ALL_GASES])
-    if not isinstance(names, list):
-        raise DispatchError(f"{path}: 'gases' must be a list of gas names")
-    try:
-        gases = tuple(Gas(g) for g in names)
-    except ValueError as exc:
-        raise DispatchError(f"{path}: unknown gas in 'gases': {exc}") from exc
-
-    units = []
-    for idx, entry in enumerate(entries, start=1):
-        where = f"{path}: unit #{idx}"
-        try:
-            if not isinstance(entry, dict) or not isinstance(entry["emissions"], dict):
-                raise DispatchError(f"{where}: a unit and its 'emissions' must be JSON objects")
-            fields = dict(
-                id=entry["id"],
-                p_min=float(_json_numbers(entry["p_min"], "p_min")),
-                p_max=float(_json_numbers(entry["p_max"], "p_max")),
-                cost=tuple(float(v) for v in _json_numbers(entry["cost"], "cost")),
-                emissions={
-                    Gas(g): tuple(float(v) for v in _json_numbers(coeffs, g))
-                    for g, coeffs in entry["emissions"].items()
-                },
-            )
-            units.append(GeneratorUnit(**fields))
-        except KeyError as exc:
-            raise DispatchError(f"{where} is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            # a null limit, a number where a list of coefficients belongs, a
-            # string, a boolean or an object for a number, a gas key that is no
-            # Gas, or a unit GeneratorUnit rejects, an id that is no integer
-            # among them
-            raise ProblemFileError(f"{where}: {exc}") from exc
-
-    if demand is None:
-        demand = raw.get("demand")
-    if demand is None:
-        raise DispatchError(f"{path}: no demand in file and none supplied")
-    try:
-        matrix = raw.get("b_matrix")
-        b = None if matrix is None else np.array(_json_numbers(matrix, "b_matrix"), dtype=float)
-        demand = float(_json_numbers(demand, "demand"))
-    except (TypeError, ValueError) as exc:
-        # a mapping, ragged rows, a string or a boolean; LossMatrix
-        # checks shape, finiteness and symmetry below
-        raise ProblemFileError(f"{path}: 'b_matrix' and 'demand' must hold numbers: {exc}") from exc
-    try:
-        losses = None if b is None else LossMatrix(b)
-        return DispatchProblem(units=tuple(units), demand=demand, gases=gases, losses=losses, k1=k1, k2=k2)
-    except ValueError as exc:
-        # a loss matrix of the wrong shape, not finite or asymmetric, or units
-        # that do not make a problem (InfeasibleError is no ValueError)
-        raise ProblemFileError(f"{path}: {exc}") from exc
-
-
-def _json_numbers(value, name: str):
-    """value, once no string, boolean or object is in it or in its nested lists.
-
-    float() reads "123" as 123.0 and true as 1.0, a string as a list of
-    digits and an object as the list of its keys, so a JSON number is the
-    only form a number may take in a file.
-    """
-    if isinstance(value, (str, bool, dict)):
-        raise TypeError(f"could not convert {value!r} to a number in {name!r}")
-    if isinstance(value, list):
-        for item in value:
-            _json_numbers(item, name)
-    return value
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float
+        raise ProblemFileError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,8 @@ class ExperimentSpec:
         object.__setattr__(self, "demands", tuple(float(d) for d in self.demands))
         if not self.demands:
             raise ValueError("an experiment needs at least one demand")
+        if len(set(self.demands)) < len(self.demands):
+            raise ValueError(f"demands must differ (a repeat reruns the same seeds), got {list(self.demands)}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 0:
@@ -183,10 +186,8 @@ class ExperimentSpec:
         if self.out_dir is not None:
             for solver in self.solver_names:
                 if getattr(_solver_config(self, solver, 0), _BUDGET[solver]) == 0:
-                    raise ValueError(
-                        f"{solver} has a zero step budget, so there is no trace to write "
-                        f"to {self.out_dir}"
-                    )
+                    raise ValueError(f"{solver} has a zero step budget, so there is no trace "
+                                     f"to write to {self.out_dir}")
 
     @property
     def solver_names(self) -> tuple[str, ...]:
@@ -229,10 +230,7 @@ class TrialReport:
 def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
     from . import ga, pso
 
-    if solver == "pso":
-        cfg = spec.pso_config or pso.PsoConfig()
-    else:
-        cfg = spec.ga_config or ga.GaConfig()
+    cfg = (spec.pso_config or pso.PsoConfig()) if solver == "pso" else (spec.ga_config or ga.GaConfig())
     if spec.iterations is not None:
         cfg = replace(cfg, **{_BUDGET[solver]: spec.iterations})
     return replace(cfg, seed=seed)
@@ -296,6 +294,12 @@ def export_trace(trace: Sequence[float], path: Union[str, Path]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def format_demand(demand: float) -> str:
+    """demand as {:g}, or as repr where {:g} would round it, so that distinct demands read apart."""
+    text = f"{demand:g}"
+    return text if float(text) == demand else repr(demand)
+
+
 def _solution_lines(tag: str, solution: DispatchSolution) -> list[str]:
     lines = [f"  {tag}:"]
     powers = "  ".join(f"P{i + 1}={p:.2f}" for i, p in enumerate(solution.powers))
@@ -313,13 +317,9 @@ def format_report(report: TrialReport) -> str:
     from statistics import mean, median
 
     costs = sorted(report.total_costs)
-    lines = [
-        f"solver={report.solver} demand={report.demand:g} MW trials={len(report.trials)}",
-    ]
+    lines = [f"solver={report.solver} demand={format_demand(report.demand)} MW trials={len(report.trials)}"]
     if report.h is not None:
-        factors = "  ".join(
-            f"h_{gas.value}={report.h[gas]:.4f}" for gas in report.h.values
-        )
+        factors = "  ".join(f"h_{gas.value}={report.h[gas]:.4f}" for gas in report.h.values)
         lines.append(f"  penalty factors ($/kg): {factors}")
     lines += _solution_lines("best trial", report.best_trial.solution)
     lines.append(
@@ -329,9 +329,7 @@ def format_report(report: TrialReport) -> str:
     lines.append("  -- timing (machine-dependent) --")
     secs = [t.seconds for t in report.trials]
     lines.append(f"  batch wall clock (s): {sum(secs):.3f}, summed over batches")
-    lines.append(
-        f"  share per trial (s): mean={mean(secs):.4f} min={min(secs):.4f} max={max(secs):.4f}"
-    )
+    lines.append(f"  share per trial (s): mean={mean(secs):.4f} min={min(secs):.4f} max={max(secs):.4f}")
     return "\n".join(lines) + "\n"
 
 
@@ -339,7 +337,7 @@ def write_outputs(reports: list[TrialReport], out_dir: Path) -> None:
     """Per-trial traces plus one combined report file."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        stem = f"{report.solver}_pd{report.demand:g}"
+        stem = f"{report.solver}_pd{format_demand(report.demand)}"
         for trial in report.trials:
             export_trace(trial.trace, out_dir / f"{stem}_trial{trial.index:03d}.csv")
     (out_dir / "report.txt").write_text("\n".join(format_report(r) for r in reports))

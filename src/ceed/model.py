@@ -42,7 +42,7 @@ class Gas(enum.Enum):
     COX = "cox"
     SOX = "sox"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -131,9 +131,9 @@ class LossMatrix:
 class DispatchProblem:
     """Immutable problem instance.
 
-    Invariants enforced at construction: at least one unit, every unit
-    carries coefficients for every gas in `gases`, the demand lies within
-    [sum p_min, sum p_max], and k1, k2 are binary with k1 + k2 >= 1.
+    Invariants enforced at construction: at least one unit, no id or gas
+    listed twice, every unit's coefficients for every gas in `gases`, the
+    demand within [sum p_min, sum p_max], and binary k1, k2 with k1 + k2 >= 1.
     """
 
     units: tuple[GeneratorUnit, ...]
@@ -151,8 +151,10 @@ class DispatchProblem:
         seen_ids = [u.id for u in units]
         if len(set(seen_ids)) != len(seen_ids):
             raise ValueError(f"duplicate unit ids: {seen_ids}")
-        gases = tuple(dict.fromkeys(self.gases))
+        gases = tuple(self.gases)
         object.__setattr__(self, "gases", gases)
+        if len(set(gases)) != len(gases):
+            raise ValueError(f"duplicate gases: {[str(gas) for gas in gases]}")
         for unit in units:
             for gas in gases:
                 if gas not in unit.emissions:

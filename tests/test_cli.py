@@ -1,14 +1,18 @@
 """CLI surface: subcommands, output, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ceed import harness
+from ceed import cli, harness
 from ceed.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from ceed.harness import ProblemFileError, load_problem
 from ceed.model import DispatchError
@@ -35,6 +39,19 @@ def test_python_m_ceed_runs_the_cli(six_unit_path):
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert "h_nox = 3.1669" in done.stdout
+
+
+def test_penalty_prints_a_demand_that_g_would_round(tmp_path, capsys):
+    path = write_problem(tmp_path)
+    assert main(["penalty", "--problem", str(path), "--demand", "330.0004"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("demand = 330.0004 MW\n")
+
+
+def test_repeated_demand_exits_1(tmp_path, capsys):
+    path = write_problem(tmp_path)
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--demand", "330.0", "--trials", "1"])
+    assert code == EXIT_ERROR
+    assert "demands must differ" in capsys.readouterr().err
 
 
 def test_penalty_factors_grow_with_demand(six_unit_path, capsys):
@@ -186,8 +203,8 @@ def _add_unknown_gas(doc):
         (_add_unknown_gas, "unit #1: 'smog'"),
         (lambda doc: {**doc, "b_matrix": {"1": [1e-5]}}, "'b_matrix'"),
         (lambda doc: {**doc, "b_matrix": [["x", 0.0], [0.0, 1e-5]]}, "'b_matrix'"),
-        # values LossMatrix and GeneratorUnit reject
-        (lambda doc: {**doc, "b_matrix": [[None, 0.0], [0.0, 1e-5]]}, "finite"),
+        # null is no number; then values LossMatrix and GeneratorUnit reject
+        (lambda doc: {**doc, "b_matrix": [[None, 0.0], [0.0, 1e-5]]}, "could not convert None to a number in 'b_matrix'"),
         (lambda doc: {**doc, "b_matrix": [[1e-5, 2e-6], [5e-6, 1e-5]]}, "asymmetric"),
         (lambda doc: {**doc, "b_matrix": [[1e-5, 0.0]]}, "square"),
         (_set_unit_field("p_min", 400.0), "unit #1: unit 1"),
@@ -203,11 +220,20 @@ def _add_unknown_gas(doc):
         (_set_unit_field("cost", [120.0, False, 0.01]), "unit #1: could not convert False to a number in 'cost'"),
         (_set_emissions("nox", [8.0, True, 0.0008]), "unit #1: could not convert True to a number in 'nox'"),
         (_set_emissions("sox", "202"), "unit #1: could not convert '202' to a number in 'sox'"),
-        (lambda doc: {**doc, "b_matrix": [[True, 0.0], [0.0, 1e-5]]}, "'b_matrix'.*True"),
-        (lambda doc: {**doc, "b_matrix": [["1e-5", 0.0], [0.0, 1e-5]]}, "'b_matrix'.*'1e-5'"),
+        (lambda doc: {**doc, "b_matrix": [[True, 0.0], [0.0, 1e-5]]}, "could not convert True to a number in 'b_matrix'"),
+        (lambda doc: {**doc, "b_matrix": [["1e-5", 0.0], [0.0, 1e-5]]}, "could not convert '1e-5' to a number in 'b_matrix'"),
         # iterated, an object yields its keys, which float() would read as numbers
         (_set_unit_field("cost", {"1": 0, "2": 0, "3": 0}), r"unit #1: could not convert \{'1': 0.*in 'cost'"),
         (_set_emissions("nox", {"8": 0, "0.05": 0, "0.0008": 0}), r"unit #1: could not convert \{'8': 0.*in 'nox'"),
+        # a misspelt key would otherwise be ignored, a repeated gas or key silently merged
+        (lambda doc: {**doc, "b_matrx": [[1e-5, 0.0], [0.0, 1e-5]]}, "unknown key 'b_matrx'"),
+        (_set_unit_field("pmax", 250.0), "unit #1: unknown key 'pmax'"),
+        (lambda doc: {**doc, "gases": ["nox", "nox", "sox"]}, "duplicate gases: \\['nox', 'nox', 'sox'\\]"),
+        (lambda doc: json.dumps(doc).replace('"p_max": 250.0', '"p_max": 250.0, "p_max": 25000.0'),
+         "repeated key 'p_max'"),
+        # the file's demand is read even where --demand overrides it
+        (lambda doc: {**doc, "demand": "abc"}, "could not convert 'abc' to a number in 'demand'"),
+        (_set_unit_field("p_max", 10**400), "unit #1: int too large to convert to float"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
          "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
@@ -215,17 +241,119 @@ def _add_unknown_gas(doc):
          "b_matrix-shape", "p_min-above-p_max", "id-fraction", "id-bool", "id-string",
          "cost-digit-string", "p_max-numeric-string", "p_min-bool", "cost-bool", "emissions-bool",
          "emissions-digit-string", "b_matrix-bool", "b_matrix-numeric-string", "cost-object",
-         "emissions-object"],
+         "emissions-object", "b_matrix-typo", "unit-unknown-key", "gases-repeated", "key-repeated",
+         "demand-string-overridden", "p_max-huge-integer"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    edited = edit(json.loads(path.read_text()))
+    # an edit returns the file's text where a dict cannot hold it (a repeated key)
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     with pytest.raises(DispatchError, match=rf"problem\.json: .*{names}"):
         load_problem(path, demand=330.0)
     code = main(["penalty", "--problem", str(path), "--demand", "330"])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _paths(node, path=()):
+    """(path, node) of node and of every value inside it; a path lists the keys and indices to it."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for step, child in children:
+        yield from _paths(child, (*path, step))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+# A few values of each JSON kind, and keys no problem file holds; misspelt known keys among them.
+_KINDS = [
+    ((int, float), [0, -3, 2.5, 1e300, 10**400]),
+    (str, ["", "1", "nox", "abc"]),
+    (bool, [True, False]),
+    (type(None), [None]),
+    (list, [[], [1.0], ["x", 2], [[1.0, 2.0]]]),
+    (dict, [{}, {"1": 0}, {"nox": [1.0, 2.0, 3.0]}]),
+]
+_UNKNOWN_KEYS = [
+    "", "b_matrx", "Units", "unit", "gas", "pmax", "p_min ", "ID", "costs", "emission", "NOX", "co2",
+]
+_SIX_UNIT = resources.files("ceed").joinpath("data/ieee30_6unit.json").read_text()
+_NODES = list(_paths(json.loads(_SIX_UNIT)))
+_OBJECTS = [(path, node) for path, node in _NODES if isinstance(node, dict)]
+# json.dumps writes a dict's keys once; this key stands in for a repeat of another
+_REPEAT = "\0repeat"
+# Every mutation as (how, path, argument).  A file needs each of its keys but
+# the optional ones, a unit each of its keys and a curve for each gas in "gases".
+_MUTATIONS = [
+    *(("kind", path, value) for path, node in _NODES
+      for kind, values in _KINDS if not isinstance(node, kind) for value in values),
+    *(("drop", path, key) for path, node in _OBJECTS for key in node
+      if path or key not in ("name", "gases", "demand", "b_matrix")),
+    *(("add", path, key) for path, _ in _OBJECTS for key in _UNKNOWN_KEYS),
+    *(("repeat", path, key) for path, node in _OBJECTS for key in node),
+]
+
+
+def _mutant(how, path, arg) -> str:
+    """The shipped six-unit file with the value at `path` of another kind, or
+    the object there without a required key, with an unknown key or with a key repeated."""
+    doc = json.loads(_SIX_UNIT)
+    if how == "kind" and not path:
+        return json.dumps(arg)
+    node = _at(doc, path[:-1] if how == "kind" else path)
+    if how == "kind":
+        node[path[-1]] = arg
+    elif how == "drop":
+        del node[arg]
+    elif how == "add":
+        node[arg] = 1.0
+    else:
+        node[_REPEAT] = node[arg]
+    return json.dumps(doc).replace(json.dumps(_REPEAT), json.dumps(arg))
+
+
+@pytest.fixture(scope="module")
+def mutant_file(tmp_path_factory):
+    """A file each example rewrites in place: truncated to zero on open, as by
+    write_text, a file is flushed to disk when closed on some file systems,
+    which made the property take half as long again."""
+    path = tmp_path_factory.mktemp("mutants") / "mutant.json"
+    path.touch()
+    with open(path, "r+") as file:
+        yield path, file
+
+
+@pytest.fixture(scope="module")
+def one_parser():
+    # main builds its parser anew on each call, which would take longer than the rest of an example
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda parser=cli.build_parser(): parser)
+        yield
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(mutation=st.sampled_from(_MUTATIONS))
+def test_every_mutant_of_the_shipped_file_is_refused(mutant_file, one_parser, mutation):
+    mutant_path, file = mutant_file
+    file.seek(0)
+    file.write(_mutant(*mutation))
+    file.truncate()
+    file.flush()
+    # pytest.raises lets any other exception type through, failing the test
+    with pytest.raises(DispatchError) as raised:
+        load_problem(mutant_path, 1500.0)
+    assert str(raised.value).startswith(str(mutant_path))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["penalty", "--problem", str(mutant_path), "--demand", "1500"])
+    assert code == EXIT_ERROR
+    assert err.getvalue() == f"error: {raised.value}\n" and "\n" not in str(raised.value)
 
 
 @pytest.mark.parametrize("demand", [True, "330"], ids=["bool", "numeric-string"])

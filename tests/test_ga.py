@@ -24,6 +24,11 @@ def small_config(**kw):
 def test_config_rejects_narrow_genes_and_a_lone_individual():
     with pytest.raises(ValueError):
         GaConfig(bits_per_gene=3)
+    # decode is exact up to a double's 53-bit significand; wider genes fail when built, not when run
+    assert GaConfig(bits_per_gene=53).bits_per_gene == 53
+    for width in (54, 1100):
+        with pytest.raises(ValueError, match=rf"bits_per_gene must be in \[4, 53\].*got {width}"):
+            GaConfig(bits_per_gene=width)
     # a lone individual would be all elite: the one elite needs a child beside it
     with pytest.raises(ValueError, match="individuals"):
         GaConfig(individuals=1)

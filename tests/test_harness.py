@@ -9,6 +9,7 @@ from ceed import GaConfig, PsoConfig
 from ceed.harness import (
     ExperimentSpec,
     export_trace,
+    format_demand,
     format_report,
     load_problem,
     run_experiment,
@@ -72,7 +73,7 @@ def test_demand_argument_overrides_file(tmp_path):
 
 def test_non_numeric_file_demand_names_the_file(tmp_path):
     path = write_problem(tmp_path, demand="abc")
-    with pytest.raises(DispatchError, match=r"problem\.json: 'b_matrix' and 'demand' must hold numbers"):
+    with pytest.raises(DispatchError, match=r"problem\.json: could not convert 'abc' to a number in 'demand'"):
         load_problem(path)
 
 
@@ -152,6 +153,9 @@ def test_spec_validation():
         ExperimentSpec(problem_path="x", demands=(100.0,), pso_config=PsoConfig(seed=3))
     with pytest.raises(ValueError, match="base_seed"):
         ExperimentSpec(problem_path="x", demands=(100.0,), ga_config=GaConfig(seed=3))
+    # a repeat would rerun the same seeds into the same trace files
+    with pytest.raises(ValueError, match=r"demands must differ .*\[100\.0, 200\.0, 100\.0\]"):
+        ExperimentSpec(problem_path="x", demands=(100, 200.0, 100.0))
 
 
 def quick_spec(path, **kw):
@@ -242,6 +246,20 @@ def test_outputs_written(tmp_path):
         "pso_pd330_trial001.csv",
     ]
     assert (out / "report.txt").read_text().count("solver=") == 2
+
+
+def test_demands_that_round_alike_keep_apart(tmp_path):
+    # {:g} prints both as 330; round demands keep their short names
+    labels = [format_demand(d) for d in (330.0, 330.0004, 1500.0, 2.5e-7)]
+    assert labels == ["330", "330.0004", "1500", "2.5e-07"]
+    path = write_problem(tmp_path)
+    out = tmp_path / "results"
+    spec = quick_spec(path, demands=(330.0, 330.0004), trials=1, iterations=5, out_dir=str(out))
+    reports = run_experiment(spec)
+    traces = sorted(p.name for p in out.glob("*.csv"))
+    assert traces == ["pso_pd330.0004_trial000.csv", "pso_pd330_trial000.csv"]
+    headers = [format_report(r).splitlines()[0] for r in reports]
+    assert headers == ["solver=pso demand=330 MW trials=1", "solver=pso demand=330.0004 MW trials=1"]
 
 
 def test_trace_export_round_trip(tmp_path):

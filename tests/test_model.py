@@ -351,6 +351,13 @@ def test_problem_rejects_duplicate_unit_ids():
         make_problem(units, demand=100.0)
 
 
+def test_problem_rejects_a_gas_listed_twice():
+    # one policy with unit ids: a repeat is refused, not merged
+    units = [make_unit(1, 10.0, 100.0)]
+    with pytest.raises(ValueError, match=r"duplicate gases: \['nox', 'sox', 'nox'\]"):
+        make_problem(units, demand=50.0, gases=(Gas.NOX, Gas.SOX, Gas.NOX))
+
+
 def test_loss_matrix_symmetry_tolerance():
     with pytest.raises(ValueError, match="asymmetric"):
         LossMatrix([[1e-4, 1e-5], [3e-5, 1e-4]])

@@ -14,15 +14,18 @@ LOADED_ON_FIRST_USE = ("ceed.pso", "ceed.ga", "ceed.repair", "ceed.oracle", "sta
 
 
 def test_problem_and_penalty_factors_load_no_solver_or_oracle(six_unit_path):
+    # nor any module at all that `import ceed` did not load: both run inside the benchmark's setup_s
     code = (
         "import sys, ceed\n"
+        "imported = set(sys.modules)\n"
         f"ceed.penalty_factors_all(ceed.load_problem({str(six_unit_path)!r}, 1500))\n"
         f"print(sorted(set({LOADED_ON_FIRST_USE!r}) & set(sys.modules)))\n"
+        "print(sorted(set(sys.modules) - imported))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_every_public_name_resolves():
