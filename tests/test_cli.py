@@ -330,30 +330,41 @@ def mutant_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def one_parser():
-    # main builds its parser anew on each call, which would take longer than the rest of an example
+def cli_load_errors():
+    """What load_problem raises inside cli.main, recorded; main builds its parser
+    once, not per call, which would take longer than the rest of an example."""
+    raised = []
+
+    def load(*args):
+        try:
+            return load_problem(*args)
+        except BaseException as exc:
+            raised.append(exc)
+            raise
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "build_parser", lambda parser=cli.build_parser(): parser)
-        yield
+        patch.setattr(cli, "load_problem", load)
+        yield raised
 
 
 @settings(max_examples=2000, derandomize=True, deadline=None)
 @given(mutation=st.sampled_from(_MUTATIONS))
-def test_every_mutant_of_the_shipped_file_is_refused(mutant_file, one_parser, mutation):
+def test_every_mutant_of_the_shipped_file_is_refused(mutant_file, cli_load_errors, mutation):
     mutant_path, file = mutant_file
     file.seek(0)
     file.write(_mutant(*mutation))
     file.truncate()
     file.flush()
-    # pytest.raises lets any other exception type through, failing the test
-    with pytest.raises(DispatchError) as raised:
-        load_problem(mutant_path, 1500.0)
-    assert str(raised.value).startswith(str(mutant_path))
+    cli_load_errors.clear()
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(["penalty", "--problem", str(mutant_path), "--demand", "1500"])
+    # main lets any exception but a DispatchError, ValueError or OSError through, failing the test
+    (exc,) = cli_load_errors
+    assert isinstance(exc, DispatchError) and str(exc).startswith(str(mutant_path))
     assert code == EXIT_ERROR
-    assert err.getvalue() == f"error: {raised.value}\n" and "\n" not in str(raised.value)
+    assert err.getvalue() == f"error: {exc}\n" and "\n" not in str(exc)
 
 
 @pytest.mark.parametrize("demand", [True, "330"], ids=["bool", "numeric-string"])
