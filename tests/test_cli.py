@@ -361,6 +361,7 @@ def test_every_mutant_of_the_shipped_file_is_refused(mutant_file, cli_load_error
     with contextlib.redirect_stderr(err):
         code = cli.main(["penalty", "--problem", str(mutant_path), "--demand", "1500"])
     # main lets any exception but a DispatchError, ValueError or OSError through, failing the test
+    assert cli_load_errors, "the mutant loaded"
     (exc,) = cli_load_errors
     assert isinstance(exc, DispatchError) and str(exc).startswith(str(mutant_path))
     assert code == EXIT_ERROR
