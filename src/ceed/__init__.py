@@ -25,18 +25,17 @@ from .model import (
     transmission_loss,
 )
 from .penalty import penalty_factors_all, unit_ratios
-from .harness import (
-    ExperimentSpec,
-    TrialReport,
-    export_trace,
-    format_report,
-    load_problem,
-    run_experiment,
-)
+from .problem_file import load_problem
 
-# The solvers and the oracles load on first use: reading a problem file and
-# its penalty factors needs neither.  Name -> submodule that defines it.
+# The experiment runner, the solvers and the oracles load on first use:
+# reading a problem file and its penalty factors needs none of them.
+# Name -> submodule that defines it.
 _LAZY = {
+    "ExperimentSpec": "harness",
+    "TrialReport": "harness",
+    "export_trace": "harness",
+    "format_report": "harness",
+    "run_experiment": "harness",
     "LambdaResult": "oracle",
     "grid_search": "oracle",
     "lambda_solve": "oracle",
@@ -44,6 +43,7 @@ _LAZY = {
     "GaConfig": "ga",
     "ga": "ga",
     "pso": "pso",
+    "harness": "harness",
     "oracle": "oracle",
     "repair": "repair",
 }

@@ -6,9 +6,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .harness import ExperimentSpec, format_demand, format_report, load_problem, run_experiment
 from .model import DispatchError, InfeasibleError
 from .penalty import penalty_factors_all
+from .problem_file import format_demand, load_problem
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,6 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .harness import ExperimentSpec, format_report, run_experiment
+
     # without --demand, load_problem reads the file's demand or says it has none
     demands = args.demand or [load_problem(args.problem).demand]
     spec = ExperimentSpec(

@@ -11,7 +11,7 @@ import numpy as np
 
 from ceed.ga import GaConfig, crossover, crossover_masks, flip_positions, roulette_select
 from ceed.ga import run as ga_run
-from ceed.harness import ExperimentSpec, load_problem, run_experiment
+from ceed.harness import ExperimentSpec, run_experiment
 from ceed.model import (
     BALANCE_TOL,
     Gas,
@@ -23,6 +23,7 @@ from ceed.model import (
 )
 from ceed.oracle import grid_search, lambda_solve
 from ceed.penalty import penalty_factors_all
+from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig, init_swarm, step
 from ceed.pso import run as pso_run
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from ceed import cli, harness
 from ceed.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
-from ceed.harness import ProblemFileError, load_problem
 from ceed.model import DispatchError
+from ceed.problem_file import ProblemFileError, load_problem
 
 from test_harness import write_problem
 
@@ -129,10 +129,14 @@ def test_infeasible_lossy_demand_exits_2(tmp_path, capsys):
 
 
 def test_non_finite_demand_exits_1(tmp_path, capsys):
+    # a non-finite --demand is the flag's fault, so its message does not name the file
     path = write_problem(tmp_path)
-    code = main(["penalty", "--problem", str(path), "--demand", "nan"])
-    assert code == EXIT_ERROR
-    assert "finite" in capsys.readouterr().err
+    for demand, shown in (("nan", "nan"), ("inf", "inf"), ("1e400", "inf")):
+        assert main(["penalty", "--problem", str(path), "--demand", demand]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: demand must be finite, got {shown}\n"
+    path = write_problem(tmp_path, demand=float("inf"))  # written as JSON's Infinity extension
+    assert main(["penalty", "--problem", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {path}: demand must be finite, got inf\n"
 
 
 def test_negative_workers_exit_1(tmp_path, capsys):
@@ -234,6 +238,9 @@ def _add_unknown_gas(doc):
         # the file's demand is read even where --demand overrides it
         (lambda doc: {**doc, "demand": "abc"}, "could not convert 'abc' to a number in 'demand'"),
         (_set_unit_field("p_max", 10**400), "unit #1: int too large to convert to float"),
+        # json.loads raises RecursionError, no ValueError, on a value nested this deep
+        (lambda doc: json.dumps({**doc, "name": None}).replace("null", "[" * 100000 + "]" * 100000),
+         "maximum recursion depth exceeded"),
     ],
     ids=["top-level-number", "units-dict", "units-list-of-lists", "gases-string",
          "cost-number", "emissions-list", "p_min-null", "p_min-string", "emissions-unknown-gas",
@@ -242,7 +249,7 @@ def _add_unknown_gas(doc):
          "cost-digit-string", "p_max-numeric-string", "p_min-bool", "cost-bool", "emissions-bool",
          "emissions-digit-string", "b_matrix-bool", "b_matrix-numeric-string", "cost-object",
          "emissions-object", "b_matrix-typo", "unit-unknown-key", "gases-repeated", "key-repeated",
-         "demand-string-overridden", "p_max-huge-integer"],
+         "demand-string-overridden", "p_max-huge-integer", "name-nested-too-deep"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)
@@ -254,7 +261,7 @@ def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     code = main(["penalty", "--problem", str(path), "--demand", "330"])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _paths(node, path=()):

@@ -30,10 +30,10 @@ import pytest
 
 from ceed import ga, pso
 from ceed.ga import GaConfig
-from ceed.harness import load_problem
 from ceed.model import LossMatrix
 from ceed.oracle import grid_search, lambda_solve
 from ceed.penalty import penalty_factors_all
+from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig
 
 from conftest import make_problem, random_problem

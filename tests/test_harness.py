@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from ceed import GaConfig, PsoConfig
-from ceed.harness import (
-    ExperimentSpec,
-    export_trace,
-    format_demand,
-    format_report,
-    load_problem,
-    run_experiment,
-)
+from ceed.harness import ExperimentSpec, export_trace, format_report, run_experiment
 from ceed.model import DispatchError, InfeasibleError
+from ceed.problem_file import format_demand, load_problem
 
 
 def read_trace(path):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ceed import model, pso
-from ceed.harness import load_problem
 from ceed.model import (
     BALANCE_TOL,
     DispatchProblem,
@@ -28,6 +27,7 @@ from ceed.model import (
 )
 from ceed.oracle import lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
+from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
@@ -169,6 +169,22 @@ def test_balance_residual_linear_in_uniform_shift(rng):
     for delta in (-3.0, 0.5, 12.25):
         shifted = balance_residual(problem, p + delta)
         assert shifted == pytest.approx(base + 5 * delta, abs=1e-9)
+
+
+def test_balance_residual_of_a_row_does_not_depend_on_its_batch(six_unit_path):
+    # a loss kernel that blocks over rows could give a row other bits in another batch,
+    # and a seeded trial's result would then depend on the trials batched with it
+    base = load_problem(six_unit_path, 1500.0)
+    rng = np.random.default_rng(17)
+    m = rng.uniform(0.0, 1.0, (6, 6))
+    b = 1e-5 * (m @ m.T)
+    problem = make_problem(base.units, 1500.0, gases=base.gases, losses=LossMatrix((b + b.T) / 2))
+    rows = rng.uniform(problem.p_min_arr, problem.p_max_arr, (601, 6))
+    alone = np.array([balance_residual(problem, row) for row in rows])
+    for size in (2, 7, 64, 601):
+        assert np.array_equal(balance_residual(problem, rows[:size]), alone[:size]), size
+    stack = rows[:600].reshape(75, 8, 6).transpose(1, 0, 2)  # (R, K, N), strided as a view
+    assert np.array_equal(balance_residual(problem, stack), alone[:600].reshape(75, 8).T)
 
 
 def test_combined_objective_with_k2_zero_ignores_h(rng):

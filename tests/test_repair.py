@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ceed.repair
-from ceed.harness import load_problem
 from ceed.model import BALANCE_TOL, InfeasibleError, LossMatrix, balance_residual, check_limits
+from ceed.problem_file import load_problem
 from ceed.repair import _correction, repair_batch
 
 from conftest import make_problem, make_unit, random_problem
