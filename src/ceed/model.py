@@ -123,8 +123,13 @@ class LossMatrix:
         return self._b.shape[0]
 
     def loss(self, powers: np.ndarray) -> np.ndarray:
-        """p'Bp of one power vector, or of every row of a batch, MW."""
-        return np.einsum("...i,ij,...j->...", powers, self._b, powers)
+        """p'Bp of one power vector, or of every row of a batch, MW.
+
+        Formed with the row-wise gufuncs vecmat and vecdot, which put every
+        row through the same kernel, so a row's loss has the same bits alone
+        as in any batch; p @ B would take BLAS's one-row path on a lone row.
+        """
+        return np.vecdot(np.vecmat(powers, self._b), powers)
 
 
 @dataclass(frozen=True)

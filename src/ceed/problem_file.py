@@ -39,6 +39,14 @@ def _floats(value, key: str, depth: int = 0):
     raise TypeError(f"could not convert {value!r} to a number in {key!r}")
 
 
+def _finite(value, key: str) -> float:
+    """A JSON number as a float, refused when it is Infinity or NaN, which json.loads accepts."""
+    number = _floats(value, key)
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {number}")
+    return number
+
+
 def _kind(value, kind: type, key: str, what: str):
     if type(value) is not kind:
         raise TypeError(f"{key!r} must be {what}, got {value!r}")
@@ -58,7 +66,8 @@ _FILE_KEYS = {
     "units": lambda v, key: _kind(v, list, key, "a list of unit objects"),
     "name": lambda v, key: _kind(v, str, key, "a string"),
     "gases": lambda v, key: tuple(_gas(g, key) for g in _kind(v, list, key, "a list of gas names")),
-    "demand": _floats,
+    # finite here: a passed demand overrides it before the model sees it
+    "demand": _finite,
     "b_matrix": lambda v, key: None if v is None else _floats(v, key, 2),
 }
 _UNIT_KEYS = {

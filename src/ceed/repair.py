@@ -55,14 +55,14 @@ def _correction(
     At scale s the row is p, with residual r; d is x on the units off their
     limits and 0 elsewhere, so p moves as p + e d until a further unit clips.
     """
-    total = np.add.reduce(d, axis=1)
+    total = np.add.reduce(d, axis=-1)
     if problem.losses is None:
         return s - r / total
-    # d'B by einsum's per-row loop: d @ B takes BLAS's one-row path on a lone
-    # row, which rounds otherwise than on a batch
-    db = np.einsum("ri,ij->rj", d, problem.losses.b)
-    half_slope = 0.5 * total - np.add.reduce(db * p, axis=1)
-    curve = np.add.reduce(db * d, axis=1)
+    # d'B and its products by row-wise gufuncs, as in LossMatrix.loss: d @ B
+    # takes BLAS's one-row path on a lone row, which rounds otherwise than on a batch
+    db = np.vecmat(d, problem.losses.b)
+    half_slope = 0.5 * total - np.vecdot(db, p)
+    curve = np.vecdot(db, d)
     # smaller root of r + 2*half_slope*e - curve*e^2 = 0, written without cancellation
     return s - r / (half_slope + np.sqrt(np.maximum(half_slope * half_slope + curve * r, 0.0)))
 
@@ -85,7 +85,8 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     if np.count_nonzero(settled) == settled.size:
         return out
     (rows,) = (~settled).nonzero()
-    x, s, sx, p, r = x[rows], s[rows], sx[rows], out[rows], r[rows]
+    x, sx, p = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0)
+    s, r = s[rows], r[rows]
     # h rises with S, so the scales tried bracket the root; a step that leaves
     # the bracket is replaced by bisection.  The rows still off stay in the loop
     # until all land, each frozen at its s, p and r once it lands.  Lossless,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -237,6 +238,8 @@ def _add_unknown_gas(doc):
          "repeated key 'p_max'"),
         # the file's demand is read even where --demand overrides it
         (lambda doc: {**doc, "demand": "abc"}, "could not convert 'abc' to a number in 'demand'"),
+        (lambda doc: {**doc, "demand": math.inf}, "demand must be finite, got inf"),
+        (lambda doc: {**doc, "demand": math.nan}, "demand must be finite, got nan"),
         (_set_unit_field("p_max", 10**400), "unit #1: int too large to convert to float"),
         # json.loads raises RecursionError, no ValueError, on a value nested this deep
         (lambda doc: json.dumps({**doc, "name": None}).replace("null", "[" * 100000 + "]" * 100000),
@@ -249,7 +252,8 @@ def _add_unknown_gas(doc):
          "cost-digit-string", "p_max-numeric-string", "p_min-bool", "cost-bool", "emissions-bool",
          "emissions-digit-string", "b_matrix-bool", "b_matrix-numeric-string", "cost-object",
          "emissions-object", "b_matrix-typo", "unit-unknown-key", "gases-repeated", "key-repeated",
-         "demand-string-overridden", "p_max-huge-integer", "name-nested-too-deep"],
+         "demand-string-overridden", "demand-infinite-overridden", "demand-nan-overridden",
+         "p_max-huge-integer", "name-nested-too-deep"],
 )
 def test_malformed_structure_is_a_dispatch_error(tmp_path, capsys, edit, names):
     path = write_problem(tmp_path)

@@ -8,6 +8,7 @@ rewrites the affected groups and names them in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py            # every group
     PYTHONPATH=src python tests/test_golden.py ga         # only the GA cases
+    PYTHONPATH=src python tests/test_golden.py --diff ga  # list what would move; write nothing
 
 Mismatch policy: NumPy's SIMD reductions may sum in another order on another
 CPU or NumPy version, so the digests are compared exactly only where the
@@ -175,9 +176,35 @@ def regenerate(groups) -> None:
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
 
 
+def diff(groups) -> None:
+    """Print each recorded case of the given groups that would move, with its relative total-cost move."""
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    moved = 0
+    for group in groups:
+        actual = compute(group)
+        expected = {name: case for name, case in recorded.items() if name.startswith(f"{group}/")}
+        for name in sorted(expected.keys() | actual.keys()):
+            if name not in actual or name not in expected:
+                print(f"{name}: {'dropped' if name in expected else 'new'}")
+            elif actual[name] != expected[name]:
+                want = float.fromhex(expected[name]["total_cost"])
+                got = float.fromhex(actual[name]["total_cost"])
+                fields = [key for key in expected[name] if actual[name].get(key) != expected[name][key]]
+                print(f"{name}: total cost {(got - want) / abs(want):+.3e} relative; moved {', '.join(fields)}")
+            else:
+                continue
+            moved += 1
+    print(f"{moved} case(s) would move in {', '.join(groups)}")
+
+
 if __name__ == "__main__":
-    chosen = sys.argv[1:] or list(GROUPS)
+    args = sys.argv[1:]
+    show = args[:1] == ["--diff"]
+    chosen = args[show:] or list(GROUPS)
     unknown = sorted(set(chosen) - set(GROUPS))
     if unknown:
         sys.exit(f"unknown group(s) {unknown}; choose from {list(GROUPS)}")
-    regenerate(chosen)
+    if show:
+        diff(chosen)
+    else:
+        regenerate(chosen)

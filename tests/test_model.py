@@ -162,6 +162,20 @@ def test_transmission_loss_invariant_under_symmetrization(rng):
         assert transmission_loss(problem, p) == pytest.approx(direct, rel=1e-12)
 
 
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(n=st.integers(1, 40), rows=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_property_loss_is_the_quadratic_of_each_row(n, rows, seed):
+    # nonnegative B and powers: no cancellation, so the sums agree to rounding
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.0, 1e-4, (n, n))
+    losses = LossMatrix(m + m.T)
+    P = rng.uniform(0.0, 500.0, (rows, n))
+    got = losses.loss(P)
+    assert got.shape == (rows,)
+    for p, q in zip(P, got):
+        assert q == pytest.approx(p @ losses.b @ p, rel=1e-13, abs=0.0)
+
+
 def test_balance_residual_linear_in_uniform_shift(rng):
     problem = random_problem(rng, 5)
     p = rng.uniform(problem.p_min_arr, problem.p_max_arr)

@@ -195,6 +195,30 @@ def test_lossless_correction_is_the_newton_step_on_the_active_set():
     assert np.array_equal(_correction(problem, d, s, p, r), s - r / d.sum(axis=1))
 
 
+def test_lossy_correction_of_a_row_does_not_depend_on_its_batch(six_unit_path):
+    # d @ B on a lone row takes BLAS's one-row path, which rounds otherwise
+    # than on a batch, so the step's loss terms are formed row by row
+    base = load_problem(six_unit_path, 2000.0)
+    rng = np.random.default_rng(23)
+    m = rng.uniform(0.0, 1.0, (6, 6))
+    problem = make_problem(base.units, base.demand, losses=LossMatrix(1e-5 * (m @ m.T)))
+    x = rng.uniform(problem.p_min_arr, problem.p_max_arr, (601, 6))
+    s = rng.uniform(0.9, 1.3, 601)
+    sx = s[:, None] * x
+    p = np.clip(sx, problem.p_min_arr, problem.p_max_arr)
+    d, r = x * (p == sx), balance_residual(problem, p)
+    alone = np.array([_correction(problem, d[i : i + 1], s[i : i + 1], p[i : i + 1], r[i : i + 1])[0]
+                      for i in range(601)])
+    assert np.isfinite(alone).all() and (d == 0).any()
+    for size in (2, 7, 64, 601):
+        assert np.array_equal(_correction(problem, d[:size], s[:size], p[:size], r[:size]), alone[:size]), size
+
+    def stack(a):  # the first 600 rows as (R, K, ...), strided as a view
+        return a[:600].reshape(75, 8, *a.shape[1:]).swapaxes(0, 1)
+
+    assert np.array_equal(_correction(problem, stack(d), stack(s), stack(p), stack(r)), stack(alone))
+
+
 # --- properties over random feasible problems --------------------------------
 
 
