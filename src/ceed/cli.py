@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .model import DispatchError, InfeasibleError
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .harness import ExperimentSpec, format_report, run_experiment
+    from .harness import ExperimentSpec, export_trace, format_report, run_experiment
 
     # without --demand, load_problem reads the file's demand or says it has none
     demands = args.demand or [load_problem(args.problem).demand]
@@ -66,10 +68,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         k2=args.k2,
         iterations=args.iterations,
         workers=args.workers,
-        out_dir=args.out,
     )
-    for report in run_experiment(spec):
-        print(format_report(report))
+    # a zero budget leaves every trace empty, and export_trace refuses those
+    if args.out is not None and args.iterations == 0:
+        raise ValueError(f"{spec.solver_names[0]} has a zero step budget, so there is no trace "
+                         f"to write to {args.out}")
+    reports = run_experiment(spec)
+    texts = [format_report(report) for report in reports]
+    if args.out is not None:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for report in reports:
+            stem = f"{report.solver}_pd{format_demand(report.demand)}"
+            for trial in report.trials:
+                export_trace(trial.trace, out / f"{stem}_trial{trial.index:03d}.csv")
+        (out / "report.txt").write_text("\n".join(texts))
+    for text in texts:
+        print(text)
     return EXIT_OK
 
 
@@ -85,7 +100,7 @@ def _cmd_penalty(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import lambda_solve
 
-    problem = load_problem(args.problem, args.demand, args.k1, args.k2)
+    problem = replace(load_problem(args.problem, args.demand), k1=args.k1, k2=args.k2)
     h = penalty_factors_all(problem) if args.k2 else None
     result = lambda_solve(problem, h)
     solution = result.solution(problem, h)

@@ -1,4 +1,4 @@
-"""Multi-trial experiments and report/trace output.
+"""Multi-trial experiments, their reports and trace export.
 
 Experiments run each solver `trials` times with seeds base_seed + index and
 reduce the results in index order, so a report's deterministic section is
@@ -6,7 +6,8 @@ byte-identical across repeats of the same spec; wall-clock figures live in
 a separate timing section because they never reproduce exactly.  The trials
 of a (solver, demand) pair run as one batch through the solver's
 run_trials, or as one contiguous batch per worker with `workers`; a trial's
-result does not depend on its batch.
+result does not depend on its batch.  run_experiment writes no files: a
+caller writes reports with format_report and traces with export_trace.
 """
 
 from __future__ import annotations
@@ -14,19 +15,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from statistics import mean, median
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import ga, pso
 from .model import DispatchSolution, PenaltyFactors
 from .penalty import penalty_factors_all
 from .problem_file import format_demand, load_problem
-
-# The solvers load on first use (in _solver_config and _run_trial): reading a
-# problem file and its penalty factors needs neither.
-if TYPE_CHECKING:
-    from . import ga, pso
-
 
 SOLVER_NAMES = ("pso", "ga")
 # The config field that holds each solver's step budget.
@@ -48,7 +45,6 @@ class ExperimentSpec:
     pso_config: Optional[pso.PsoConfig] = None
     ga_config: Optional[ga.GaConfig] = None
     workers: int = 0  # 0 = run trials serially
-    out_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "demands", tuple(float(d) for d in self.demands))
@@ -56,6 +52,8 @@ class ExperimentSpec:
             raise ValueError("an experiment needs at least one demand")
         if len(set(self.demands)) < len(self.demands):
             raise ValueError(f"demands must differ (a repeat reruns the same seeds), got {list(self.demands)}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 0:
@@ -68,12 +66,6 @@ class ExperimentSpec:
                     f"solver configs must leave seed at 0, got {config.seed}; "
                     "trial i runs with base_seed + i, so set base_seed"
                 )
-        # a zero budget leaves every trace empty, and export_trace refuses those
-        if self.out_dir is not None:
-            for solver in self.solver_names:
-                if getattr(_solver_config(self, solver, 0), _BUDGET[solver]) == 0:
-                    raise ValueError(f"{solver} has a zero step budget, so there is no trace "
-                                     f"to write to {self.out_dir}")
 
     @property
     def solver_names(self) -> tuple[str, ...]:
@@ -114,8 +106,6 @@ class TrialReport:
 
 
 def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
-    from . import ga, pso
-
     cfg = (spec.pso_config or pso.PsoConfig()) if solver == "pso" else (spec.ga_config or ga.GaConfig())
     if spec.iterations is not None:
         cfg = replace(cfg, **{_BUDGET[solver]: spec.iterations})
@@ -124,8 +114,6 @@ def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
 
 def _run_trial(args) -> tuple[Trial, ...]:
     """One batch: `count` trials from index `first`, run together and timed together."""
-    from . import ga, pso
-
     problem, solver, config, h, first, count = args
     runner = pso.run_trials if solver == "pso" else ga.run_trials
     start = time.perf_counter()
@@ -148,7 +136,7 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
     """Execute the full trial protocol; one report per (solver, demand) pair."""
     reports = []
     for demand in spec.demands:
-        problem = load_problem(spec.problem_path, demand, spec.k1, spec.k2)
+        problem = replace(load_problem(spec.problem_path, demand), k1=spec.k1, k2=spec.k2)
         h = penalty_factors_all(problem) if spec.k2 else None
         for solver in spec.solver_names:
             jobs = [
@@ -165,8 +153,6 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
                 batches = [_run_trial(job) for job in jobs]
             trials = tuple(trial for batch in batches for trial in batch)
             reports.append(TrialReport(solver=solver, demand=demand, h=h, trials=trials))
-    if spec.out_dir is not None:
-        write_outputs(reports, Path(spec.out_dir))
     return reports
 
 
@@ -194,8 +180,6 @@ def _solution_lines(tag: str, solution: DispatchSolution) -> list[str]:
 
 def format_report(report: TrialReport) -> str:
     """Human-readable report; everything above the timing marker is deterministic."""
-    from statistics import mean, median
-
     costs = sorted(report.total_costs)
     lines = [f"solver={report.solver} demand={format_demand(report.demand)} MW trials={len(report.trials)}"]
     if report.h is not None:
@@ -211,13 +195,3 @@ def format_report(report: TrialReport) -> str:
     lines.append(f"  batch wall clock (s): {sum(secs):.3f}, summed over batches")
     lines.append(f"  share per trial (s): mean={mean(secs):.4f} min={min(secs):.4f} max={max(secs):.4f}")
     return "\n".join(lines) + "\n"
-
-
-def write_outputs(reports: list[TrialReport], out_dir: Path) -> None:
-    """Per-trial traces plus one combined report file."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for report in reports:
-        stem = f"{report.solver}_pd{format_demand(report.demand)}"
-        for trial in report.trials:
-            export_trace(trial.trace, out_dir / f"{stem}_trial{trial.index:03d}.csv")
-    (out_dir / "report.txt").write_text("\n".join(format_report(r) for r in reports))

@@ -19,7 +19,6 @@ from .model import (
     InfeasibleError,
     PenaltyFactors,
     _prices,
-    combined_objective_batch,
     evaluate_dispatch,
 )
 
@@ -138,7 +137,9 @@ def grid_search(
     candidates = np.column_stack(
         [mesh[feasible], np.clip(closing[feasible], lo[-1], hi[-1])]
     )
-    objs = combined_objective_batch(problem, candidates, h)
+    # the constant terms are the same for every candidate, so b.p + c.p^2 ranks them
+    b_eff, c_eff = _effective_coeffs(problem, h)
+    objs = (candidates * (b_eff + c_eff * candidates)).sum(axis=1)
     return evaluate_dispatch(problem, candidates[int(np.argmin(objs))], h)
 
 

@@ -101,14 +101,14 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def load_problem(path: Union[str, Path], demand: Optional[float] = None,
-                 k1: int = 1, k2: int = 1) -> DispatchProblem:
+def load_problem(path: Union[str, Path], demand: Optional[float] = None) -> DispatchProblem:
     """Read a problem file, whose keys are those of _FILE_KEYS and its units' those of _UNIT_KEYS.
 
     A demand passed here overrides the file's, which is checked all the same;
     a passed demand that is not finite raises a plain ValueError.  Any other
     file, or one with values the model rejects, raises ProblemFileError naming
-    it; a demand beyond the units raises InfeasibleError.
+    it; a demand beyond the units raises InfeasibleError.  A file holds no
+    objective weights: callers set k1 and k2 with dataclasses.replace.
     """
     if demand is not None:
         demand = float(demand)
@@ -127,7 +127,7 @@ def load_problem(path: Union[str, Path], demand: Optional[float] = None,
         demand = file["demand"] if demand is None else demand
         losses = None if file.get("b_matrix") is None else LossMatrix(file["b_matrix"])
         gases = file.get("gases", ALL_GASES)
-        return DispatchProblem(units=tuple(units), demand=demand, gases=gases, losses=losses, k1=k1, k2=k2)
+        return DispatchProblem(units=tuple(units), demand=demand, gases=gases, losses=losses)
     except OSError as exc:
         raise DispatchError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

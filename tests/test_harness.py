@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ceed import GaConfig, PsoConfig
+from ceed.cli import EXIT_OK, main
 from ceed.harness import ExperimentSpec, export_trace, format_report, run_experiment
 from ceed.model import DispatchError, InfeasibleError
 from ceed.problem_file import format_demand, load_problem
@@ -142,6 +143,9 @@ def test_spec_validation():
         ExperimentSpec(problem_path="x", demands=(100.0,), solver="annealing")
     with pytest.raises(ValueError, match="workers"):
         ExperimentSpec(problem_path="x", demands=(100.0,), workers=-1)
+    # NumPy would refuse the seed only inside the first solver batch
+    with pytest.raises(ValueError, match=r"base_seed must be >= 0, got -1"):
+        ExperimentSpec(problem_path="x", demands=(100.0,), base_seed=-1)
     # trial seeds come from base_seed alone; a config's own seed would be overwritten
     with pytest.raises(ValueError, match="base_seed"):
         ExperimentSpec(problem_path="x", demands=(100.0,), pso_config=PsoConfig(seed=3))
@@ -228,10 +232,17 @@ def test_report_identities_hold(tmp_path):
         assert s.emission_cost == pytest.approx(ec)
 
 
-def test_outputs_written(tmp_path):
+def solve_into(path, out, *flags):
+    """`ceed solve --out out` on path at 330 MW with quick_spec's protocol; flags override it."""
+    argv = ["solve", "--problem", str(path), "--demand", "330", "--solver", "pso", "--trials", "3",
+            "--iterations", "40", "--seed", "5", *flags, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+
+
+def test_outputs_written(tmp_path, capsys):
     path = write_problem(tmp_path)
     out = tmp_path / "results"
-    run_experiment(quick_spec(path, solver="both", trials=2, out_dir=str(out)))
+    solve_into(path, out, "--solver", "both", "--trials", "2")
     traces = sorted(p.name for p in out.glob("*.csv"))
     assert traces == [
         "ga_pd330_trial000.csv",
@@ -242,17 +253,16 @@ def test_outputs_written(tmp_path):
     assert (out / "report.txt").read_text().count("solver=") == 2
 
 
-def test_demands_that_round_alike_keep_apart(tmp_path):
+def test_demands_that_round_alike_keep_apart(tmp_path, capsys):
     # {:g} prints both as 330; round demands keep their short names
     labels = [format_demand(d) for d in (330.0, 330.0004, 1500.0, 2.5e-7)]
     assert labels == ["330", "330.0004", "1500", "2.5e-07"]
     path = write_problem(tmp_path)
     out = tmp_path / "results"
-    spec = quick_spec(path, demands=(330.0, 330.0004), trials=1, iterations=5, out_dir=str(out))
-    reports = run_experiment(spec)
+    solve_into(path, out, "--demand", "330.0004", "--trials", "1", "--iterations", "5")
     traces = sorted(p.name for p in out.glob("*.csv"))
     assert traces == ["pso_pd330.0004_trial000.csv", "pso_pd330_trial000.csv"]
-    headers = [format_report(r).splitlines()[0] for r in reports]
+    headers = [line for line in (out / "report.txt").read_text().splitlines() if line.startswith("solver=")]
     assert headers == ["solver=pso demand=330 MW trials=1", "solver=pso demand=330.0004 MW trials=1"]
 
 

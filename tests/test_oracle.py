@@ -7,6 +7,7 @@ random instances is the main correctness evidence for both.
 import numpy as np
 import pytest
 
+import ceed.model
 from ceed.model import Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
 from ceed.oracle import LAMBDA_TOL, _close_balance, grid_search, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
@@ -82,6 +83,18 @@ def test_grid_search_two_unit_closed_form():
     assert sol.powers[0] == pytest.approx(200.0, abs=1.0)
     assert sol.powers[1] == pytest.approx(100.0, abs=1.0)
     assert abs(sol.balance_residual) <= 1e-9
+
+
+def test_oracles_do_not_use_the_solvers_objective(rng, monkeypatch):
+    problem = random_problem(rng, 3)
+    h = penalty_factors_all(problem)
+
+    def solvers_fold(*args):
+        raise AssertionError("an oracle folded the solvers' objective")
+
+    expected = grid_search(problem, h), lambda_solve(problem, h)
+    monkeypatch.setattr(ceed.model, "_fold", solvers_fold)
+    assert (grid_search(problem, h), lambda_solve(problem, h)) == expected
 
 
 def test_grid_search_refuses_large_problems(rng):

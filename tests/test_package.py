@@ -48,6 +48,15 @@ def test_penalty_and_oracle_commands_load_no_runner(six_unit_path):
     assert run_python(code) == ["penalty []", "oracle ['ceed.oracle']"]
 
 
+def test_the_runner_loads_the_solvers_but_not_the_pool():
+    # the process pool is the one import the runner keeps inside a function
+    code = (
+        "import sys, ceed.harness\n"
+        "print(sorted({'ceed.pso', 'ceed.ga', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    assert run_python(code) == ["['ceed.ga', 'ceed.pso']"]
+
+
 def test_every_public_name_resolves():
     for name in ceed.__all__:
         assert getattr(ceed, name) is not None, name
