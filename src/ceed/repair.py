@@ -84,31 +84,37 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     settled = np.abs(r) <= BALANCE_TOL
     if np.count_nonzero(settled) == settled.size:
         return out
-    (rows,) = (~settled).nonzero()
-    x, sx, p = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0)
-    s, r = s[rows], r[rows]
+    # the open rows, gathered, or the arrays themselves when no row settled
+    rows, p = slice(None), out
+    if settled.any():
+        (rows,) = (~settled).nonzero()
+        x, sx, p = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0)
+        s, r = s[rows], r[rows]
     # h rises with S, so the scales tried bracket the root; a step that leaves
     # the bracket is replaced by bisection.  The rows still off stay in the loop
     # until all land, each frozen at its s, p and r once it lands.  Lossless,
     # each of the two starts needs at most N + 1 steps; 64 halvings exhaust a
     # double.  p and the bracket are the loop's own arrays, updated in place
-    below, above = np.zeros(rows.size), np.full(rows.size, np.inf)
-    restarted, landed = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
+    below, above = np.where(r < 0, s, 0.0), np.where(r > 0, s, np.inf)
+    restarted, landed = np.zeros(s.size, dtype=bool), np.zeros(s.size, dtype=bool)
     with _quiet():
         for _ in range(2 * problem.n_units + 64):
-            np.copyto(below, s, where=r < 0)
-            np.copyto(above, s, where=r > 0)
             # d as a product, not a select: the active set changes every step,
             # and a select mispredicts.  The two differ only in the sign of a
             # zero, which can only flip the sign of an infinite step (out of the
             # bracket either way), and at a NaN x_i, whose row's s is NaN already
             t = _correction(problem, x * (p == sx), s, p, r)
+            # a landed row keeps its s, so its step never calls for bisection
             inside = (t > below) & (t < above)
-            if np.count_nonzero(inside) < inside.size:
+            inside |= landed
+            bisect = np.count_nonzero(inside) < inside.size
+            if bisect:
                 t = np.where(inside, t, 0.5 * (below + above))
             np.copyto(t, s, where=landed)
             s = t
-            if not np.isfinite(s).all():
+            # a step strictly inside a bracket of finite s is finite, so only a
+            # midpoint can be inf or NaN
+            if bisect and not np.isfinite(s).all():
                 stuck = ~np.isfinite(s)
                 if (stuck & restarted).any():
                     landed = ~(stuck & restarted)
@@ -124,6 +130,8 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             if np.count_nonzero(landed) == landed.size:
                 out[rows] = p
                 return out
+            np.copyto(below, s, where=r < 0)
+            np.copyto(above, s, where=r > 0)
     raise InfeasibleError(
         f"cannot close the power balance at demand {problem.demand:g} MW: residual {r[~landed][0]:.6g} MW"
     )
