@@ -196,6 +196,11 @@ class DispatchProblem:
         return _frozen(np.array([u.p_max for u in self.units]))
 
     @cached_property
+    def ones(self) -> np.ndarray:
+        """N ones: np.vecdot(rows, ones) sums each row through the row-wise dot kernel."""
+        return _frozen(np.ones(self.n_units))
+
+    @cached_property
     def p_min_total(self) -> float:
         """sum(p_min), MW: no row of powers within the limits sums to less."""
         return float(self.p_min_arr.sum())
@@ -208,8 +213,8 @@ class DispatchProblem:
         return _frozen(np.array(curves, dtype=float).swapaxes(1, 2).copy())
 
     @cached_property
-    def _fold_memo(self) -> tuple[object, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """combined_objective_batch's memo: the last h and its folded (a, b, c)."""
+    def _fold_memo(self) -> tuple[object, Optional[tuple[float, np.ndarray, np.ndarray]]]:
+        """combined_objective_batch's memo: the last h and its folded (sum of a, b, c)."""
         return _NO_H, None
 
     @property
@@ -308,7 +313,7 @@ def balance_residual(problem: DispatchProblem, powers: np.ndarray) -> Union[floa
     p = np.asarray(powers, dtype=float)
     if p.shape[-1:] != (problem.n_units,):
         raise ValueError(f"expected {problem.n_units} power values per row, got shape {p.shape}")
-    r = p.sum(axis=-1) - problem.demand
+    r = np.vecdot(p, problem.ones) - problem.demand
     return r if problem.losses is None else r - problem.losses.loss(p)
 
 
@@ -376,10 +381,13 @@ def evaluate_dispatch(
 
 # --- batch objective used by the population solvers -------------------------
 # Rows of P are candidate power vectors.  The weights k1 and k2 * h_g fold
-# the cost and emission curves into one quadratic per unit, so a call costs
-# one Horner evaluation whatever the number of gases.  The fold depends only
-# on the problem and on h, so the problem keeps one (h, fold) pair and hands
-# the fold back when the same h object arrives again.  Identity is enough:
+# the cost and emission curves into one quadratic per unit, and its constant
+# terms into one sum, so a row costs sum(a) + vecdot(p, b + c p) whatever the
+# number of gases.  vecdot, as in LossMatrix.loss and balance_residual, puts
+# every row through one kernel, so a row's bits ignore its batch and its
+# layout in memory.  The fold depends only on the problem and on h, so the
+# problem keeps one (h, fold) pair and hands the fold back when the same h
+# object arrives again.  Identity is enough:
 # PenaltyFactors is frozen with read-only prices checked when it is built,
 # and the pair is stored only after _prices has matched that h to this
 # problem.  Any other h, equal or not, goes through _prices and replaces the
@@ -392,8 +400,8 @@ def evaluate_dispatch(
 _NO_H = object()
 
 
-def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-unit (a, b, c) of k1 * cost + k2 * sum_g h_g * emission_g, memoized on the problem."""
+def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[float, np.ndarray, np.ndarray]:
+    """(sum of a, per-unit b, per-unit c) of k1 * cost + k2 * sum_g h_g * emission_g, memoized on the problem."""
     last, fold = problem._fold_memo
     if last is h:
         return fold
@@ -404,7 +412,7 @@ def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[np.nda
         weights[1:] = prices
     a, b, c = _frozen((weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1))
     # one pair, replaced whole: a run uses one h, and a sweep over prices must not grow the memo
-    fold = (a, b, c)
+    fold = (a.sum(), b, c)
     object.__setattr__(problem, "_fold_memo", (h, fold))
     return fold
 
@@ -417,5 +425,5 @@ def combined_objective_batch(
     The per-unit quadratic that h folds into is computed once per (problem,
     h) and memoized on the problem, keyed by the identity of h.
     """
-    a, b, c = _fold(problem, h)
-    return (a + P * (b + c * P)).sum(axis=1)
+    sum_a, b, c = _fold(problem, h)
+    return sum_a + np.vecdot(P, b + c * P)

@@ -39,7 +39,7 @@ def _quiet():
 
 def _ray_start(problem: DispatchProblem, x: np.ndarray) -> np.ndarray:
     """Per row, the scale that closes the balance when no unit clips."""
-    total, demand = x.sum(axis=1), problem.demand
+    total, demand = np.vecdot(x, problem.ones), problem.demand
     if problem.losses is None:
         return demand / total
     q = problem.losses.loss(x)
@@ -55,7 +55,7 @@ def _correction(
     At scale s the row is p, with residual r; d is x on the units off their
     limits and 0 elsewhere, so p moves as p + e d until a further unit clips.
     """
-    total = np.add.reduce(d, axis=-1)
+    total = np.vecdot(d, problem.ones)
     if problem.losses is None:
         return s - r / total
     # d'B and its products by row-wise gufuncs, as in LossMatrix.loss: d @ B

@@ -1,0 +1,76 @@
+"""Rows never mix: a row's result has the same bits in every batch and layout.
+
+The scoring path sums rows through row-wise gufuncs (np.vecdot, np.vecmat),
+so a row's objective, balance residual and repaired vector must not depend
+on the rows around it, on its place in memory or on the stride between rows.
+Each row of a batch is compared bit for bit with its result alone, in a
+strided view (every other row, as GA crossover reads its parents) and copied
+to an address that is an odd multiple of 8 bytes, for every N from 1 to 64.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ceed.model import LossMatrix, balance_residual, combined_objective_batch
+from ceed.penalty import penalty_factors_all
+from ceed.repair import repair_batch
+
+from conftest import make_problem, random_problem
+
+
+def _lossy(problem, rng):
+    """problem with a small PSD B: net output grows with every unit, and full output keeps spare."""
+    g = rng.normal(size=(problem.n_units,) * 2)
+    b = g @ g.T
+    hi = problem.p_max_arr
+    spare = float(hi.sum()) - problem.demand
+    scale = min(0.125 / (np.abs(b) @ hi).max(), 0.5 * spare / (hi @ b @ hi))
+    return make_problem(problem.units, problem.demand, losses=LossMatrix(scale * b))
+
+
+def _strided(P):
+    """P's rows as every other row of a twice-as-long array."""
+    twice = np.full((2 * len(P), P.shape[1]), np.nan)
+    twice[::2] = P
+    return twice[::2]
+
+
+def _at_odd_offset(P):
+    """A copy of P whose first element sits at an odd multiple of 8 bytes."""
+    buf = np.empty(P.size + 1)
+    start = 1 - (buf.ctypes.data // 8) % 2
+    out = buf[start : start + P.size].reshape(P.shape)
+    out[...] = P
+    assert (out.ctypes.data // 8) % 2 == 1
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@settings(deadline=None, derandomize=True, max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_property_rows_never_mix(lossy, seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 65):
+        problem = random_problem(rng, n)
+        if lossy:
+            problem = _lossy(problem, rng)
+        h = penalty_factors_all(problem)
+        layers = {
+            "objective": lambda P: combined_objective_batch(problem, P, h),
+            "residual": lambda P: balance_residual(problem, P),
+            "repair": lambda P: repair_batch(problem, P),
+        }
+        P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(2, 10)), n))
+        # a balanced row settles on the first scale, so repair also gathers the open rows
+        P[0] = repair_batch(problem, P[:1])[0]
+        for name, layer in layers.items():
+            batch = layer(P)
+            for layout, got in (("strided", layer(_strided(P))), ("odd offset", layer(_at_odd_offset(P)))):
+                assert _bits(got) == _bits(batch), (name, n, layout)
+            for i in range(len(P)):
+                assert _bits(layer(P[i : i + 1].copy())[0]) == _bits(batch[i]), (name, n, i)
