@@ -73,11 +73,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.out is not None and args.iterations == 0:
         raise ValueError(f"{spec.solver_names[0]} has a zero step budget, so there is no trace "
                          f"to write to {args.out}")
+    if args.out is not None:  # made before the first trial, so a file in its place fails first
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     reports = run_experiment(spec)
     texts = [format_report(report) for report in reports]
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         for report in reports:
             stem = f"{report.solver}_pd{format_demand(report.demand)}"
             for trial in report.trials:
@@ -104,7 +105,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     h = penalty_factors_all(problem) if args.k2 else None
     result = lambda_solve(problem, h)
     solution = result.solution(problem, h)
-    print(f"lambda = {result.lambda_:.6g} $/MWh ({result.iterations} bisection steps)")
+    print(f"lambda = {result.lambda_:.6g} $/MWh "
+          f"({result.iterations} bisection steps, residual {result.residual:.3g} MW)")
     for i, p in enumerate(solution.powers):
         print(f"P{i + 1} = {p:.4f} MW")
     for gas, value in solution.emissions.items():

@@ -134,10 +134,11 @@ def _batches(trials: int, workers: int) -> list[tuple[int, int]]:
 
 def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
     """Execute the full trial protocol; one report per (solver, demand) pair."""
+    # every demand's problem and factors first, so one that cannot be met fails before any trial
+    problems = [replace(load_problem(spec.problem_path, d), k1=spec.k1, k2=spec.k2) for d in spec.demands]
+    factors = [penalty_factors_all(problem) if spec.k2 else None for problem in problems]
     reports = []
-    for demand in spec.demands:
-        problem = replace(load_problem(spec.problem_path, demand), k1=spec.k1, k2=spec.k2)
-        h = penalty_factors_all(problem) if spec.k2 else None
+    for demand, problem, h in zip(spec.demands, problems, factors):
         for solver in spec.solver_names:
             jobs = [
                 (problem, solver, _solver_config(spec, solver, spec.base_seed + first), h, first, count)

@@ -380,21 +380,19 @@ def evaluate_dispatch(
 
 
 # --- batch objective used by the population solvers -------------------------
-# Rows of P are candidate power vectors.  The weights k1 and k2 * h_g fold
-# the cost and emission curves into one quadratic per unit, and its constant
-# terms into one sum, so a row costs sum(a) + vecdot(p, b + c p) whatever the
-# number of gases.  vecdot, as in LossMatrix.loss and balance_residual, puts
-# every row through one kernel, so a row's bits ignore its batch and its
-# layout in memory.  The fold depends only on the problem and on h, so the
-# problem keeps one (h, fold) pair and hands the fold back when the same h
-# object arrives again.  Identity is enough:
-# PenaltyFactors is frozen with read-only prices checked when it is built,
-# and the pair is stored only after _prices has matched that h to this
-# problem.  Any other h, equal or not, goes through _prices and replaces the
-# pair, so a rejected h leaves the last valid one in place.
-# Summed in another order than evaluate_dispatch, the objective agrees with
-# total_cost to rounding, not bitwise; tests/test_model.py holds the two
-# together by a property.
+# Rows of P are candidate power vectors.  The weights k1 and k2 * h_g fold the
+# cost and emission curves into one quadratic per unit and its constant terms
+# into one sum, so a row costs sum(a) + vecdot(p, b + c p) for any number of
+# gases; vecdot puts every row through one kernel, as in LossMatrix.loss, so a
+# row's bits ignore its batch and layout.  The fold depends only on the problem
+# and on h, so the problem keeps one (h, fold) pair and hands the fold back
+# when the same h object arrives again.  Identity is enough: PenaltyFactors is
+# frozen with read-only prices checked when it is built, and the pair is stored
+# only after _prices has matched that h to this problem.  Any other h, equal or
+# not, goes through _prices and replaces the pair, so a rejected h leaves the
+# last valid one in place.  Summed in another order than evaluate_dispatch, the
+# objective agrees with total_cost to rounding, not bitwise;
+# tests/test_model.py holds the two together by a property.
 
 # The memo's h before any fold: no h is this object.
 _NO_H = object()

@@ -13,11 +13,14 @@ Rows still off take correction steps to the exact root of h on the current
 active set: with d = x on the units off their limits and 0 elsewhere, p moves
 as p + e d, so h(S + e) = r + slope e - curve e^2 with slope = sum(d) - 2 d'Bp
 and curve = d'Bd; a step lands unless a further unit pins.  Lossless, the
-step is S - r / sum(d).  A step that leaves the bracket of scales already
-tried is replaced by bisection, and the bisection midpoints are built only on
-the steps where some row leaves it.  A row the ray cannot move (a zero x_i
-stays zero) restarts once from the limit midpoints.  Rows never mix: a row's
-result ignores its batch.
+step is S - r / sum(d).  The bracket of scales tried is built from the first
+scale and narrowed only while some row is still off.  A step that leaves it
+is replaced by bisection; a landed row keeps its scale and never asks for
+one, and the midpoints, the only scales that can be inf or NaN, are built
+and checked only on the steps where some open row leaves the bracket.  A row
+the ray cannot move (a zero x_i stays zero) restarts once from the limit
+midpoints.  Every row sum and loss product is a row-wise np.vecdot or
+np.vecmat, so rows never mix: a row's result ignores its batch and layout.
 """
 
 from __future__ import annotations
@@ -84,17 +87,15 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     settled = np.abs(r) <= BALANCE_TOL
     if np.count_nonzero(settled) == settled.size:
         return out
-    # the open rows, gathered, or the arrays themselves when no row settled
-    rows, p = slice(None), out
+    rows, p = slice(None), out  # every row still off: no gather, p is out itself
     if settled.any():
         (rows,) = (~settled).nonzero()
-        x, sx, p = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0)
-        s, r = s[rows], r[rows]
+        x, sx, p, s, r = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0), s[rows], r[rows]
     # h rises with S, so the scales tried bracket the root; a step that leaves
     # the bracket is replaced by bisection.  The rows still off stay in the loop
     # until all land, each frozen at its s, p and r once it lands.  Lossless,
     # each of the two starts needs at most N + 1 steps; 64 halvings exhaust a
-    # double.  p and the bracket are the loop's own arrays, updated in place
+    # double.  p and the bracket are updated in place
     below, above = np.where(r < 0, s, 0.0), np.where(r > 0, s, np.inf)
     restarted, landed = np.zeros(s.size, dtype=bool), np.zeros(s.size, dtype=bool)
     with _quiet():
@@ -105,15 +106,12 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             # bracket either way), and at a NaN x_i, whose row's s is NaN already
             t = _correction(problem, x * (p == sx), s, p, r)
             # a landed row keeps its s, so its step never calls for bisection
-            inside = (t > below) & (t < above)
-            inside |= landed
-            bisect = np.count_nonzero(inside) < inside.size
-            if bisect:
+            inside = ((t > below) & (t < above)) | landed
+            if bisect := np.count_nonzero(inside) < inside.size:
                 t = np.where(inside, t, 0.5 * (below + above))
             np.copyto(t, s, where=landed)
             s = t
-            # a step strictly inside a bracket of finite s is finite, so only a
-            # midpoint can be inf or NaN
+            # a step strictly inside a finite bracket is finite: only a midpoint can misfire
             if bisect and not np.isfinite(s).all():
                 stuck = ~np.isfinite(s)
                 if (stuck & restarted).any():

@@ -1,0 +1,45 @@
+"""Every name the benchmark's layer timings read from the package still runs.
+
+Only a traced benchmark run (`bench/run.py --trace 1`) executes
+bench/layers.py, so a package change that renames or deletes a name it reads
+(`LambdaResult.iterations`, `ExperimentSpec(workers=...)`, `PsoConfig(seed=...)`,
+`ga.decode`, `pso.step`, ...) would fail there with every other test green.
+This runs each fixed-input timing once, with bench/ on sys.path and nothing
+under it changed.
+"""
+
+import math
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_MODULES = ("layers", "inputs", "speed")
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+
+    def once(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    monkeypatch.setattr(layers, "per_call_s", once)
+    yield layers
+    for name in BENCH_MODULES:
+        sys.modules.pop(name, None)
+
+
+def test_layer_timings_run_on_the_package(layers, tmp_path):
+    import inputs
+
+    lossy = inputs.write_lossy_problem(ROOT, tmp_path, 1)
+    timings = layers.fixed_input_timings(ROOT, tmp_path, 1, inputs.six_unit_path(ROOT), 1500.0, lossy)
+    assert len(timings) == 17
+    assert all(math.isfinite(value) for value, _ in timings.values()), timings
+    assert math.isfinite(layers.workers2_speedup(ROOT))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -15,6 +16,7 @@ import pytest
 from ceed import cli, harness
 from ceed.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from ceed.model import DispatchError
+from ceed.oracle import LAMBDA_TOL
 from ceed.problem_file import ProblemFileError, load_problem
 
 from test_harness import write_problem
@@ -68,6 +70,11 @@ def test_oracle_reports_dispatch(six_unit_path, capsys):
     assert code == EXIT_OK
     assert "lambda" in out and "TC = " in out
     assert out.count("P") >= 6
+    # the first line names the step count and the balance residual the bisection reached
+    steps, residual = re.fullmatch(r"lambda = \S+ \$/MWh \((\d+) bisection steps, residual (\S+) MW\)",
+                                   out.splitlines()[0]).groups()
+    assert int(steps) >= 1
+    assert abs(float(residual)) <= LAMBDA_TOL
 
 
 def test_solve_prints_report(tmp_path, capsys):
@@ -183,6 +190,35 @@ def test_zero_budget_with_out_dir_exits_1_before_any_trial(tmp_path, capsys, mon
     assert code == EXIT_ERROR
     assert "zero step budget" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_out_path_that_is_a_file_exits_1_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trials)
+    path = write_problem(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--trials", "2",
+                 "--iterations", "5", "--out", str(taken)])
+    assert code == EXIT_ERROR
+    assert "[Errno 17] File exists" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
+def test_infeasible_later_demand_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trials)
+    path = write_problem(tmp_path)
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--demand", "99999",
+                 "--trials", "2", "--iterations", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INFEASIBLE
+    assert captured.err.startswith("infeasible: demand 99999")
+    assert captured.out == ""
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
