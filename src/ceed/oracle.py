@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    DispatchError,
     DispatchProblem,
     DispatchSolution,
     InfeasibleError,
@@ -56,8 +57,9 @@ def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -
 
     Each unit follows p_i(lambda) = clamp((lambda - b_i) / (2 c_i)) with the
     scalarized coefficients, so total output is continuous and nondecreasing
-    in lambda and plain bisection closes the balance to LAMBDA_TOL MW.  Requires
-    strictly positive effective quadratic coefficients.
+    in lambda and plain bisection closes the balance to LAMBDA_TOL MW, or raises
+    DispatchError naming the residual it reached.  Requires strictly positive
+    effective quadratic coefficients.
     """
     if problem.losses is not None:
         raise ValueError("lambda_solve handles lossless problems only")
@@ -80,8 +82,6 @@ def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -
     residual = p.sum() - demand
     if residual < -LAMBDA_TOL:
         raise InfeasibleError(f"demand {demand} MW above reachable total {p.sum():g} MW")
-    lam = lam_hi
-    steps = 0
     for steps in range(1, LAMBDA_MAX_STEPS + 1):
         lam = 0.5 * (lam_lo + lam_hi)
         p = powers_at(lam)
@@ -92,6 +92,8 @@ def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -
             lam_hi = lam
         else:
             lam_lo = lam
+    else:
+        raise DispatchError(f"lambda bisection did not close the balance: residual {residual:.3g} MW")
     return LambdaResult(
         lambda_=lam,
         powers=tuple(float(x) for x in p),

@@ -6,19 +6,20 @@ BALANCE_TOL; a row that cannot be closed raises InfeasibleError.
 
 A row is clipped to the limits, giving x, and moved along the scaling ray
 p(S) = clip(S x, p_min, p_max) to the root of h(S) = sum(p) - demand - p'Bp.
-Scaling up from x only pins units at p_max and scaling down only at p_min.
 The first step, for the whole batch, is the S that is exact when no unit
 clips (demand / sum(x), or the smaller root of S sum(x) - S^2 x'Bx = demand).
 Rows still off take correction steps to the exact root of h on the current
 active set: with d = x on the units off their limits and 0 elsewhere, p moves
 as p + e d, so h(S + e) = r + slope e - curve e^2 with slope = sum(d) - 2 d'Bp
 and curve = d'Bd; a step lands unless a further unit pins.  Lossless, the
-step is S - r / sum(d).  The bracket of scales tried is built from the first
-scale and narrowed only while some row is still off.  A step that leaves it
-is replaced by bisection; a landed row keeps its scale and never asks for
-one, and the midpoints, the only scales that can be inf or NaN, are built
-and checked only on the steps where some open row leaves the bracket.  A row
-the ray cannot move (a zero x_i stays zero) restarts once from the limit
+step S - r / sum(d) is a Newton step on sum(p) that cannot pass the root: from
+S0 >= 1 only upper limits bind, sum(p) is concave and every step stays at or
+below the root; from S0 < 1 only lower ones, it is convex and every step stays
+at or above (a unit exactly at a limit counts as free, which only shortens the
+step).  So lossless rows need no bracket, and all stay in the loop, a landed
+row frozen at its scale.  With losses the rows still off are gathered, the
+scales tried bracket the root, and a step that leaves the bracket bisects it.
+A row the ray cannot move (a zero x_i stays zero) restarts once from the limit
 midpoints.  Every row sum and loss product is a row-wise np.vecdot or
 np.vecmat, so rows never mix: a row's result ignores its batch and layout.
 """
@@ -84,42 +85,43 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     out = np.maximum(sx, lo)
     np.minimum(out, hi, out=out)
     r = balance_residual(problem, out)
-    settled = np.abs(r) <= BALANCE_TOL
-    if np.count_nonzero(settled) == settled.size:
+    landed = np.abs(r) <= BALANCE_TOL
+    if np.count_nonzero(landed) == landed.size:
         return out
-    rows, p = slice(None), out  # every row still off: no gather, p is out itself
-    if settled.any():
-        (rows,) = (~settled).nonzero()
-        x, sx, p, s, r = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0), s[rows], r[rows]
-    # h rises with S, so the scales tried bracket the root; a step that leaves
-    # the bracket is replaced by bisection.  The rows still off stay in the loop
-    # until all land, each frozen at its s, p and r once it lands.  Lossless,
-    # each of the two starts needs at most N + 1 steps; 64 halvings exhaust a
-    # double.  p and the bracket are updated in place
-    below, above = np.where(r < 0, s, 0.0), np.where(r > 0, s, np.inf)
-    restarted, landed = np.zeros(s.size, dtype=bool), np.zeros(s.size, dtype=bool)
+    # lossless, a start needs at most N + 1 steps; lossy, 64 halvings exhaust a double
+    guarded, rows, p = problem.losses is not None, slice(None), out
+    if guarded:
+        if landed.any():  # a lossy step costs more per row than a gather of the rows still off
+            (rows,) = (~landed).nonzero()
+            x, sx, p = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0)
+            s, r, landed = s[rows], r[rows], landed[rows]
+        below, above = np.where(r < 0, s, 0.0), np.where(r > 0, s, np.inf)
+    restarted = np.zeros(s.size, dtype=bool)
     with _quiet():
         for _ in range(2 * problem.n_units + 64):
-            # d as a product, not a select: the active set changes every step,
-            # and a select mispredicts.  The two differ only in the sign of a
-            # zero, which can only flip the sign of an infinite step (out of the
-            # bracket either way), and at a NaN x_i, whose row's s is NaN already
+            # d as a product, not a select, which mispredicts as the active set
+            # changes; they differ only in the sign of a zero, which can only flip
+            # an infinite step, and at a NaN x_i, whose row's s is NaN already
             t = _correction(problem, x * (p == sx), s, p, r)
-            # a landed row keeps its s, so its step never calls for bisection
-            inside = ((t > below) & (t < above)) | landed
-            if bisect := np.count_nonzero(inside) < inside.size:
-                t = np.where(inside, t, 0.5 * (below + above))
+            if guarded:
+                inside = ((t > below) & (t < above)) | landed
+                if bisect := np.count_nonzero(inside) < inside.size:
+                    t = np.where(inside, t, 0.5 * (below + above))
             np.copyto(t, s, where=landed)
             s = t
-            # a step strictly inside a finite bracket is finite: only a midpoint can misfire
-            if bisect and not np.isfinite(s).all():
-                stuck = ~np.isfinite(s)
+            # inside a finite bracket a step is finite, so guarded only a midpoint
+            # can misfire; unguarded, a row the ray cannot move steps to inf.  A
+            # landed row may keep an infinite s whose image is balanced
+            if (not guarded or bisect) and not np.isfinite(s).all():
+                stuck = ~(np.isfinite(s) | landed)
                 if (stuck & restarted).any():
                     landed = ~(stuck & restarted)
                     break
                 x[stuck] = 0.5 * (lo + hi)
                 s = np.where(stuck, _ray_start(problem, x), s)
-                below[stuck], above[stuck], restarted[stuck] = 0.0, np.inf, True
+                restarted |= stuck
+                if guarded:
+                    below[stuck], above[stuck] = 0.0, np.inf
             sx = s[:, None] * x
             np.maximum(sx, lo, out=p)
             np.minimum(p, hi, out=p)
@@ -128,8 +130,9 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             if np.count_nonzero(landed) == landed.size:
                 out[rows] = p
                 return out
-            np.copyto(below, s, where=r < 0)
-            np.copyto(above, s, where=r > 0)
+            if guarded:
+                np.copyto(below, s, where=r < 0)
+                np.copyto(above, s, where=r > 0)
     raise InfeasibleError(
         f"cannot close the power balance at demand {problem.demand:g} MW: residual {r[~landed][0]:.6g} MW"
     )

@@ -77,6 +77,17 @@ def test_oracle_reports_dispatch(six_unit_path, capsys):
     assert abs(float(residual)) <= LAMBDA_TOL
 
 
+def test_oracle_that_cannot_close_the_balance_exits_1(tmp_path, capsys):
+    path = write_problem(tmp_path, demand=700.3)
+    doc = json.loads(path.read_text())
+    template = doc["units"][0]
+    doc["units"] = [{**template, "id": uid, "p_min": 10.0, "p_max": 500.0, "cost": [0.0, b, c]}
+                    for uid, b, c in ((1, 20.0, 1e-13), (2, 20.0, 1e-13), (3, 25.0, 0.01))]
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--problem", str(path), "--k2", "0"]) == EXIT_ERROR
+    assert "did not close the balance: residual -0.00773 MW" in capsys.readouterr().err
+
+
 def test_solve_prints_report(tmp_path, capsys):
     path = write_problem(tmp_path)
     code = main(

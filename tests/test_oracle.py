@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ceed.model
-from ceed.model import Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
+from ceed.model import DispatchError, Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
 from ceed.oracle import LAMBDA_TOL, _close_balance, grid_search, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.pso import PsoConfig, run_trials
@@ -51,6 +51,15 @@ def test_lambda_solve_rejects_nonconvex_units():
     problem = make_problem(units, demand=50.0, k2=0)
     with pytest.raises(ValueError, match="quadratic"):
         lambda_solve(problem)
+
+
+def test_lambda_solve_raises_when_the_bisection_cannot_close():
+    # near-linear units 1 and 2 make output so steep in lambda that one ulp of
+    # it moves p by more than LAMBDA_TOL, so the steps run out short of demand
+    units = [cost_only_unit(1, 10.0, 500.0, 20.0, 1e-13), cost_only_unit(2, 10.0, 500.0, 20.0, 1e-13),
+             cost_only_unit(3, 10.0, 500.0, 25.0, 0.01)]
+    with pytest.raises(DispatchError, match=r"did not close the balance: residual -0\.00773 MW"):
+        lambda_solve(make_problem(units, demand=700.3, k2=0))
 
 
 def test_lambda_solve_rejects_lossy_problems():

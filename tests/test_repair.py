@@ -195,6 +195,52 @@ def test_lossless_correction_is_the_newton_step_on_the_active_set():
     assert np.array_equal(_correction(problem, d, s, p, r), s - r / d.sum(axis=1))
 
 
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), at=st.sampled_from(["p_min", "inside", "p_max"]))
+def test_property_lossless_steps_stay_on_one_side_of_the_root(seed, n, at):
+    # from a first scale >= 1 only upper limits bind, total output is concave
+    # in the scale and every Newton step lands at or below the root; below 1
+    # only lower limits bind, it is convex and every step lands at or above.
+    # Lossless repair keeps no bracket on that ground
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n)
+    if at != "inside":
+        problem = make_problem(problem.units, sum(getattr(u, at) for u in problem.units))
+    P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(1, 10)), n))
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ceed.repair, "balance_residual", lambda *args: seen.append(balance_residual(*args)) or seen[-1])
+        repaired = repair_batch(problem, P)
+    # one evaluation for the first scale, then at most N + 1 steps; every row
+    # stays in the loop, so each evaluation covers the whole batch
+    assert len(seen) <= n + 2
+    r = np.array(seen)
+    assert np.all(np.sign(r[0]) * r >= -BALANCE_TOL), r
+    for row in repaired:
+        assert_repaired(problem, row)
+
+
+def test_lossy_step_that_leaves_the_bracket_bisects(six_unit_path, monkeypatch):
+    # both rows scale down onto a unit at p_min, so each first residual is > 0
+    # and each bracket is (0, s0); a first step thrown below 0 must bisect it
+    base = load_problem(six_unit_path, 1500.0)
+    problem = make_problem(base.units, base.demand, losses=LossMatrix(2e-5 * (np.eye(6) + 0.1)))
+    P = np.array([[50.0, 300.0, 500.0, 180.0, 500.0, 300.0], [60.0, 50.0, 560.0, 80.0, 500.0, 300.0]])
+    calls = []
+
+    def thrown_out(problem, d, s, p, r):
+        calls.append((s.copy(), r.copy()))
+        return s - 1e9 if len(calls) == 1 else _correction(problem, d, s, p, r)
+
+    monkeypatch.setattr(ceed.repair, "_correction", thrown_out)
+    repaired = repair_batch(problem, P)
+    (s0, r0), (s1, _) = calls[:2]
+    assert np.all(r0 > BALANCE_TOL)
+    assert np.array_equal(s1, 0.5 * s0)
+    for row in repaired:
+        assert_repaired(problem, row)
+
+
 def test_lossy_correction_of_a_row_does_not_depend_on_its_batch(six_unit_path):
     # d @ B on a lone row takes BLAS's one-row path, which rounds otherwise
     # than on a batch, so the step's loss terms are formed row by row

@@ -5,8 +5,12 @@ so a row's objective, balance residual and repaired vector must not depend
 on the rows around it, on its place in memory or on the stride between rows.
 Each row of a batch is compared bit for bit with its result alone, in a
 strided view (every other row, as GA crossover reads its parents) and copied
-to an address that is an odd multiple of 8 bytes, for every N from 1 to 64.
+to an address that is an odd multiple of 8 bytes, for every N from 1 to 64,
+with about a third of the units at p_min = 0 and, for two N in three, the
+demand at exactly sum(p_min) or sum(p_max).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +21,13 @@ from ceed.penalty import penalty_factors_all
 from ceed.repair import repair_batch
 
 from conftest import make_problem, random_problem
+
+
+def _edge(problem, rng, n):
+    """problem with some units at p_min = 0 and, unless n % 3 == 0, demand at sum(p_min) or sum(p_max)."""
+    units = [replace(u, p_min=0.0) if rng.random() < 0.3 else u for u in problem.units]
+    limit = (None, "p_min", "p_max")[n % 3]
+    return make_problem(units, sum(getattr(u, limit) for u in units) if limit else problem.demand)
 
 
 def _lossy(problem, rng):
@@ -56,7 +67,7 @@ def _bits(a):
 def test_property_rows_never_mix(lossy, seed):
     rng = np.random.default_rng(seed)
     for n in range(1, 65):
-        problem = random_problem(rng, n)
+        problem = _edge(random_problem(rng, n), rng, n)
         if lossy:
             problem = _lossy(problem, rng)
         h = penalty_factors_all(problem)
@@ -66,7 +77,8 @@ def test_property_rows_never_mix(lossy, seed):
             "repair": lambda P: repair_batch(problem, P),
         }
         P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(2, 10)), n))
-        # a balanced row settles on the first scale, so repair also gathers the open rows
+        # a balanced row lands on the first scale: lossless it waits, frozen, in the
+        # loop, and lossy repair gathers the open rows
         P[0] = repair_batch(problem, P[:1])[0]
         for name, layer in layers.items():
             batch = layer(P)
