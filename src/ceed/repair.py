@@ -16,10 +16,10 @@ step S - r / sum(d) is a Newton step on sum(p) that cannot pass the root: from
 S0 >= 1 only upper limits bind, sum(p) is concave and every step stays at or
 below the root; from S0 < 1 only lower ones, it is convex and every step stays
 at or above (a unit exactly at a limit counts as free, which only shortens the
-step).  So lossless rows need no bracket, and all stay in the loop, a landed
-row frozen at its scale.  With losses the rows still off are gathered, the
-scales tried bracket the root, and a step that leaves the bracket bisects it.
-A row the ray cannot move (a zero x_i stays zero) restarts once from the limit
+step).  So only lossy rows keep a bracket: the scales tried bracket the root,
+and a step that leaves it bisects it.  Every row stays in the loop until all
+land, a landed row frozen at its scale; none is gathered or scattered.  A row
+the ray cannot move (a zero x_i stays zero) restarts once from the limit
 midpoints.  Every row sum and loss product is a row-wise np.vecdot or
 np.vecmat, so rows never mix: a row's result ignores its batch and layout.
 """
@@ -82,19 +82,15 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     with _quiet() if problem.p_min_total <= 1e-300 * problem.demand else _LOUD:
         s = _ray_start(problem, x)
         sx = s[:, None] * x
-    out = np.maximum(sx, lo)
-    np.minimum(out, hi, out=out)
-    r = balance_residual(problem, out)
+    p = np.maximum(sx, lo)
+    np.minimum(p, hi, out=p)
+    r = balance_residual(problem, p)
     landed = np.abs(r) <= BALANCE_TOL
     if np.count_nonzero(landed) == landed.size:
-        return out
+        return p
     # lossless, a start needs at most N + 1 steps; lossy, 64 halvings exhaust a double
-    guarded, rows, p = problem.losses is not None, slice(None), out
+    guarded = problem.losses is not None
     if guarded:
-        if landed.any():  # a lossy step costs more per row than a gather of the rows still off
-            (rows,) = (~landed).nonzero()
-            x, sx, p = x.take(rows, axis=0), sx.take(rows, axis=0), out.take(rows, axis=0)
-            s, r, landed = s[rows], r[rows], landed[rows]
         below, above = np.where(r < 0, s, 0.0), np.where(r > 0, s, np.inf)
     restarted = np.zeros(s.size, dtype=bool)
     with _quiet():
@@ -128,8 +124,7 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
             r = balance_residual(problem, p)
             landed = np.abs(r) <= BALANCE_TOL
             if np.count_nonzero(landed) == landed.size:
-                out[rows] = p
-                return out
+                return p
             if guarded:
                 np.copyto(below, s, where=r < 0)
                 np.copyto(above, s, where=r > 0)

@@ -5,9 +5,9 @@ so a row's objective, balance residual and repaired vector must not depend
 on the rows around it, on its place in memory or on the stride between rows.
 Each row of a batch is compared bit for bit with its result alone, in a
 strided view (every other row, as GA crossover reads its parents) and copied
-to an address that is an odd multiple of 8 bytes, for every N from 1 to 64,
-with about a third of the units at p_min = 0 and, for two N in three, the
-demand at exactly sum(p_min) or sum(p_max).
+to an address that is an odd multiple of 8 bytes, for every N from 1 to 64:
+at an interior demand, and again with about a third of the units at
+p_min = 0 and the demand at exactly sum(p_min) or, without losses, sum(p_max).
 """
 
 from dataclasses import replace
@@ -23,11 +23,11 @@ from ceed.repair import repair_batch
 from conftest import make_problem, random_problem
 
 
-def _edge(problem, rng, n):
-    """problem with some units at p_min = 0 and, unless n % 3 == 0, demand at sum(p_min) or sum(p_max)."""
+def _cases(problem, rng, lossy):
+    """problem itself, then with some units at p_min = 0 and the demand at each limit it can meet."""
     units = [replace(u, p_min=0.0) if rng.random() < 0.3 else u for u in problem.units]
-    limit = (None, "p_min", "p_max")[n % 3]
-    return make_problem(units, sum(getattr(u, limit) for u in units) if limit else problem.demand)
+    limits = ("p_min",) if lossy else ("p_min", "p_max")
+    return [problem] + [make_problem(units, sum(getattr(u, limit) for u in units)) for limit in limits]
 
 
 def _lossy(problem, rng):
@@ -37,6 +37,7 @@ def _lossy(problem, rng):
     hi = problem.p_max_arr
     spare = float(hi.sum()) - problem.demand
     scale = min(0.125 / (np.abs(b) @ hi).max(), 0.5 * spare / (hi @ b @ hi))
+    assert scale > 0, spare
     return make_problem(problem.units, problem.demand, losses=LossMatrix(scale * b))
 
 
@@ -67,22 +68,21 @@ def _bits(a):
 def test_property_rows_never_mix(lossy, seed):
     rng = np.random.default_rng(seed)
     for n in range(1, 65):
-        problem = _edge(random_problem(rng, n), rng, n)
-        if lossy:
-            problem = _lossy(problem, rng)
-        h = penalty_factors_all(problem)
-        layers = {
-            "objective": lambda P: combined_objective_batch(problem, P, h),
-            "residual": lambda P: balance_residual(problem, P),
-            "repair": lambda P: repair_batch(problem, P),
-        }
-        P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(2, 10)), n))
-        # a balanced row lands on the first scale: lossless it waits, frozen, in the
-        # loop, and lossy repair gathers the open rows
-        P[0] = repair_batch(problem, P[:1])[0]
-        for name, layer in layers.items():
-            batch = layer(P)
-            for layout, got in (("strided", layer(_strided(P))), ("odd offset", layer(_at_odd_offset(P)))):
-                assert _bits(got) == _bits(batch), (name, n, layout)
-            for i in range(len(P)):
-                assert _bits(layer(P[i : i + 1].copy())[0]) == _bits(batch[i]), (name, n, i)
+        for problem in _cases(random_problem(rng, n), rng, lossy):
+            if lossy:
+                problem = _lossy(problem, rng)
+            h = penalty_factors_all(problem)
+            layers = {
+                "objective": lambda P: combined_objective_batch(problem, P, h),
+                "residual": lambda P: balance_residual(problem, P),
+                "repair": lambda P: repair_batch(problem, P),
+            }
+            P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(2, 10)), n))
+            # a balanced row lands on the first scale and waits, frozen, in the loop
+            P[0] = repair_batch(problem, P[:1])[0]
+            for name, layer in layers.items():
+                batch = layer(P)
+                for layout, got in (("strided", layer(_strided(P))), ("odd offset", layer(_at_odd_offset(P)))):
+                    assert _bits(got) == _bits(batch), (name, n, layout)
+                for i in range(len(P)):
+                    assert _bits(layer(P[i : i + 1].copy())[0]) == _bits(batch[i]), (name, n, i)
