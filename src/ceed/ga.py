@@ -71,7 +71,7 @@ def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.n
     if arr.ndim != 2 or arr.shape[1] != n * width:
         raise ValueError(f"bitstrings of shape {arr.shape} are not rows of {n} units x {width} bits")
     u = arr.reshape(-1, width).dot(_gene_weights(width)).reshape(arr.shape[0], n)
-    lo, hi = problem.p_min_arr, problem.p_max_arr
+    lo, hi = problem.limit_rows(arr.shape[0])
     return lo + u * (hi - lo) / (2.0**width - 1.0)
 
 

@@ -196,6 +196,21 @@ class DispatchProblem:
         return _frozen(np.array([u.p_max for u in self.units]))
 
     @cached_property
+    def _limit_tiles(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.p_min_arr[None], self.p_max_arr[None]
+
+    def limit_rows(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """p_min and p_max as read-only (rows, N) tiles: the leading rows of the tallest ones built.
+
+        An op at the batch's shape runs one flat loop, where an (N,) row runs one per row; same bits.
+        """
+        lo, hi = self._limit_tiles
+        if len(lo) < rows:
+            lo, hi = _tiled(lo, rows), _tiled(hi, rows)
+            object.__setattr__(self, "_limit_tiles", (lo, hi))
+        return lo[:rows], hi[:rows]
+
+    @cached_property
     def ones(self) -> np.ndarray:
         """N ones: np.vecdot(rows, ones) sums each row through the row-wise dot kernel."""
         return _frozen(np.ones(self.n_units))
@@ -214,7 +229,7 @@ class DispatchProblem:
 
     @cached_property
     def _fold_memo(self) -> tuple[object, Optional[tuple[float, np.ndarray, np.ndarray]]]:
-        """combined_objective_batch's memo: the last h and its folded (sum of a, b, c)."""
+        """combined_objective_batch's memo: the last h and its folded (sum of a, b, c), b and c tiled."""
         return _NO_H, None
 
     @property
@@ -231,6 +246,10 @@ class DispatchProblem:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _tiled(tile: np.ndarray, rows: int) -> np.ndarray:
+    return _frozen(np.repeat(tile[:1], rows, axis=0))
 
 
 @dataclass(frozen=True)
@@ -386,31 +405,34 @@ def evaluate_dispatch(
 # gases; vecdot puts every row through one kernel, as in LossMatrix.loss, so a
 # row's bits ignore its batch and layout.  The fold depends only on the problem
 # and on h, so the problem keeps one (h, fold) pair and hands the fold back
-# when the same h object arrives again.  Identity is enough: PenaltyFactors is
-# frozen with read-only prices checked when it is built, and the pair is stored
-# only after _prices has matched that h to this problem.  Any other h, equal or
-# not, goes through _prices and replaces the pair, so a rejected h leaves the
-# last valid one in place.  Summed in another order than evaluate_dispatch, the
-# objective agrees with total_cost to rounding, not bitwise;
-# tests/test_model.py holds the two together by a property.
+# when the same h object arrives again, its b and c tiled as limit_rows tiles
+# the limits (a taller batch re-tiles them).  Identity is enough: PenaltyFactors
+# is frozen with read-only prices checked when it is built, and the pair is
+# stored only after _prices has matched that h to this problem.  Any other h,
+# equal or not, goes through _prices and replaces the pair, so a rejected h
+# leaves the last valid one in place.  Summed in another order than
+# evaluate_dispatch, the objective agrees with total_cost to rounding, not
+# bitwise; tests/test_model.py holds the two together by a property.
 
 # The memo's h before any fold: no h is this object.
 _NO_H = object()
 
 
-def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors]) -> tuple[float, np.ndarray, np.ndarray]:
-    """(sum of a, per-unit b, per-unit c) of k1 * cost + k2 * sum_g h_g * emission_g, memoized on the problem."""
+def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors], rows: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(sum of a, b, c) of k1 * cost + k2 * sum_g h_g * emission_g, b and c tiled to >= rows rows; memoized."""
     last, fold = problem._fold_memo
-    if last is h:
+    if last is not h:
+        prices = _prices(problem, h)
+        weights = np.zeros(1 + len(problem.gases))
+        weights[0] = problem.k1
+        if problem.k2:
+            weights[1:] = prices
+        a, b, c = (weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1)
+        fold = (a.sum(), b[None], c[None])
+    elif len(fold[1]) >= rows:
         return fold
-    prices = _prices(problem, h)
-    weights = np.zeros(1 + len(problem.gases))
-    weights[0] = problem.k1
-    if problem.k2:
-        weights[1:] = prices
-    a, b, c = _frozen((weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1))
     # one pair, replaced whole: a run uses one h, and a sweep over prices must not grow the memo
-    fold = (a.sum(), b, c)
+    fold = (fold[0], _tiled(fold[1], rows), _tiled(fold[2], rows))
     object.__setattr__(problem, "_fold_memo", (h, fold))
     return fold
 
@@ -420,8 +442,9 @@ def combined_objective_batch(
 ) -> np.ndarray:
     """k1 * fuel cost + k2 * sum_g h_g * E_g of every row of P, $/h; h as in evaluate_dispatch.
 
-    The per-unit quadratic that h folds into is computed once per (problem,
-    h) and memoized on the problem, keyed by the identity of h.
+    P is (R, N).  The per-unit quadratic that h folds into is computed once
+    per (problem, h) and memoized on the problem, keyed by the identity of h.
     """
-    sum_a, b, c = _fold(problem, h)
-    return sum_a + np.vecdot(P, b + c * P)
+    rows, _ = P.shape
+    sum_a, b, c = _fold(problem, h, rows)
+    return sum_a + np.vecdot(P, b[:rows] + c[:rows] * P)

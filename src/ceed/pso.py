@@ -93,8 +93,8 @@ class PsoState:
     gbest_pos: np.ndarray  # (trials, units)
     gbest_obj: np.ndarray  # (trials,)
     rngs: tuple[np.random.Generator, ...] = field(repr=False)
-    v_max: np.ndarray = field(repr=False)  # V_MAX_FRACTION * (p_max - p_min)
-    v_min: np.ndarray = field(repr=False)  # -v_max
+    v_max: np.ndarray = field(repr=False)  # V_MAX_FRACTION * (p_max - p_min) per row: one flat clamp loop
+    v_min: np.ndarray = field(repr=False)  # -v_max, per row
     offsets: np.ndarray = field(repr=False)  # first row of each trial
     # C1 * r1 and C2 * r2 drawn ahead, (trials, iterations, 2, particles,
     # units) and refilled in place, and how many of those iterations step has used
@@ -150,7 +150,7 @@ def init_swarm(
     objs = combined_objective_batch(problem, positions, h)
     offsets = config.particles * np.arange(trials)
     leaders = _leaders(objs, offsets)
-    v_max = V_MAX_FRACTION * (hi - lo)
+    v_max = np.repeat(V_MAX_FRACTION * (hi - lo)[None], len(positions), axis=0)
     return PsoState(
         positions=positions,
         velocities=np.zeros_like(positions),

@@ -22,6 +22,7 @@ land, a landed row frozen at its scale; none is gathered or scattered.  A row
 the ray cannot move (a zero x_i stays zero) restarts once from the limit
 midpoints.  Every row sum and loss product is a row-wise np.vecdot or
 np.vecmat, so rows never mix: a row's result ignores its batch and layout.
+The clamps read the limits as tiles of the batch's shape (limit_rows).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def _correction(
 
 def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
     """Rows of P clipped to the unit limits and scaled onto the power balance."""
-    lo, hi = problem.p_min_arr, problem.p_max_arr
+    rows, _ = np.shape(P)
+    lo, hi = problem.limit_rows(rows)
     # each clamp writes in place on a fresh array, never on the caller's P
     x = np.maximum(np.asarray(P, dtype=float), lo)
     np.minimum(x, hi, out=x)
@@ -113,7 +115,7 @@ def repair_batch(problem: DispatchProblem, P: np.ndarray) -> np.ndarray:
                 if (stuck & restarted).any():
                     landed = ~(stuck & restarted)
                     break
-                x[stuck] = 0.5 * (lo + hi)
+                x[stuck] = 0.5 * (problem.p_min_arr + problem.p_max_arr)
                 s = np.where(stuck, _ray_start(problem, x), s)
                 restarted |= stuck
                 if guarded:

@@ -8,6 +8,7 @@ This runs each fixed-input timing once, with bench/ on sys.path and nothing
 under it changed.
 """
 
+import importlib
 import math
 import sys
 import time
@@ -17,6 +18,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_MODULES = ("layers", "inputs", "speed")
+# Traced names the package dropped before this guard: bench/spans.py skips
+# and reports them.  Any other name that stops resolving empties its spans.
+DEAD_TARGETS = {"ceed.repair._assign_residual", "ceed.ga._next_generation"}
 
 
 @pytest.fixture
@@ -43,3 +47,17 @@ def test_layer_timings_run_on_the_package(layers, tmp_path):
     assert len(timings) == 17
     assert all(math.isfinite(value) for value, _ in timings.values()), timings
     assert math.isfinite(layers.workers2_speedup(ROOT))
+
+
+def test_span_targets_resolve(monkeypatch):
+    # a traced run wraps each target it finds and silently skips the rest, so
+    # renaming a traced attribute would zero its per-layer numbers
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    try:
+        targets = spans.TARGETS
+    finally:
+        sys.modules.pop("spans", None)
+    missing = {f"{module}.{attr}" for module, attr in targets if not hasattr(importlib.import_module(module), attr)}
+    assert missing <= DEAD_TARGETS

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ceed import model, pso
+from ceed.ga import GaConfig, decode
 from ceed.model import (
     BALANCE_TOL,
     DispatchProblem,
@@ -29,6 +30,7 @@ from ceed.oracle import lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig
+from ceed.repair import repair_batch
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
 
@@ -305,10 +307,40 @@ def test_objective_prices_a_repeated_h_only_once(monkeypatch, six_unit_path):
     for _ in range(3):
         assert np.array_equal(combined_objective_batch(problem, rows, h), first)
     assert seen == [h]
+    # a taller batch re-tiles the kept fold and prices nothing
+    taller = np.concatenate([rows] * 10)
+    assert np.array_equal(combined_objective_batch(problem, taller, h), np.tile(first, 10))
+    assert seen == [h]
     equal = PenaltyFactors(h.values, problem.demand)
     assert np.array_equal(combined_objective_batch(problem, rows, equal), first)
     assert np.array_equal(combined_objective_batch(problem, rows, equal), first)
     assert seen == [h, equal] and seen[1] is equal
+
+
+def test_tiles_serve_every_batch_height(six_unit_path):
+    # the per-unit rows are kept as tiles of the tallest batch seen; a lower
+    # batch reads their leading rows and a taller one re-tiles, so each call
+    # must equal the same call on a freshly loaded problem
+    problem = load_problem(six_unit_path, 1500.0)
+    h = penalty_factors_all(problem)
+    config = GaConfig()
+    rng = np.random.default_rng(11)
+    for rows in (500, 10, 600):
+        bits = rng.integers(0, 2, (rows, problem.n_units * config.bits_per_gene), dtype=np.uint8)
+        P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (rows, problem.n_units))
+        fresh = load_problem(six_unit_path, 1500.0)
+        for layer in (
+            lambda problem: decode(bits, problem, config),
+            lambda problem: repair_batch(problem, P),
+            lambda problem: combined_objective_batch(problem, P, h),
+        ):
+            assert np.array_equal(layer(problem), layer(fresh)), rows
+    lo, hi = problem.limit_rows(600)
+    assert np.shares_memory(problem.limit_rows(10)[0], lo)
+    _, b, c = model._fold(problem, h, 10)
+    for tile in (lo, hi, problem.limit_rows(3)[1], b, c):
+        with pytest.raises(ValueError, match="read-only"):
+            tile[0, 0] = 1.0
 
 
 # --- validation at construction ---------------------------------------------

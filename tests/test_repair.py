@@ -91,6 +91,18 @@ def test_rows_the_ray_cannot_move_still_close(raw, demand):
     assert_repaired(problem, batch[0])
 
 
+@pytest.mark.parametrize("demand", [90.0, 250.0])
+def test_stuck_rows_restart_beside_rows_that_move(demand):
+    # only some rows of the batch restart from the limit midpoints: at 90 MW
+    # the all-zero row, at 250 MW also [0, 50], which pins unit 2 and cannot move
+    problem = make_problem([make_unit(1, 0.0, 100.0), make_unit(2, 0.0, 200.0)], demand=demand)
+    P = np.array([[0.0, 0.0], [30.0, 60.0], [0.0, 50.0], [5e-324, 0.0]])
+    batch = repair_batch(problem, P)
+    for i, row in enumerate(batch):
+        assert_repaired(problem, row)
+        assert np.array_equal(row, repair_batch(problem, P[i : i + 1])[0]), i
+
+
 def test_lossy_demand_beyond_net_capacity_raises():
     # at full output the units deliver 300 - 2 * 150^2 * 5e-4 = 277.5 MW net
     units = [make_unit(1, 10.0, 150.0), make_unit(2, 10.0, 150.0)]

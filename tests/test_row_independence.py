@@ -1,8 +1,10 @@
 """Rows never mix: a row's result has the same bits in every batch and layout.
 
-The scoring path sums rows through row-wise gufuncs (np.vecdot, np.vecmat),
-so a row's objective, balance residual and repaired vector must not depend
-on the rows around it, on its place in memory or on the stride between rows.
+The scoring path sums rows through row-wise gufuncs (np.vecdot, np.vecmat)
+and reads its per-unit rows from tiles of the batch's shape, so a row's
+objective, balance residual, repaired vector and decoded GA powers must not
+depend on the rows around it, on its place in memory or on the stride
+between rows.
 Each row of a batch is compared bit for bit with its result alone, in a
 strided view (every other row, as GA crossover reads its parents) and copied
 to an address that is an odd multiple of 8 bytes, for every N from 1 to 64:
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ceed.ga import GaConfig, decode
 from ceed.model import LossMatrix, balance_residual, combined_objective_batch
 from ceed.penalty import penalty_factors_all
 from ceed.repair import repair_batch
@@ -42,20 +45,23 @@ def _lossy(problem, rng):
 
 
 def _strided(P):
-    """P's rows as every other row of a twice-as-long array."""
-    twice = np.full((2 * len(P), P.shape[1]), np.nan)
-    twice[::2] = P
+    """P's rows as every other row of a twice-as-long array, with NaN (or ones) between."""
+    twice = np.repeat(P, 2, axis=0)
+    twice[1::2] = np.nan if P.dtype.kind == "f" else 1
     return twice[::2]
 
 
 def _at_odd_offset(P):
     """A copy of P whose first element sits at an odd multiple of 8 bytes."""
-    buf = np.empty(P.size + 1)
-    start = 1 - (buf.ctypes.data // 8) % 2
-    out = buf[start : start + P.size].reshape(P.shape)
+    buf = np.empty(P.nbytes + 16, dtype=np.uint8)
+    start = (8 - buf.ctypes.data) % 16
+    out = buf[start : start + P.nbytes].view(P.dtype).reshape(P.shape)
     out[...] = P
-    assert (out.ctypes.data // 8) % 2 == 1
+    assert out.ctypes.data % 16 == 8
     return out
+
+
+GA = GaConfig()
 
 
 def _bits(a):
@@ -72,17 +78,19 @@ def test_property_rows_never_mix(lossy, seed):
             if lossy:
                 problem = _lossy(problem, rng)
             h = penalty_factors_all(problem)
-            layers = {
-                "objective": lambda P: combined_objective_batch(problem, P, h),
-                "residual": lambda P: balance_residual(problem, P),
-                "repair": lambda P: repair_batch(problem, P),
-            }
             P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(2, 10)), n))
             # a balanced row lands on the first scale and waits, frozen, in the loop
             P[0] = repair_batch(problem, P[:1])[0]
-            for name, layer in layers.items():
-                batch = layer(P)
-                for layout, got in (("strided", layer(_strided(P))), ("odd offset", layer(_at_odd_offset(P)))):
+            bits = rng.integers(0, 2, (len(P), n * GA.bits_per_gene), dtype=np.uint8)
+            layers = {
+                "objective": (lambda P: combined_objective_batch(problem, P, h), P),
+                "residual": (lambda P: balance_residual(problem, P), P),
+                "repair": (lambda P: repair_batch(problem, P), P),
+                "decode": (lambda bits: decode(bits, problem, GA), bits),
+            }
+            for name, (layer, rows) in layers.items():
+                batch = layer(rows)
+                for layout, got in (("strided", layer(_strided(rows))), ("odd offset", layer(_at_odd_offset(rows)))):
                     assert _bits(got) == _bits(batch), (name, n, layout)
-                for i in range(len(P)):
-                    assert _bits(layer(P[i : i + 1].copy())[0]) == _bits(batch[i]), (name, n, i)
+                for i in range(len(rows)):
+                    assert _bits(layer(rows[i : i + 1].copy())[0]) == _bits(batch[i]), (name, n, i)
