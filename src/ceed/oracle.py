@@ -3,7 +3,8 @@
 lambda_solve is the classic equal-incremental-cost iteration on the
 scalarized objective; grid_search is a brute-force enumerator for up to
 three units.  Both exist to cross-check the population solvers, so neither
-shares any search machinery with them.
+shares any search machinery with them.  kkt_residual measures, in $/MWh, how
+far a lossless dispatch is from the first-order optimality conditions.
 """
 
 from __future__ import annotations
@@ -100,6 +101,32 @@ def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -
         iterations=steps,
         residual=float(residual),
     )
+
+
+def kkt_residual(problem: DispatchProblem, h: Optional[PenaltyFactors], powers) -> float:
+    """First-order optimality residual of a lossless dispatch, in $/MWh.
+
+    At an optimum the units strictly inside their limits share one
+    incremental cost lambda = b_eff + 2 c_eff p, no unit at p_min lies below
+    it and no unit at p_max above it.  The residual is the spread of the free
+    units' incremental costs plus the worst amount a pinned unit lies on the
+    wrong side of them; with no free unit, lambda may be any value between
+    the pinned units' costs.  It is 0 at an exact optimum.
+    """
+    if problem.losses is not None:
+        raise ValueError("kkt_residual handles lossless problems only")
+    b_eff, c_eff = _effective_coeffs(problem, h)
+    p = np.asarray(powers, dtype=float)
+    marginal = b_eff + 2.0 * c_eff * p
+    at_min, at_max = p <= problem.p_min_arr, p >= problem.p_max_arr
+    free = marginal[~(at_min | at_max)]
+    floor = marginal[at_min].min(initial=np.inf)  # no unit at p_min may cost less than lambda
+    ceiling = marginal[at_max].max(initial=-np.inf)  # no unit at p_max may cost more
+    if free.size:
+        lo, hi = free.min(), free.max()
+    else:
+        lo = hi = floor if np.isfinite(floor) else ceiling
+    return float(hi - lo + max(0.0, ceiling - hi, lo - floor))
 
 
 def grid_search(

@@ -27,6 +27,14 @@ bounds and each trial's first row once; step writes the velocity law into
 the swarm's own velocities in the formula's order, so the result is bitwise
 that of the formula evaluated into new arrays, and copies improved rows into
 pbest in place.
+
+init_swarm and step keep one invariant: each trial's gbest_obj is the
+minimum of its rows' pbest_obj, and gbest_pos is the pbest row of a
+particle that holds it: the first minimum, unless a later pbest only tied
+it, which gbest's strict test does not take.  An iteration that improves no
+particle's pbest therefore cannot move gbest either, and step stops right
+after the comparison: it skips the pbest copies, the per-trial argmin and
+the gbest test, with the same bits as running them.
 """
 
 from __future__ import annotations
@@ -84,6 +92,9 @@ class PsoState:
     gbest_pos are separate arrays: step writes velocities and pbest in place
     and replaces positions and gbest.  What no iteration changes is computed
     once by init_swarm: the velocity bounds and each trial's first row.
+    Invariant: gbest_obj[i] is the minimum of trial i's pbest_obj, and
+    gbest_pos[i] is the pbest_pos row that holds it, so a step that improves
+    no pbest changes nothing and stops after the comparison.
     """
 
     positions: np.ndarray
@@ -203,11 +214,13 @@ def step(
     state.positions = repair_batch(problem, x)
     objs = combined_objective_batch(problem, state.positions, h)
     improved = objs < state.pbest_obj
+    if not np.count_nonzero(improved):
+        return state  # no pbest moved, so by the gbest invariant nothing else can
     np.copyto(state.pbest_obj, objs, where=improved)
     np.copyto(state.pbest_pos, state.positions, where=improved[:, None])
     leaders = _leaders(state.pbest_obj, state.offsets)
     better = state.pbest_obj[leaders] < state.gbest_obj
-    if better.any():
+    if np.count_nonzero(better):
         state.gbest_obj = np.where(better, state.pbest_obj[leaders], state.gbest_obj)
         state.gbest_pos = np.where(better[:, None], state.pbest_pos[leaders], state.gbest_pos)
     return state

@@ -4,16 +4,19 @@ The two oracles are implemented independently, so their mutual agreement on
 random instances is the main correctness evidence for both.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ceed.model
 from ceed.model import DispatchError, Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
-from ceed.oracle import LAMBDA_TOL, _close_balance, grid_search, lambda_solve
+from ceed.oracle import LAMBDA_TOL, _close_balance, _effective_coeffs, grid_search, kkt_residual, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.pso import PsoConfig, run_trials
 
-from conftest import make_problem, make_unit, random_problem
+from conftest import make_problem, make_unit, random_problem, weighted_problems
 
 
 def cost_only_unit(uid, p_min, p_max, b, c):
@@ -75,14 +78,53 @@ def test_kkt_interior_units_share_incremental_cost(rng):
         problem = random_problem(rng, int(rng.integers(2, 6)))
         h = penalty_factors_all(problem)
         res = lambda_solve(problem, h)
-        from ceed.oracle import _effective_coeffs
-
-        b_eff, c_eff = _effective_coeffs(problem, h)
+        _, c_eff = _effective_coeffs(problem, h)
         slack = 2.0 * LAMBDA_TOL * float(np.max(c_eff))
-        for i, unit in enumerate(problem.units):
-            p = res.powers[i]
-            if unit.p_min + 1e-6 < p < unit.p_max - 1e-6:
-                assert b_eff[i] + 2 * c_eff[i] * p == pytest.approx(res.lambda_, abs=max(slack, 1e-6))
+        assert 0.0 <= kkt_residual(problem, h, res.powers) <= 2.0 * max(slack, 1e-6)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(problem=weighted_problems(max_units=6))
+def test_property_kkt_residual_vanishes_at_the_lambda_dispatch(problem):
+    # the free units' powers are (lambda - b) / 2c, so their incremental
+    # costs agree with lambda to rounding
+    h = penalty_factors_all(problem)
+    assert kkt_residual(problem, h, lambda_solve(problem, h).powers) <= 1e-9
+
+
+def test_kkt_residual_is_positive_after_moving_power_between_free_units(rng):
+    # moving 1 MW from free unit i to free unit j spreads their incremental
+    # costs by 2 (c_i + c_j) $/MWh
+    moved = 0
+    for _ in range(20):
+        problem = random_problem(rng, int(rng.integers(2, 6)))
+        h = penalty_factors_all(problem)
+        p = np.array(lambda_solve(problem, h).powers)
+        roomy = np.flatnonzero((p > problem.p_min_arr + 1.0) & (p < problem.p_max_arr - 1.0))
+        if len(roomy) < 2:
+            continue
+        i, j = roomy[:2]
+        p[i] -= 1.0
+        p[j] += 1.0
+        _, c_eff = _effective_coeffs(problem, h)
+        assert kkt_residual(problem, h, p) >= 2.0 * (c_eff[i] + c_eff[j]) - 1e-6
+        moved += 1
+    assert moved > 5
+
+
+def test_kkt_residual_of_pinned_units():
+    # cost-only units with incremental costs 1 + p and 2 + 2 p
+    units = [cost_only_unit(1, 10.0, 100.0, 1.0, 0.5), cost_only_unit(2, 10.0, 100.0, 2.0, 1.0)]
+    problem = make_problem(units, demand=110.0, k2=0)
+    # unit 1 at p_max costs 101 and unit 2 at p_min 22: each MW moved to unit 2 saves 79
+    assert kkt_residual(problem, None, [100.0, 10.0]) == 79.0
+    # unit 1 at p_min costs 11 and unit 2 at p_max 202
+    assert kkt_residual(problem, None, [10.0, 100.0]) == 191.0
+    # with unit 2 at 200 + 2 p, any lambda in [101, 220] fits the first dispatch
+    units[1] = cost_only_unit(2, 10.0, 100.0, 200.0, 1.0)
+    assert kkt_residual(make_problem(units, demand=110.0, k2=0), None, [100.0, 10.0]) == 0.0
+    with pytest.raises(ValueError, match="lossless"):
+        kkt_residual(replace(problem, losses=LossMatrix([[1e-4, 0.0], [0.0, 1e-4]])), None, [55.0, 55.0])
 
 
 def test_grid_search_two_unit_closed_form():

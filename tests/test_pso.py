@@ -11,6 +11,7 @@ from ceed import pso
 from ceed.model import BALANCE_TOL, balance_residual, check_limits, evaluate_dispatch
 from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
+from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig, init_swarm, run, run_trials, step, velocity_update
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
@@ -187,6 +188,69 @@ def test_zero_iterations_return_best_of_initial_swarm(rng):
     assert initial.gbest_obj[0] == initial.pbest_obj.min()
 
 
+def _assert_gbest_invariant(state):
+    # each trial's gbest is the minimum of its pbests, at the pbest row of a
+    # particle holding it: the first minimum, unless a later pbest tied it,
+    # which gbest's strict test does not take
+    objs = state.pbest_obj.reshape(len(state.offsets), -1)
+    assert state.gbest_obj.tobytes() == objs.min(axis=1).tobytes()
+    rows = state.pbest_pos.reshape(*objs.shape, -1)
+    for lowest, pos, trial_objs, trial_rows in zip(state.gbest_obj, state.gbest_pos, objs, rows):
+        holders = trial_rows[trial_objs == lowest]
+        assert any(row.tobytes() == pos.tobytes() for row in holders)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    problem=weighted_problems(max_units=4),
+    trials=st.integers(1, 4),
+    particles=st.integers(1, 8),
+    iterations=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 4),
+)
+def test_property_gbest_is_the_minimum_pbest(problem, trials, particles, iterations, seed):
+    config = PsoConfig(particles=particles, iterations=iterations, seed=seed)
+    h = penalty_factors_all(problem)
+    state = init_swarm(problem, config, h, trials)
+    _assert_gbest_invariant(state)
+    for t in range(iterations):
+        step(state, problem, config, h, t)
+        _assert_gbest_invariant(state)
+
+
+def test_step_that_improves_no_pbest_leaves_the_bests_alone(monkeypatch, rng):
+    # no candidate can beat a pbest of -1e300, so the step stops after the comparison
+    problem = random_problem(rng, 4)
+    h = penalty_factors_all(problem)
+    cfg = small_config(iterations=5)
+    state = init_swarm(problem, cfg, h, 3)
+    state.pbest_obj -= 1e300
+    state.gbest_obj -= 1e300
+    bests = [a.copy() for a in (state.pbest_obj, state.pbest_pos, state.gbest_obj, state.gbest_pos)]
+    calls = []
+    monkeypatch.setattr(pso, "_leaders", lambda *args: calls.append(args))
+    step(state, problem, cfg, h, 0)
+    after = (state.pbest_obj, state.pbest_pos, state.gbest_obj, state.gbest_pos)
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in bests]
+    assert calls == []
+
+
+@pytest.mark.parametrize("demand", [1500.0, 2000.0])
+def test_most_paper_protocol_steps_skip_the_gbest_bookkeeping(monkeypatch, six_unit_path, demand):
+    # in a seeded two-trial, 500-iteration run most iterations improve no
+    # pbest; 134-168 calls were counted over seeds 0-5 at both demands
+    problem = load_problem(six_unit_path, demand)
+    leaders, calls = pso._leaders, []
+
+    def counted(*args):
+        calls.append(None)
+        return leaders(*args)
+
+    monkeypatch.setattr(pso, "_leaders", counted)
+    run_trials(problem, PsoConfig(iterations=500), penalty_factors_all(problem), 2)
+    assert 1 < len(calls) < 250
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(
     problem=weighted_problems(max_units=4),
@@ -215,6 +279,15 @@ def test_property_trace_never_rises(problem, particles, iterations, seed):
     trials=3,
     particles=910,
     iterations=8,
+    seed=2**32 - 9,
+)
+# over 300 iterations the trials stop improving at different steps, so a batch
+# step that improves some trial's pbest improves none in the others
+@example(
+    problem=random_problem(np.random.default_rng(3), 4),
+    trials=3,
+    particles=10,
+    iterations=300,
     seed=2**32 - 9,
 )
 def test_property_batched_trials_equal_lone_runs(problem, trials, particles, iterations, seed):
