@@ -10,16 +10,18 @@ passes on unchanged, so every generation holds the best row seen so far.
 
 breed makes the next generation of every trial at once, on arrays of
 shape (trials, individuals, bits), and no operation mixes two trials'
-rows.  Each trial draws from its own seeded Generator in blocks of whole
-generations, at most DRAW_BLOCK child bits to a block.  A block is one call
-for the uniforms, laid out generation by generation as the two roulette
-spins of every pair of parents, then a crossover coin and a cut uniform per
-pair; then the sorted positions of the block's flipped child bits, drawn as
-geometric gaps (flip_positions) and set in a 0/1 mask that breed XORs into
-the children.  A block also yields the crossover masks of all its
-generations, built in one step from their coins and cuts (crossover_masks),
-which depend on nothing else.  The block length depends on the
-configuration alone, so a trial draws the same in a batch as alone.
+rows.  Each trial draws from two streams of its own: its seeded Generator
+gives its first population and then its uniforms, laid out generation by
+generation as the two roulette spins of every pair of parents, then a
+crossover coin and a cut uniform per pair; a Generator spawned from it
+gives the positions of its flipped child bits, one renewal process of
+geometric gaps over the whole run (flip_positions), set in a 0/1 mask that
+breed XORs into the children.  Both are drawn ahead in blocks of whole
+generations, bounded per trial and per batch (DRAW_BLOCK, DRAW_BATCH); a
+block also yields the crossover masks of all its generations, built in one
+step from their coins and cuts (crossover_masks).  Neither stream depends
+on where a block ends, so the block length is a speed setting only: a
+trial draws the same in any batch as alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,7 +39,8 @@ from .repair import repair_batch
 
 P_CROSSOVER = 0.96  # chance that a parent pair exchanges suffixes
 P_MUTATION = 0.033  # chance that a child bit flips
-DRAW_BLOCK = 1 << 14  # most child bits of one trial whose flips are drawn in one call
+DRAW_BLOCK = 1 << 18  # most child bits of one trial drawn in one block
+DRAW_BATCH = 1 << 21  # most child bits of a batch drawn in one block, over all its trials
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,21 @@ def roulette_select(objectives: np.ndarray, spins: np.ndarray) -> np.ndarray:
     return (wheel[:, None, :] > spins[:, :, None] * wheel[:, None, -1:]).argmax(axis=2)
 
 
-def crossover_masks(coins: np.ndarray, cuts: np.ndarray, length: int, p: float) -> np.ndarray:
+def crossover_masks(
+    coins: np.ndarray, cuts: np.ndarray, length: int, p: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per pair of parents, a 0/1 mask of the bits a single-point suffix exchange swaps.
 
     coins and cuts are uniforms of one shape, one of each per pair; the
     mask adds an axis of `length` bits.  A pair whose coin is below p
     exchanges its bits from 1 + floor(cut * (length - 1)) on; a pair that
     does not cross swaps none.  The mask is uint8, the type of the bits it
-    is applied to.
+    is applied to, written into the bool array `out` when one is given.
     """
     positions = _bit_positions(length)
     # bit j lies at or past the cut 1 + floor(x) exactly when j > floor(x)
     kept = np.where(coins < p, cuts * (length - 1), length).astype(positions.dtype)
-    return (positions > kept[..., None]).view(np.uint8)
+    return np.greater(positions, kept[..., None], out=out).view(np.uint8)
 
 
 def crossover(parents: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -139,36 +145,37 @@ def _bit_positions(length: int) -> np.ndarray:
     return positions
 
 
-def flip_positions(rng: np.random.Generator, span: int, p: float) -> np.ndarray:
-    """Sorted positions in range(span) of the bits that flip, each with probability p.
+def flip_positions(rng: np.random.Generator, spans: Iterable[int], p: float) -> Iterator[np.ndarray]:
+    """For each span in turn, the sorted positions in range(span) of its bits that flip.
 
-    The gaps between successive flips are geometric: the first flip lands
-    at gap - 1 and each later one a gap past the one before.  A gap is
-    ceil(E / -log(1 - p)) of a standard exponential E, the inversion that
-    Generator.geometric itself uses below p = 1/3, so it gives the same
-    integers from the same stream at a third of the cost.  The draw costs
-    O(flips), not O(span).  p = 0 flips nothing and p = 1 every bit.
+    Each bit flips with probability p.  The spans lie end to end and the
+    gaps between successive flips over all of them are geometric: the first
+    flip lands at gap - 1 and each later one a gap past the one before.
+    Gaps drawn past a span are kept for the next, so the flips do not depend
+    on how the bits are split into spans.  A gap is ceil(E / -log(1 - p)) of
+    a standard exponential E, the inversion that Generator.geometric itself
+    uses below p = 1/3, so it gives the same integers from the same stream
+    at a third of the cost.  The draw costs O(flips), not O(bits).  p = 0
+    flips nothing and p = 1 every bit.
     """
-    if p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(span, dtype=np.int64)
-    expected = span * p
-    # enough gaps to pass the end of the span, nearly always in one call
-    chunk = int(expected + 6.0 * math.sqrt(expected) + 8.0)
+    if p <= 0.0 or p >= 1.0:
+        yield from (np.arange(span if p >= 1.0 else 0, dtype=np.int64) for span in spans)
+        return
     rate = -math.log1p(-p)
-    # a gap past the span ends the flips whatever its length, so E is capped
-    # where its gap passes span + 1: a tiny p cannot overflow the division or
-    # the integer cast
-    cap = (span + 1.0) * rate
-
-    def gaps() -> np.ndarray:
-        return np.ceil(np.minimum(rng.standard_exponential(chunk), cap) / rate).astype(np.int64)
-
-    ends = gaps().cumsum()
-    while ends[-1] <= span:
-        ends = np.concatenate([ends, ends[-1] + gaps().cumsum()])
-    return ends[: ends.searchsorted(span, side="right")] - 1
+    # no run holds 2^53 bits, so a gap capped there still passes its end,
+    # and a tiny p cannot overflow the division or the integer cast
+    cap = 2.0**53 * rate
+    flips = np.full(1, -1, dtype=np.int64)  # the last flip before the span, then those drawn past it
+    for span in spans:
+        expected = span * p
+        # enough gaps to pass the end of the span, nearly always in one call
+        chunk = int(expected + 6.0 * math.sqrt(expected) + 8.0)
+        while flips[-1] < span:
+            gaps = np.ceil(np.minimum(rng.standard_exponential(chunk), cap) / rate).astype(np.int64)
+            flips = np.concatenate([flips, flips[-1] + gaps.cumsum()])
+        cut = flips.searchsorted(span)
+        yield flips[1:cut]
+        flips = flips[cut - 1 :] - span
 
 
 def breed(
@@ -204,7 +211,7 @@ def run_trials(
 
     Entry i is the last generation's leader and the per-generation best
     trace of trial i, bitwise equal to run() with seed config.seed + i:
-    each trial draws from its own Generator, and the breeding, decode,
+    each trial draws from its own two streams, and the breeding, decode,
     repair and objective calls take every trial's population at once
     without mixing their rows.  The elite re-evaluates to the same
     objective, as repair and the objective treat each row on its own, so
@@ -252,26 +259,32 @@ def _draws(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """breed's uniforms, crossover masks and flip mask for each of `breedings` generations.
 
-    A block covers as many whole generations as fit DRAW_BLOCK child bits
-    of one trial (at least one).  Each trial draws the block's uniforms in
-    one call, then the flip positions of all its child bits in the block;
-    the crossover masks of every generation of the block are then built in
-    one step from its coins and cuts.  Every block is drawn into the same
-    uniform and flip buffers, so each yielded triple is valid until the
-    next one is asked for.
+    Each trial draws its uniforms from its own Generator and its flips from
+    a second one spawned from it, as one flip_positions stream over all its
+    child bits, so both are the same for any block length.  A block holds
+    whole generations, as few blocks of even length as keep each trial's
+    part to DRAW_BLOCK child bits and the batch's to DRAW_BATCH (at least
+    one generation).  Per block, each trial draws its uniforms in one call
+    and its flips in another; the crossover masks of the block's generations
+    are then built in one step from their coins and cuts.  The last block
+    may draw more than it yields, from the ends of the streams.  Every block
+    is drawn into the same buffers, so each yielded triple is valid until
+    the next one is asked for.
     """
     trials, pairs = len(rngs), individuals // 2
     span = (individuals - 1) * length  # child bits of one trial's generation
-    per_block = max(1, DRAW_BLOCK // span)
-    uniforms = np.empty((trials, min(per_block, breedings), 4 * pairs))
-    flips = np.empty((trials, min(per_block, breedings), individuals - 1, length), dtype=np.uint8)
+    most = max(1, min(DRAW_BLOCK, DRAW_BATCH // trials) // span)  # generations a block may hold
+    per_block = max(1, -(-breedings // max(1, -(-breedings // most))))  # over the fewest blocks, evened out
+    uniforms = np.empty((trials, per_block, 4 * pairs))
+    flips = np.empty((trials, per_block, individuals - 1, length), dtype=np.uint8)
+    crossings = np.empty((trials, per_block, pairs, length), dtype=bool)
+    streams = [flip_positions(rng.spawn(1)[0], repeat(flips[0].size), P_MUTATION) for rng in rngs]
     for first in range(0, breedings, per_block):
-        block = min(per_block, breedings - first)
         flips.fill(0)
-        for rng, trial_uniforms, trial_flips in zip(rngs, uniforms[:, :block], flips[:, :block]):
+        for rng, stream, trial_uniforms, trial_flips in zip(rngs, streams, uniforms, flips):
             rng.random(out=trial_uniforms)
-            trial_flips.reshape(-1)[flip_positions(rng, block * span, P_MUTATION)] = 1
-        drawn = uniforms[:, :block]
-        masks = crossover_masks(drawn[..., 2 * pairs : 3 * pairs], drawn[..., 3 * pairs :], length, P_CROSSOVER)
-        for g in range(block):
+            trial_flips.reshape(-1)[next(stream)] = 1
+        coins, cuts = uniforms[..., 2 * pairs : 3 * pairs], uniforms[..., 3 * pairs :]
+        masks = crossover_masks(coins, cuts, length, P_CROSSOVER, out=crossings)
+        for g in range(min(per_block, breedings - first)):
             yield uniforms[:, g], masks[:, g], flips[:, g]

@@ -17,10 +17,11 @@ run_trials steps the swarms of several seeded trials as one set of rows:
 each trial draws from its own Generator and keeps its own gbest, so its
 result is bitwise that of a lone run with its seed.  Each iteration takes a
 trial's r1, then its r2.  A trial draws them for several iterations in one
-call, at most DRAW_BLOCK entries for the whole batch; Generator.random
-consumes its stream in order, so the block length leaves every draw as it
-would be one iteration at a time.  A block holds C1 * r1 and C2 * r2, scaled
-once when it is drawn: the same products the velocity law would form.
+call, at most DRAW_BLOCK entries per trial and DRAW_BATCH for the whole
+batch; Generator.random consumes its stream in order, so the block length
+leaves every draw as it would be one iteration at a time and is a speed
+setting only.  A block holds C1 * r1 and C2 * r2, scaled once when it is
+drawn: the same products the velocity law would form.
 
 An iteration does only per-iteration work.  init_swarm computes the velocity
 bounds and each trial's first row once; step writes the velocity law into
@@ -53,7 +54,8 @@ from .repair import repair_batch
 W_MAX, W_MIN = 0.9, 0.4
 C1 = C2 = 2.05
 V_MAX_FRACTION = 0.5  # of each unit's p_max - p_min
-DRAW_BLOCK = 1 << 14  # most uniforms a batch draws ahead, over all its trials
+DRAW_BLOCK = 1 << 14  # most uniforms one trial draws ahead
+DRAW_BATCH = 1 << 17  # most uniforms a batch draws ahead, over all its trials (1 MB)
 
 _PHI = C1 + C2  # > 4, so the swarm contracts
 # Clerc-Kennedy chi = 2 / |2 - phi - sqrt(phi^2 - 4 phi)|
@@ -108,7 +110,8 @@ class PsoState:
     v_min: np.ndarray = field(repr=False)  # -v_max, per row
     offsets: np.ndarray = field(repr=False)  # first row of each trial
     # C1 * r1 and C2 * r2 drawn ahead, (trials, iterations, 2, particles,
-    # units) and refilled in place, and how many of those iterations step has used
+    # units) within DRAW_BLOCK per trial and DRAW_BATCH in all, refilled in
+    # place, and how many of those iterations step has used
     draws: np.ndarray = field(default_factory=lambda: np.empty((0, 0)), repr=False)
     used: int = 0
 
@@ -187,7 +190,8 @@ def step(
     trials = len(state.offsets)
     grid = (trials, len(state.positions) // trials, problem.n_units)
     if state.used == state.draws.shape[1]:
-        ahead = max(1, min(DRAW_BLOCK // (2 * state.positions.size), config.iterations - iteration))
+        ahead = min(DRAW_BLOCK * trials, DRAW_BATCH) // (2 * state.positions.size)
+        ahead = max(1, min(ahead, config.iterations - iteration))
         if ahead != state.draws.shape[1]:
             state.draws = np.empty((trials, ahead, 2, *grid[1:]))
         for rng, block in zip(state.rngs, state.draws):

@@ -201,7 +201,7 @@ def test_criterion_6_invariant_suite(rng):
     # mutation flip count within 3 sigma of binomial(n, p_m)
     mut_rng = np.random.default_rng(79)
     n, pm = 10_000, 0.033
-    flips = flip_positions(mut_rng, n, pm).size
+    flips = next(flip_positions(mut_rng, [n], pm)).size
     sigma = np.sqrt(n * pm * (1 - pm))
     if abs(flips - n * pm) > 3 * sigma:
         failures.append(f"mutation flips {flips} outside binomial band")

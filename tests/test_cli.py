@@ -174,6 +174,18 @@ def test_negative_seed_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("solver", ["pso", "ga"])
+def test_a_budget_too_large_to_hold_exits_1(tmp_path, capsys, solver):
+    # 50 traces of 10^14 steps would take 36 PiB, past any address space, so
+    # NumPy refuses the request at once and nothing is allocated
+    path = write_problem(tmp_path)
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--solver", solver,
+                 "--iterations", str(10**14)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["oracle", "solve"])
 def test_zero_weights_are_the_flags_error(tmp_path, capsys, command):
     # the weights are not in the file, so their error does not name it

@@ -143,9 +143,9 @@ def test_crossover_disabled_copies_parents():
 
 def test_mutation_extremes_and_rate():
     rng = np.random.default_rng(21)
-    assert flip_positions(rng, 256, 0.0).size == 0
-    assert np.array_equal(flip_positions(rng, 256, 1.0), np.arange(256))
-    flips = flip_positions(rng, 10_000, 0.033)
+    assert next(flip_positions(rng, [256], 0.0)).size == 0
+    assert np.array_equal(next(flip_positions(rng, [256], 1.0)), np.arange(256))
+    flips = next(flip_positions(rng, [10_000], 0.033))
     assert np.all(np.diff(flips) > 0) and 0 <= flips[0] and flips[-1] < 10_000
     assert 300 <= flips.size <= 360  # binomial(10000, 0.033) well within 3 sigma
 
@@ -156,7 +156,7 @@ def test_mutation_first_and_last_bit_flip_at_the_rate():
     span, draws, pm = 16, 10_000, 0.033
     first = last = 0
     for _ in range(draws):
-        flips = flip_positions(rng, span, pm)
+        flips = next(flip_positions(rng, [span], pm))
         assert flips.size == 0 or (flips[0] >= 0 and flips[-1] < span)
         first += flips.size > 0 and flips[0] == 0
         last += flips.size > 0 and flips[-1] == span - 1
@@ -171,8 +171,23 @@ def test_mutation_at_a_tiny_rate_stays_in_the_span(p):
     # overflow the division; both warn, and pytest turns warnings into errors
     rng = np.random.default_rng(24)
     for _ in range(100):
-        flips = flip_positions(rng, 1000, p)
+        flips = next(flip_positions(rng, [1000], p))
         assert np.all((0 <= flips) & (flips < 1000))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    cuts=st.lists(st.integers(0, 3000), max_size=6),
+    p=st.sampled_from([0.0, 1e-20, 0.001, 0.033, 0.3, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_split_spans_flip_the_bits_of_one_span(cuts, p, seed):
+    # one flip stream over 3000 bits, drawn as one span or as consecutive ones
+    bounds = [0, *sorted(cuts), 3000]
+    whole = next(flip_positions(np.random.default_rng(seed), [3000], p))
+    parts = flip_positions(np.random.default_rng(seed), np.diff(bounds).tolist(), p)
+    joined = np.concatenate([start + part for start, part in zip(bounds, parts)])
+    assert joined.tobytes() == whole.tobytes()
 
 
 def one_generation(population, objectives, rng):
@@ -232,6 +247,32 @@ def test_breed_keeps_trials_apart():
         assert np.array_equal(together[1:], breed(populations[1:], objectives[1:], *lone_draws))
 
 
+@pytest.mark.parametrize("trials", [1, 3])
+def test_run_trials_do_not_depend_on_the_draw_block(monkeypatch, rng, trials):
+    # one generation to a block, then the whole run in one block
+    problem = random_problem(rng, 4)
+    h = penalty_factors_all(problem)
+    config = small_config(generations=40)
+    masks, blocks = ga.crossover_masks, []
+
+    def counted(*args, **kwargs):
+        blocks.append(None)
+        return masks(*args, **kwargs)
+
+    def digest():
+        blocks.clear()
+        return [(solution.powers, trace.tobytes()) for solution, trace in run_trials(problem, config, h, trials)]
+
+    monkeypatch.setattr(ga, "crossover_masks", counted)
+    monkeypatch.setattr(ga, "DRAW_BLOCK", 1)
+    one = digest()
+    assert len(blocks) == config.generations - 1
+    monkeypatch.setattr(ga, "DRAW_BLOCK", 1 << 40)
+    monkeypatch.setattr(ga, "DRAW_BATCH", 1 << 40)
+    assert digest() == one
+    assert len(blocks) == 1
+
+
 def test_run_is_deterministic(rng):
     problem = random_problem(rng, 4)
     h = penalty_factors_all(problem)
@@ -274,15 +315,24 @@ def test_property_trace_never_rises(data):
     generations=st.integers(0, 8),
     seed=st.integers(0, 2**32 - 8),
 )
-# 128 children of 64 bits fill half a draw block: 5 breedings cross two block boundaries
+# 2048 children of 64 bits fill half of DRAW_BLOCK: 5 breedings cross two block boundaries
 @example(
     problem=random_problem(np.random.default_rng(3), 4),
     trials=3,
-    individuals=129,
+    individuals=2049,
     generations=6,
     seed=2**32 - 9,
 )
-# 2 individuals of 64 bits: a block of 256 generations, then one of 3
+# ten trials meet DRAW_BATCH: the batch draws one generation to a block where a
+# lone run, held to DRAW_BLOCK, draws two
+@example(
+    problem=random_problem(np.random.default_rng(3), 4),
+    trials=10,
+    individuals=2049,
+    generations=4,
+    seed=2**32 - 11,
+)
+# 2 individuals of 64 bits: all 259 breedings in one block
 @example(
     problem=random_problem(np.random.default_rng(3), 4),
     trials=3,

@@ -1,7 +1,9 @@
 """Particle swarm: determinism, feasibility of every iterate, convergence."""
 
+import hashlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,14 +274,15 @@ def test_property_trace_never_rises(problem, particles, iterations, seed):
     iterations=st.integers(0, 8),
     seed=st.integers(0, 2**32 - 8),
 )
-# three trials of 910 four-unit particles draw three iterations to a block, so
-# eight iterations cross two block boundaries; a lone run draws all eight at once
+# ten trials of 100 four-unit particles meet DRAW_BATCH: the batch draws 16
+# iterations to a block and a lone run, held to DRAW_BLOCK, 20, so 40
+# iterations cross block boundaries at different steps
 @example(
     problem=random_problem(np.random.default_rng(3), 4),
-    trials=3,
-    particles=910,
-    iterations=8,
-    seed=2**32 - 9,
+    trials=10,
+    particles=100,
+    iterations=40,
+    seed=2**32 - 11,
 )
 # over 300 iterations the trials stop improving at different steps, so a batch
 # step that improves some trial's pbest improves none in the others
@@ -300,6 +303,46 @@ def test_property_batched_trials_equal_lone_runs(problem, trials, particles, ite
         assert solution.powers == lone.powers
         assert solution.total_cost == lone.total_cost
         assert trace.tobytes() == lone_trace.tobytes()
+
+
+def _batch_digest(problem, h, trials):
+    sha = hashlib.sha256()
+    for solution, trace in run_trials(problem, PsoConfig(), h, trials):
+        sha.update(np.array(solution.powers).tobytes())
+        sha.update(trace.tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("demand", [1500.0, 2000.0])
+def test_a_50_trial_batch_does_not_depend_on_the_draw_cap(monkeypatch, six_unit_path, demand):
+    # the old cap of 16384 uniforms for the whole batch drew 2 iterations ahead
+    problem = load_problem(six_unit_path, demand)
+    h = penalty_factors_all(problem)
+    bounded = _batch_digest(problem, h, 50)
+    monkeypatch.setattr(pso, "DRAW_BATCH", 1 << 14)
+    assert _batch_digest(problem, h, 50) == bounded
+
+
+def test_a_50_trial_batch_draws_each_trial_in_few_calls(six_unit_path):
+    problem = load_problem(six_unit_path, 1500.0)
+    config, trials = PsoConfig(iterations=500), 50
+    h = penalty_factors_all(problem)
+    state = init_swarm(problem, config, h, trials)
+    calls = [0] * trials
+
+    def counted(i, rng):
+        def random(**kwargs):
+            calls[i] += 1
+            return rng.random(**kwargs)
+
+        return SimpleNamespace(random=random)
+
+    state.rngs = tuple(counted(i, rng) for i, rng in enumerate(state.rngs))
+    for t in range(config.iterations):
+        step(state, problem, config, h, t)
+    ahead = min(pso.DRAW_BLOCK * trials, pso.DRAW_BATCH) // (2 * state.positions.size)
+    assert ahead >= 20  # 250 calls a trial at the old cap
+    assert calls == [math.ceil(config.iterations / ahead)] * trials
 
 
 def test_run_is_deterministic(rng):
