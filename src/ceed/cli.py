@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", choices=("pso", "ga", "both"), default="both")
     solve.add_argument("--trials", type=int, default=50)
     solve.add_argument("--iterations", type=int, default=None,
-                       help="override the iteration/generation budget")
+                       help="step budget of both solvers (PsoConfig.iterations, GaConfig.generations)")
     solve.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
     solve.add_argument("--k1", type=int, choices=(0, 1), default=1)
     solve.add_argument("--k2", type=int, choices=(0, 1), default=1)
@@ -54,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from . import ga, pso
     from .harness import ExperimentSpec, export_trace, format_report, run_experiment
 
     # without --demand, load_problem reads the file's demand or says it has none
@@ -66,7 +67,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         k1=args.k1,
         k2=args.k2,
-        iterations=args.iterations,
+        pso_config=None if args.iterations is None else pso.PsoConfig(iterations=args.iterations),
+        ga_config=None if args.iterations is None else ga.GaConfig(generations=args.iterations),
         workers=args.workers,
     )
     # a zero budget leaves every trace empty, and export_trace refuses those
@@ -118,7 +120,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 means an infeasible demand here
+        return EXIT_ERROR if exc.code else EXIT_OK
     handlers = {"solve": _cmd_solve, "penalty": _cmd_penalty, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)

@@ -26,8 +26,6 @@ from .penalty import penalty_factors_all
 from .problem_file import format_demand, load_problem
 
 SOLVER_NAMES = ("pso", "ga")
-# The config field that holds each solver's step budget.
-_BUDGET = {"pso": "iterations", "ga": "generations"}
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,6 @@ class ExperimentSpec:
     base_seed: int = 0
     k1: int = 1
     k2: int = 1
-    iterations: Optional[int] = None  # overrides both solvers' budget when set
     pso_config: Optional[pso.PsoConfig] = None
     ga_config: Optional[ga.GaConfig] = None
     workers: int = 0  # 0 = run trials serially
@@ -105,13 +102,6 @@ class TrialReport:
         return [t.solution.total_cost for t in self.trials]
 
 
-def _solver_config(spec: ExperimentSpec, solver: str, seed: int):
-    cfg = (spec.pso_config or pso.PsoConfig()) if solver == "pso" else (spec.ga_config or ga.GaConfig())
-    if spec.iterations is not None:
-        cfg = replace(cfg, **{_BUDGET[solver]: spec.iterations})
-    return replace(cfg, seed=seed)
-
-
 def _run_trial(args) -> tuple[Trial, ...]:
     """One batch: `count` trials from index `first`, run together and timed together."""
     problem, solver, config, h, first, count = args
@@ -137,11 +127,12 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
     # every demand's problem and factors first, so one that cannot be met fails before any trial
     problems = [replace(load_problem(spec.problem_path, d), k1=spec.k1, k2=spec.k2) for d in spec.demands]
     factors = [penalty_factors_all(problem) if spec.k2 else None for problem in problems]
+    configs = {"pso": spec.pso_config or pso.PsoConfig(), "ga": spec.ga_config or ga.GaConfig()}
     reports = []
     for demand, problem, h in zip(spec.demands, problems, factors):
         for solver in spec.solver_names:
             jobs = [
-                (problem, solver, _solver_config(spec, solver, spec.base_seed + first), h, first, count)
+                (problem, solver, replace(configs[solver], seed=spec.base_seed + first), h, first, count)
                 for first, count in _batches(spec.trials, spec.workers)
             ]
             if spec.workers > 0:
@@ -183,7 +174,7 @@ def format_report(report: TrialReport) -> str:
     """Human-readable report; everything above the timing marker is deterministic."""
     costs = sorted(report.total_costs)
     lines = [f"solver={report.solver} demand={format_demand(report.demand)} MW trials={len(report.trials)}"]
-    if report.h is not None:
+    if report.h is not None and report.h.values:  # a gas-free problem has no factor to print
         factors = "  ".join(f"h_{gas.value}={report.h[gas]:.4f}" for gas in report.h.values)
         lines.append(f"  penalty factors ($/kg): {factors}")
     lines += _solution_lines("best trial", report.best_trial.solution)

@@ -5,7 +5,9 @@ bench/layers.py, so a package change that renames or deletes a name it reads
 (`LambdaResult.iterations`, `ExperimentSpec(workers=...)`, `PsoConfig(seed=...)`,
 `ga.decode`, `pso.step`, ...) would fail there with every other test green.
 This runs each fixed-input timing once, with bench/ on sys.path and nothing
-under it changed.
+under it changed.  It also runs one round of each workload's closed loop
+(`bench/run.py`'s `run_loop`), the path the end-to-end metrics time, which
+builds an `ExperimentSpec` per call.
 """
 
 import importlib
@@ -61,3 +63,24 @@ def test_span_targets_resolve(monkeypatch):
         sys.modules.pop("spans", None)
     missing = {f"{module}.{attr}" for module, attr in targets if not hasattr(importlib.import_module(module), attr)}
     assert missing <= DEAD_TARGETS
+
+
+@pytest.mark.parametrize("workload", ["paper_protocol", "lossy_protocol", "large_system"])
+def test_one_round_of_each_workload_runs_clean(monkeypatch, tmp_path, workload):
+    if workload == "lossy_protocol":
+        pytest.importorskip("scipy")  # its reference optimum is an SLSQP solve
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    try:
+        import run
+
+        monkeypatch.setattr(run, "OUT_DIR", tmp_path)
+        chosen = run.Workload(workload, 1)
+        pairs = len(run.SOLVERS) * len(chosen.instance(0)[1])
+        loop = run.run_loop(chosen, 100_000, calls=pairs)
+    finally:
+        for name in ("run", "spans", "speed", "inputs"):
+            sys.modules.pop(name, None)
+    assert len(loop.calls) == pairs
+    assert loop.attempted > 0 and loop.failed == 0
+    assert not loop.tracebacks, loop.tracebacks[0]
+    assert not loop.errors, loop.errors

@@ -175,6 +175,40 @@ def test_negative_seed_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver", ["pso", "ga"])
+def test_negative_budget_exits_1(tmp_path, capsys, solver):
+    # --iterations sets both solvers' configs, so the PSO's check speaks for it
+    path = write_problem(tmp_path)
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--solver", solver,
+                 "--trials", "1", "--iterations", "-2"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: iterations must be >= 0, got -2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--demand", "330"],
+        ["frobnicate"],
+        ["solve", "--problem", "p.json", "--k1", "2"],
+        ["solve", "--problem", "p.json", "--trials", "abc"],
+    ],
+    ids=["no-problem", "unknown-command", "k1-choice", "trials-type"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    # argparse would exit 2, which means an infeasible demand
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: ceed")
+    assert "error: " in captured.err
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: ceed")
+
+
+@pytest.mark.parametrize("solver", ["pso", "ga"])
 def test_a_budget_too_large_to_hold_exits_1(tmp_path, capsys, solver):
     # 50 traces of 10^14 steps would take 36 PiB, past any address space, so
     # NumPy refuses the request at once and nothing is allocated

@@ -162,7 +162,8 @@ def quick_spec(path, **kw):
         demands=(330.0,),
         solver="pso",
         trials=3,
-        iterations=40,
+        pso_config=PsoConfig(iterations=40),
+        ga_config=GaConfig(generations=40),
         base_seed=5,
     )
     defaults.update(kw)
@@ -251,6 +252,24 @@ def test_outputs_written(tmp_path, capsys):
         "pso_pd330_trial001.csv",
     ]
     assert (out / "report.txt").read_text().count("solver=") == 2
+    # --iterations 40 is the budget of both solvers: the header and one row per step
+    assert [len((out / name).read_text().splitlines()) for name in traces] == [41] * 4
+
+
+def test_gas_free_report_has_no_penalty_factor_line(tmp_path):
+    # "gases": [] is a legal file, and its report has no factor to print
+    path = write_problem(tmp_path, gases=[])
+    doc = json.loads(path.read_text())
+    for unit in doc["units"]:
+        unit["emissions"] = {}
+    path.write_text(json.dumps(doc))
+    (report,) = run_experiment(quick_spec(path, trials=1))
+    text = format_report(report)
+    assert "penalty factors" not in text
+    assert "    EC = 0.00 $/h\n" in text
+    # a file with gases keeps the line
+    (report,) = run_experiment(quick_spec(write_problem(tmp_path), trials=1))
+    assert "  penalty factors ($/kg): h_nox=" in format_report(report)
 
 
 def test_demands_that_round_alike_keep_apart(tmp_path, capsys):
@@ -280,7 +299,7 @@ def test_trace_export_round_trip(tmp_path):
 
 def test_trace_export_matches_run_length(tmp_path):
     path = write_problem(tmp_path)
-    (report,) = run_experiment(quick_spec(path, trials=1, iterations=500))
+    (report,) = run_experiment(quick_spec(path, trials=1, pso_config=PsoConfig(iterations=500)))
     fname = tmp_path / "t.csv"
     export_trace(report.trials[0].trace, fname)
     rows = fname.read_text().splitlines()
