@@ -127,7 +127,13 @@ def load_problem(path: Union[str, Path], demand: Optional[float] = None) -> Disp
         demand = file["demand"] if demand is None else demand
         losses = None if file.get("b_matrix") is None else LossMatrix(file["b_matrix"])
         gases = file.get("gases", ALL_GASES)
-        return DispatchProblem(units=tuple(units), demand=demand, gases=gases, losses=losses)
+        problem = DispatchProblem(units=tuple(units), demand=demand, gases=gases, losses=losses)
+        # the model scores only the gases in `gases`; a curve for another would be dropped unread
+        for unit in units:
+            for gas in unit.emissions:
+                if gas not in gases:
+                    raise ValueError(f"unit {unit.id} has a {gas.value} curve that 'gases' leaves out")
+        return problem
     except OSError as exc:
         raise DispatchError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

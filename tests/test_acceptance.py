@@ -11,6 +11,7 @@ import numpy as np
 
 from ceed.ga import GaConfig, crossover, crossover_masks, flip_positions, roulette_select
 from ceed.ga import run as ga_run
+from ceed.ga import run_trials as ga_run_trials
 from ceed.harness import ExperimentSpec, run_experiment
 from ceed.model import (
     BALANCE_TOL,
@@ -35,6 +36,7 @@ EC_IDENTITY_REL = 1e-3  # criterion 2
 H_REL = 1e-4  # criterion 3
 SOLVER_TC_REL = 1e-2  # criterion 4
 ORACLE_REL = 1e-3  # criterion 5
+GA_WORST_REL = 5e-3  # the GA's worst trial against the lambda oracle
 
 # -- published six-unit results -----------------------------------------------
 # columns: (PSO, 1500), (GA, 1500), (PSO, 2000), (GA, 2000)
@@ -119,6 +121,15 @@ def test_criterion_4_solver_quality_on_benchmark(six_unit_path):
         max(abs(r) for r in rels.values()) <= SOLVER_TC_REL,
         f"best-of-50 within 1% of the published TC for every pair — {detail}",
     )
+
+
+def test_ga_worst_trial_ends_near_the_oracle(six_unit_path):
+    # the CLI protocol's 50 GA trials at 2000 MW, where repair moves most rows
+    problem = load_problem(six_unit_path, 2000.0)
+    h = penalty_factors_all(problem)
+    optimum = lambda_solve(problem, h).solution(problem, h).total_cost
+    worst = max(sol.total_cost for sol, _ in ga_run_trials(problem, GaConfig(seed=0), h, 50))
+    assert worst / optimum - 1.0 <= GA_WORST_REL, f"worst GA trial {worst:.2f} $/h against the optimum {optimum:.2f}"
 
 
 def test_criterion_5_oracle_equivalence():

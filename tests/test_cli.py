@@ -146,6 +146,13 @@ def test_infeasible_lossy_demand_exits_2(tmp_path, capsys):
         assert "residual -12.5 MW" in capsys.readouterr().err
 
 
+def test_curve_for_an_undeclared_gas_exits_1(tmp_path, capsys):
+    path = write_problem(tmp_path, gases=["nox", "cox"])
+    code = main(["solve", "--problem", str(path), "--demand", "330", "--trials", "1", "--iterations", "5"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {path}: unit 1 has a sox curve that 'gases' leaves out\n"
+
+
 def test_non_finite_demand_exits_1(tmp_path, capsys):
     # a non-finite --demand is the flag's fault, so its message does not name the file
     path = write_problem(tmp_path)

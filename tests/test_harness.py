@@ -9,7 +9,7 @@ from ceed import GaConfig, PsoConfig
 from ceed.cli import EXIT_OK, main
 from ceed.harness import ExperimentSpec, export_trace, format_report, run_experiment
 from ceed.model import DispatchError, InfeasibleError
-from ceed.problem_file import format_demand, load_problem
+from ceed.problem_file import ProblemFileError, format_demand, load_problem
 
 
 def read_trace(path):
@@ -106,6 +106,13 @@ def test_missing_field_names_the_unit(tmp_path):
 def test_unknown_gas_is_rejected(tmp_path):
     path = write_problem(tmp_path, gases=["nox", "smog"])
     with pytest.raises(DispatchError, match="unknown gas"):
+        load_problem(path, demand=100.0)
+
+
+def test_curve_for_an_undeclared_gas_is_rejected(tmp_path):
+    # the model scores only the listed gases, so the cox curves would be dropped unread
+    path = write_problem(tmp_path, gases=["nox", "sox"])
+    with pytest.raises(ProblemFileError, match=r"problem\.json: unit 1 has a cox curve that 'gases' leaves out"):
         load_problem(path, demand=100.0)
 
 

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ceed.repair
 from ceed.model import BALANCE_TOL, InfeasibleError, LossMatrix, balance_residual, check_limits
 from ceed.problem_file import load_problem
-from ceed.repair import _correction, repair_batch
+from ceed.repair import _share, repair_batch
 
 from conftest import make_problem, make_unit, random_problem
 
@@ -92,9 +92,9 @@ def test_rows_the_ray_cannot_move_still_close(raw, demand):
 
 
 @pytest.mark.parametrize("demand", [90.0, 250.0])
-def test_stuck_rows_restart_beside_rows_that_move(demand):
-    # only some rows of the batch restart from the limit midpoints: at 90 MW
-    # the all-zero row, at 250 MW also [0, 50], which pins unit 2 and cannot move
+def test_rows_the_ray_cannot_move_close_beside_rows_that_move(demand):
+    # only some rows of the batch need the step from their limits' side: at
+    # 90 MW the all-zero row, at 250 MW also [0, 50], which pins unit 2
     problem = make_problem([make_unit(1, 0.0, 100.0), make_unit(2, 0.0, 200.0)], demand=demand)
     P = np.array([[0.0, 0.0], [30.0, 60.0], [0.0, 50.0], [5e-324, 0.0]])
     batch = repair_batch(problem, P)
@@ -138,42 +138,113 @@ def test_lossy_lone_row_lands_on_its_batch_bits(six_unit_path):
         assert np.array_equal(batch[i], repair_batch(problem, P[i : i + 1])[0]), i
 
 
+def first_scale(problem, P):
+    """The first scale written out on its own: clip, scale as if no unit clips, clip."""
+    x = np.clip(P, problem.p_min_arr, problem.p_max_arr)
+    total, demand = np.vecdot(x, problem.ones), problem.demand
+    if problem.losses is None:
+        s = demand / total
+    else:
+        q = problem.losses.loss(x)
+        s = 2.0 * demand / (total + np.sqrt(np.maximum(total * total - 4.0 * demand * q, 0.0)))
+    return np.clip(s[:, None] * x, problem.p_min_arr, problem.p_max_arr)
+
+
+def lossy_six_unit(six_unit_path, demand):
+    base = load_problem(six_unit_path, demand)
+    return make_problem(base.units, base.demand, losses=LossMatrix(2e-5 * (np.eye(6) + 0.1)))
+
+
+def counting_residuals(monkeypatch):
+    """The residual arrays repair evaluates, through the module attribute it looks up at call time."""
+    seen = []
+    monkeypatch.setattr(ceed.repair, "balance_residual", lambda *args: seen.append(balance_residual(*args)) or seen[-1])
+    return seen
+
+
 # Residual evaluations per repair_batch call on seeded uniform six-unit rows,
 # batches of 1, 1, 10, 10, 10 and 500 rows, then the 500 repaired rows again:
-# one for the first scale and one per correction step.
+# one for the first scale, and one after the step when a row needs it.
 RESIDUAL_CALLS = {
-    (1500.0, False): [2, 2, 2, 3, 3, 3, 1],
-    (2000.0, False): [3, 3, 4, 3, 4, 4, 1],
-    (2000.0, True): [3, 3, 3, 3, 4, 4, 1],
+    (1500.0, False): [2, 2, 2, 2, 2, 2, 1],
+    (2000.0, False): [2, 2, 2, 2, 2, 2, 1],
+    (2000.0, True): [2, 2, 2, 2, 2, 2, 1],
 }
 
 
 @pytest.mark.parametrize("demand, lossy", list(RESIDUAL_CALLS))
-def test_each_correction_step_evaluates_the_residual_once(six_unit_path, monkeypatch, demand, lossy):
-    # a step counter wraps the module attribute repair looks up at call time
-    problem = load_problem(six_unit_path, demand)
-    if lossy:
-        problem = make_problem(problem.units, problem.demand, losses=LossMatrix(2e-5 * (np.eye(6) + 0.1)))
-    calls = []
-    monkeypatch.setattr(ceed.repair, "balance_residual", lambda *args: calls.append(1) or balance_residual(*args))
+def test_a_call_evaluates_the_residual_once_or_twice(six_unit_path, monkeypatch, demand, lossy):
+    problem = lossy_six_unit(six_unit_path, demand) if lossy else load_problem(six_unit_path, demand)
+    seen = counting_residuals(monkeypatch)
     rng = np.random.default_rng(12)
     counts = []
-    for rows in (1, 1, 10, 10, 10, 500):
-        calls.clear()
-        repaired = repair_batch(problem, rng.uniform(problem.p_min_arr, problem.p_max_arr, (rows, 6)))
-        counts.append(len(calls))
-    calls.clear()
-    repair_batch(problem, repaired)
-    assert counts + [len(calls)] == RESIDUAL_CALLS[demand, lossy]
+    for rows in (1, 1, 10, 10, 10, 500, 0):
+        P = rng.uniform(problem.p_min_arr, problem.p_max_arr, (rows, 6)) if rows else repaired
+        seen.clear()
+        repaired = repair_batch(problem, P)
+        at_first_scale = np.all(np.abs(balance_residual(problem, first_scale(problem, P))) <= BALANCE_TOL)
+        assert len(seen) == (1 if at_first_scale else 2)
+        counts.append(len(seen))
+    assert counts == RESIDUAL_CALLS[demand, lossy]
 
 
-# --- the correction step ------------------------------------------------------
+@pytest.mark.parametrize("lossy", [False, True])
+def test_rows_that_land_at_the_first_scale_keep_its_bits(six_unit_path, monkeypatch, lossy):
+    # rows whose scaled image sits inside the limits, as PSO's moves produce them
+    problem = lossy_six_unit(six_unit_path, 1500.0) if lossy else load_problem(six_unit_path, 1500.0)
+    lo, hi = problem.p_min_arr, problem.p_max_arr
+    P = np.random.default_rng(31).uniform(lo + 0.3 * (hi - lo), lo + 0.5 * (hi - lo), (400, 6))
+    expected = first_scale(problem, P)
+    P = P[np.all((lo < expected) & (expected < hi), axis=1)]
+    assert len(P) > 100
+    seen = counting_residuals(monkeypatch)
+    assert np.array_equal(repair_batch(problem, P), first_scale(problem, P))
+    assert len(seen) == 1
 
-# Per row: x, a scale s, and 1 for each unit off its limits at s and at the
-# root.  Row 0 scales up, row 1 up with unit 1 pinned at p_max, row 2 down.
-STEP_X = np.array([[100.0, 150.0, 200.0], [190.0, 100.0, 120.0], [150.0, 280.0, 390.0]])
-STEP_S = np.array([1.0, 1.2, 1.0])
-STEP_ACTIVE = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), at=st.sampled_from(["p_min", "inside", "p_max"]))
+def test_property_a_call_evaluates_the_residual_at_most_twice(seed, n, at):
+    # the first scale, then at most the one step; every row stays in the
+    # batch, so each evaluation covers all of it
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n)
+    if at != "inside":
+        problem = make_problem(problem.units, sum(getattr(u, at) for u in problem.units))
+    P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(1, 10)), n))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = counting_residuals(patch)
+        repaired = repair_batch(problem, P)
+    assert 1 <= len(seen) <= 2
+    assert all(r.shape == (len(P),) for r in seen)
+    for row in repaired:
+        assert_repaired(problem, row)
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_nan_rows_raise_value_error(tiny):
+    # at p_min = 0 the first scale runs under its quiet branch; NaN still reaches the check
+    units = [make_unit(1, 0.0 if tiny else 10.0, 100.0), make_unit(2, 0.0 if tiny else 20.0, 200.0)]
+    problem = make_problem(units, demand=150.0)
+    P = np.array([[30.0, 60.0], [50.0, 100.0], [np.nan, 60.0], [30.0, np.nan]])
+    with pytest.raises(ValueError, match="row 2 of the candidates holds NaN"):
+        repair_batch(problem, P)
+    with pytest.raises(ValueError, match="row 0 of"):
+        repair_batch(problem, P[3:])
+
+
+def test_a_nan_row_is_named_before_an_infeasible_row():
+    units = [make_unit(1, 10.0, 150.0), make_unit(2, 10.0, 150.0)]
+    problem = make_problem(units, demand=290.0, losses=LossMatrix(np.diag([5e-4, 5e-4])))
+    with pytest.raises(ValueError, match="row 1 of"):
+        repair_batch(problem, np.array([[100.0, 120.0], [np.nan, 150.0]]))
+
+
+# --- the step -----------------------------------------------------------------
+
+# Per row, a dispatch within the limits 10-200, 20-300 and 30-400 MW of a
+# 500 MW demand: row 0 is short, row 1 short with unit 1 at p_max, row 2 over.
+STEP_P = np.array([[100.0, 150.0, 200.0], [200.0, 100.0, 120.0], [150.0, 280.0, 390.0]])
 
 
 def step_problem(losses=None):
@@ -181,100 +252,50 @@ def step_problem(losses=None):
     return make_problem(units, demand=500.0, losses=losses)
 
 
-def step_inputs(problem):
-    p = np.clip(STEP_S[:, None] * STEP_X, problem.p_min_arr, problem.p_max_arr)
-    # the active set is as STEP_ACTIVE says before the step too
-    assert np.array_equal(p == STEP_S[:, None] * STEP_X, STEP_ACTIVE.astype(bool))
-    return STEP_X, STEP_S, p, balance_residual(problem, p)
+def step_inputs(problem, p=STEP_P):
+    """p, its residual and d = p - c for the limit c each row needs."""
+    r = balance_residual(problem, p)
+    return p, r, p - np.where(r[:, None] < 0, problem.p_max_arr, problem.p_min_arr)
 
 
-def test_lossy_correction_lands_when_the_active_set_holds():
+def test_lossless_share_is_the_residual_over_the_room():
+    problem = step_problem()
+    p, r, d = step_inputs(problem)
+    assert np.array_equal(r, [-50.0, -80.0, 320.0])
+    t = _share(problem, d, p, r)
+    assert np.array_equal(t, r / d.sum(axis=1))
+    assert t == pytest.approx([50.0 / 450.0, 80.0 / 480.0, 320.0 / 760.0], rel=1e-15)
+
+
+def test_lossy_step_lands_within_a_nanowatt():
     b = [[1e-4, 1e-5, 0.0], [1e-5, 2e-4, 2e-5], [0.0, 2e-5, 1.5e-4]]
     problem = step_problem(LossMatrix(b))
-    x, s, p, r = step_inputs(problem)
+    p, r, d = step_inputs(problem)
     assert np.all(np.abs(r) > 10.0)
-    t = _correction(problem, STEP_ACTIVE * x, s, p, r)
-    landed = np.clip(t[:, None] * x, problem.p_min_arr, problem.p_max_arr)
-    # the root keeps every row's active set
-    assert np.array_equal(landed == t[:, None] * x, STEP_ACTIVE.astype(bool))
-    np.testing.assert_array_less(np.abs(balance_residual(problem, landed)), 1e-9)
+    t = _share(problem, d, p, r)
+    assert np.all((t > 0.0) & (t < 1.0))
+    np.testing.assert_array_less(np.abs(balance_residual(problem, p - t[:, None] * d)), 1e-9)
 
 
-def test_lossless_correction_is_the_newton_step_on_the_active_set():
-    problem = step_problem()
-    x, s, p, r = step_inputs(problem)
-    d = STEP_ACTIVE * x
-    assert np.array_equal(_correction(problem, d, s, p, r), s - r / d.sum(axis=1))
-
-
-@settings(deadline=None, derandomize=True, max_examples=150)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), at=st.sampled_from(["p_min", "inside", "p_max"]))
-def test_property_lossless_steps_stay_on_one_side_of_the_root(seed, n, at):
-    # from a first scale >= 1 only upper limits bind, total output is concave
-    # in the scale and every Newton step lands at or below the root; below 1
-    # only lower limits bind, it is convex and every step lands at or above.
-    # Lossless repair keeps no bracket on that ground
-    rng = np.random.default_rng(seed)
-    problem = random_problem(rng, n)
-    if at != "inside":
-        problem = make_problem(problem.units, sum(getattr(u, at) for u in problem.units))
-    P = rng.uniform(0.0, 1.3 * problem.p_max_arr, (int(rng.integers(1, 10)), n))
-    seen = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ceed.repair, "balance_residual", lambda *args: seen.append(balance_residual(*args)) or seen[-1])
-        repaired = repair_batch(problem, P)
-    # one evaluation for the first scale, then at most N + 1 steps; every row
-    # stays in the loop, so each evaluation covers the whole batch
-    assert len(seen) <= n + 2
-    r = np.array(seen)
-    assert np.all(np.sign(r[0]) * r >= -BALANCE_TOL), r
-    for row in repaired:
-        assert_repaired(problem, row)
-
-
-def test_lossy_step_that_leaves_the_bracket_bisects(six_unit_path, monkeypatch):
-    # both rows scale down onto a unit at p_min, so each first residual is > 0
-    # and each bracket is (0, s0); a first step thrown below 0 must bisect it
-    base = load_problem(six_unit_path, 1500.0)
-    problem = make_problem(base.units, base.demand, losses=LossMatrix(2e-5 * (np.eye(6) + 0.1)))
-    P = np.array([[50.0, 300.0, 500.0, 180.0, 500.0, 300.0], [60.0, 50.0, 560.0, 80.0, 500.0, 300.0]])
-    calls = []
-
-    def thrown_out(problem, d, s, p, r):
-        calls.append((s.copy(), r.copy()))
-        return s - 1e9 if len(calls) == 1 else _correction(problem, d, s, p, r)
-
-    monkeypatch.setattr(ceed.repair, "_correction", thrown_out)
-    repaired = repair_batch(problem, P)
-    (s0, r0), (s1, _) = calls[:2]
-    assert np.all(r0 > BALANCE_TOL)
-    assert np.array_equal(s1, 0.5 * s0)
-    for row in repaired:
-        assert_repaired(problem, row)
-
-
-def test_lossy_correction_of_a_row_does_not_depend_on_its_batch(six_unit_path):
+def test_lossy_share_of_a_row_does_not_depend_on_its_batch(six_unit_path):
     # d @ B on a lone row takes BLAS's one-row path, which rounds otherwise
     # than on a batch, so the step's loss terms are formed row by row
     base = load_problem(six_unit_path, 2000.0)
     rng = np.random.default_rng(23)
-    m = rng.uniform(0.0, 1.0, (6, 6))
-    problem = make_problem(base.units, base.demand, losses=LossMatrix(1e-5 * (m @ m.T)))
-    x = rng.uniform(problem.p_min_arr, problem.p_max_arr, (601, 6))
-    s = rng.uniform(0.9, 1.3, 601)
-    sx = s[:, None] * x
-    p = np.clip(sx, problem.p_min_arr, problem.p_max_arr)
-    d, r = x * (p == sx), balance_residual(problem, p)
-    alone = np.array([_correction(problem, d[i : i + 1], s[i : i + 1], p[i : i + 1], r[i : i + 1])[0]
-                      for i in range(601)])
+    g = rng.uniform(0.0, 1.0, (6, 6))
+    problem = make_problem(base.units, base.demand, losses=LossMatrix(1e-5 * (g @ g.T)))
+    p = np.clip(rng.uniform(0.9, 1.3, (601, 1)) * rng.uniform(problem.p_min_arr, problem.p_max_arr, (601, 6)),
+                problem.p_min_arr, problem.p_max_arr)
+    p, r, d = step_inputs(problem, p)
+    alone = np.array([_share(problem, d[i : i + 1], p[i : i + 1], r[i : i + 1])[0] for i in range(601)])
     assert np.isfinite(alone).all() and (d == 0).any()
     for size in (2, 7, 64, 601):
-        assert np.array_equal(_correction(problem, d[:size], s[:size], p[:size], r[:size]), alone[:size]), size
+        assert np.array_equal(_share(problem, d[:size], p[:size], r[:size]), alone[:size]), size
 
     def stack(a):  # the first 600 rows as (R, K, ...), strided as a view
         return a[:600].reshape(75, 8, *a.shape[1:]).swapaxes(0, 1)
 
-    assert np.array_equal(_correction(problem, stack(d), stack(s), stack(p), stack(r)), stack(alone))
+    assert np.array_equal(_share(problem, stack(d), stack(p), stack(r)), stack(alone))
 
 
 # --- properties over random feasible problems --------------------------------
@@ -313,7 +334,12 @@ def finite_rows(n, max_rows=12):
 @given(st.data())
 def test_property_any_finite_rows_are_repaired(data):
     problem = data.draw(feasible_problems())
-    for row in repair_batch(problem, data.draw(finite_rows(problem.n_units))):
+    P = data.draw(finite_rows(problem.n_units))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = counting_residuals(patch)
+        repaired = repair_batch(problem, P)
+    assert len(seen) <= 2
+    for row in repaired:
         assert_repaired(problem, row)
 
 
@@ -340,3 +366,46 @@ def test_property_row_that_scales_without_clipping_is_scaled(data):
     x = target * data.draw(st.floats(0.95, 1.05))
     repaired = repair_batch(problem, x[None, :])[0]
     np.testing.assert_allclose(repaired, x * (demand / x.sum()), rtol=1e-12)
+
+
+@st.composite
+def lossy_problems_around_net_capacity(draw):
+    """feasible_problems(lossy=True)'s units and B, demand either side of the net output at all-p_max."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_min = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 50.0, n))
+    p_max = p_min + rng.uniform(80.0, 250.0, n)
+    units = [make_unit(i + 1, float(lo), float(hi)) for i, (lo, hi) in enumerate(zip(p_min, p_max))]
+    g = rng.normal(size=(n, n))
+    b = g @ g.T
+    # marginal losses stay below 1/4 on the whole box, so net output grows with
+    # every unit and peaks at all-p_max, above sum(p_min)
+    losses = LossMatrix(0.125 / (np.abs(b) @ p_max).max() * b)
+    lo_total, hi_total = sum(u.p_min for u in units), sum(u.p_max for u in units)
+    net = float(p_max.sum() - losses.loss(p_max))
+    assume(hi_total - net > 1e-3)
+    share = draw(st.floats(1e-3, 1.0))
+    if draw(st.booleans()):
+        demand = max(net - share * (net - lo_total), lo_total)
+    else:
+        demand = min(net + share * (hi_total - net), hi_total)
+    return make_problem(units, demand, losses=losses)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.data())
+def test_property_lossy_rows_close_exactly_when_net_capacity_meets_demand(data):
+    problem = data.draw(lossy_problems_around_net_capacity())
+    P = data.draw(finite_rows(problem.n_units))
+    short = float(balance_residual(problem, problem.p_max_arr))
+    if short >= 0.0:
+        for row in repair_batch(problem, P):
+            assert_repaired(problem, row)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        seen = counting_residuals(patch)
+        with pytest.raises(InfeasibleError) as raised:
+            repair_batch(problem, P)
+    # every row ends at all-p_max, so the error reports the net shortfall
+    np.testing.assert_allclose(seen[-1], short, rtol=0.0, atol=1e-9)
+    assert f"residual {seen[-1][0]:.6g} MW" in str(raised.value)
