@@ -2,11 +2,15 @@
 
 Each unit's power is a gene of `bits_per_gene` bits decoded onto
 [p_min, p_max] up to rounding; the decoded vector is clamped to the limits
-and balance-repaired before evaluation.  An individual's fitness is the
-generation's worst objective minus its own, the odds of rescaling
-objectives onto [0, 1].  The operator rates are the fixed module constants
-P_CROSSOVER and P_MUTATION, and the best individual of each generation
-passes on unchanged, so every generation holds the best row seen so far.
+and balance-repaired before evaluation.  Genes of whole bytes (8, 16 or
+32 bits) are read from the packed batch as big-endian words, other widths
+by a dot with their bits' place values; a gene's integer is exact either
+way, so the width alone picks the path and never the result.  An
+individual's fitness is the generation's worst objective minus its own,
+the odds of rescaling objectives onto [0, 1].  The operator rates are the
+fixed module constants P_CROSSOVER and P_MUTATION, and the best individual
+of each generation passes on unchanged, so every generation holds the best
+row seen so far.
 
 breed makes the next generation of every trial at once, on arrays of
 shape (trials, individuals, bits), and no operation mixes two trials'
@@ -67,21 +71,32 @@ def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.n
     p_i = p_min + u * (p_max - p_min) / (2^bits - 1).  The all-zero gene
     gives p_min exactly; the all-one gene gives p_max only up to rounding
     and may land an ulp above it, which repair_batch clamps away before any
-    row is evaluated.  Up to 53 bits u is an exact integer, so the order in
-    which its bits are summed is immaterial.
+    row is evaluated.  bits may be bool or any integer type of 0s and 1s.
+
+    Genes of 8, 16 or 32 bits fill whole bytes, so the batch is packed in
+    one flat pass and each gene read as one big-endian word; other widths
+    straddle bytes and take a dot of each gene's bits with its place values.
+    Up to 53 bits u is an exact integer in a double either way, so both
+    paths give it bitwise, whatever the batch's layout.
     """
     n, width = problem.n_units, config.bits_per_gene
     arr = np.asarray(bits)
     if arr.ndim != 2 or arr.shape[1] != n * width:
         raise ValueError(f"bitstrings of shape {arr.shape} are not rows of {n} units x {width} bits")
-    u = arr.reshape(-1, width).dot(_gene_weights(width)).reshape(arr.shape[0], n)
-    lo, hi = problem.limit_rows(arr.shape[0])
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"bitstrings of dtype {arr.dtype} are not bool or integer")
+    rows = arr.shape[0]
+    if width in (8, 16, 32):
+        u = np.packbits(arr, axis=None).view(f">u{width // 8}").astype(np.float64).reshape(rows, n)
+    else:
+        u = arr.reshape(-1, width).dot(_gene_weights(width)).reshape(rows, n)
+    lo, hi = problem.limit_rows(rows)
     return lo + u * (hi - lo) / (2.0**width - 1.0)
 
 
 @lru_cache(maxsize=8)
 def _gene_weights(width: int) -> np.ndarray:
-    """Place values 2^(width-1) ... 1 of a gene's bits, MSB first (read-only, shared)."""
+    """Place values 2^(width-1) ... 1 of a gene's bits, MSB first, for decode's dot path (read-only, shared)."""
     weights = 2.0 ** np.arange(width - 1, -1, -1)
     weights.flags.writeable = False
     return weights

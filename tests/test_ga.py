@@ -51,20 +51,57 @@ def test_decode_interior_code_on_known_grid():
     assert decode(np.array([[0, 0, 0, 1]], dtype=np.uint8), problem, cfg)[0] == pytest.approx([20.0])
 
 
+def _formula(bits, problem, width):
+    """p_min + u * (p_max - p_min) / (2^w - 1) per gene, u read from the bits in Python."""
+    scale = 2.0**width - 1.0
+    return [
+        [
+            unit.p_min + int("".join(map(str, row[i * width : (i + 1) * width])), 2) * (unit.p_max - unit.p_min) / scale
+            for i, unit in enumerate(problem.units)
+        ]
+        for row in bits.tolist()
+    ]
+
+
 def test_decode_matches_the_formula_across_problems_and_widths(rng):
-    # decode keeps one weight vector per gene width; alternating problems and
-    # widths must still give p_min + u * (p_max - p_min) / (2^w - 1) per gene
-    problems = [random_problem(rng, 3), random_problem(rng, 5)]
-    for _ in range(3):
-        for problem in problems:
-            for width in (8, 16):
-                bits = rng.integers(0, 2, size=(4, problem.n_units * width), dtype=np.uint8)
-                powers = decode(bits, problem, GaConfig(bits_per_gene=width))
-                for row, decoded in zip(bits.tolist(), powers.tolist()):
-                    for i, unit in enumerate(problem.units):
-                        u = int("".join(map(str, row[i * width : (i + 1) * width])), 2)
-                        span = unit.p_max - unit.p_min
-                        assert decoded[i] == unit.p_min + u * span / (2.0**width - 1.0)
+    # whole-byte widths read packed words, the others a dot with place values;
+    # alternating problems, the bench's 500 x 96 and 100 x 640 batches and
+    # three layouts of each must all give the formula bitwise
+    for width in (4, 8, 12, 16, 24, 32, 53):
+        config = GaConfig(bits_per_gene=width)
+        shapes = [(4, 3 * width), (4, 5 * width), (4, 3 * width)]
+        shapes += [(rows, length) for rows, length in ((500, 96), (100, 640)) if length % width == 0]
+        problems = {}
+        for rows, length in shapes:
+            units = length // width
+            problem = problems.setdefault(units, random_problem(rng, units))
+            bits = rng.integers(0, 2, size=(rows, length), dtype=np.uint8)
+            expected = np.array(_formula(bits, problem, width))
+            twice = np.ones((2 * rows, length), dtype=np.uint8)
+            twice[::2] = bits
+            for layout, batch in (("C", bits), ("row-strided", twice[::2]), ("Fortran", np.asfortranarray(bits))):
+                got = decode(batch, problem, config)
+                assert got.tobytes() == expected.tobytes(), (width, rows, length, layout)
+
+
+@pytest.mark.parametrize("width", (4, 16))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32, np.complex128, object))
+def test_decode_refuses_bits_that_are_not_bool_or_integer(width, dtype):
+    # a float 0/1 array would reach a dot at width 4 and np.packbits at
+    # width 16; both widths refuse it before either path
+    problem = make_problem([make_unit(1, 50.0, 300.0)], demand=100.0)
+    bits = np.zeros((2, width), dtype=dtype)
+    with pytest.raises(ValueError, match=rf"dtype {np.dtype(dtype)} are not bool or integer"):
+        decode(bits, problem, GaConfig(bits_per_gene=width))
+
+
+@pytest.mark.parametrize("width", (4, 16))
+def test_decode_takes_bool_and_any_integer_type(width):
+    problem = make_problem([make_unit(1, 0.0, 300.0)], demand=100.0)
+    ones = np.ones((1, width), dtype=np.uint8)
+    expected = decode(ones, problem, GaConfig(bits_per_gene=width))
+    for dtype in (bool, np.int8, np.int64, np.uint32):
+        assert decode(ones.astype(dtype), problem, GaConfig(bits_per_gene=width)).tobytes() == expected.tobytes()
 
 
 def test_decode_rejects_length_mismatch():
