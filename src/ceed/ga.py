@@ -1,13 +1,11 @@
 """Binary-coded genetic algorithm: roulette selection, one-point crossover, bit flips.
 
-Each unit's power is a gene of `bits_per_gene` bits decoded onto
-[p_min, p_max] up to rounding; the decoded vector is clamped to the limits
-and balance-repaired before evaluation.  Genes of whole bytes (8, 16 or
-32 bits) are read from the packed batch as big-endian words, other widths
-by a dot with their bits' place values; a gene's integer is exact either
-way, so the width alone picks the path and never the result.  An
-individual's fitness is the generation's worst objective minus its own,
-the odds of rescaling objectives onto [0, 1].  The operator rates are the
+Each unit's power is a gene of GaConfig.bits_per_gene = 16 bits decoded
+onto [p_min, p_max] up to rounding; the decoded vector is clamped to the
+limits and balance-repaired before evaluation.  A batch's genes are read
+in one flat pack of its bits as big-endian 16-bit words, each an exact
+integer.  An individual's fitness is the generation's worst objective
+minus its own, the odds of rescaling objectives onto [0, 1].  The operator rates are the
 fixed module constants P_CROSSOVER and P_MUTATION, and the best individual
 of each generation passes on unchanged, so every generation holds the best
 row seen so far.
@@ -34,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -51,8 +49,8 @@ DRAW_BATCH = 1 << 21  # most child bits of a batch drawn in one block, over all 
 class GaConfig:
     individuals: int = 10
     generations: int = 500
-    bits_per_gene: int = 16
     seed: int = 0
+    bits_per_gene: ClassVar[int] = 16  # a constant of the encoding, not a setting
 
     def __post_init__(self) -> None:
         # the elite needs a child beside it
@@ -60,24 +58,20 @@ class GaConfig:
             raise ValueError(f"individuals must be >= 2, got {self.individuals}")
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
-        if not 4 <= self.bits_per_gene <= 53:
-            raise ValueError(f"bits_per_gene must be in [4, 53] to decode exactly, got {self.bits_per_gene}")
 
 
 def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.ndarray:
     """Map each bitstring, one per row, onto the unit power ranges.
 
-    Gene i, read MSB first as an unsigned integer u, decodes to
-    p_i = p_min + u * (p_max - p_min) / (2^bits - 1).  The all-zero gene
+    Gene i, read MSB first as an unsigned 16-bit integer u, decodes to
+    p_i = p_min + u * (p_max - p_min) / (2^16 - 1).  The all-zero gene
     gives p_min exactly; the all-one gene gives p_max only up to rounding
     and may land an ulp above it, which repair_batch clamps away before any
     row is evaluated.  bits may be bool or any integer type of 0s and 1s.
 
-    Genes of 8, 16 or 32 bits fill whole bytes, so the batch is packed in
-    one flat pass and each gene read as one big-endian word; other widths
-    straddle bytes and take a dot of each gene's bits with its place values.
-    Up to 53 bits u is an exact integer in a double either way, so both
-    paths give it bitwise, whatever the batch's layout.
+    A gene fills two whole bytes, so the batch is packed in one flat pass,
+    whatever its layout, and each gene read as one big-endian word; u is an
+    exact integer in a double.
     """
     n, width = problem.n_units, config.bits_per_gene
     arr = np.asarray(bits)
@@ -86,20 +80,9 @@ def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.n
     if arr.dtype.kind not in "biu":
         raise ValueError(f"bitstrings of dtype {arr.dtype} are not bool or integer")
     rows = arr.shape[0]
-    if width in (8, 16, 32):
-        u = np.packbits(arr, axis=None).view(f">u{width // 8}").astype(np.float64).reshape(rows, n)
-    else:
-        u = arr.reshape(-1, width).dot(_gene_weights(width)).reshape(rows, n)
+    u = np.packbits(arr, axis=None).view(">u2").astype(np.float64).reshape(rows, n)
     lo, hi = problem.limit_rows(rows)
     return lo + u * (hi - lo) / (2.0**width - 1.0)
-
-
-@lru_cache(maxsize=8)
-def _gene_weights(width: int) -> np.ndarray:
-    """Place values 2^(width-1) ... 1 of a gene's bits, MSB first, for decode's dot path (read-only, shared)."""
-    weights = 2.0 ** np.arange(width - 1, -1, -1)
-    weights.flags.writeable = False
-    return weights
 
 
 def roulette_select(objectives: np.ndarray, spins: np.ndarray) -> np.ndarray:

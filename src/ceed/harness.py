@@ -139,7 +139,8 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
                 # imported here: the pool module takes about as long to load as `import ceed`
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+                # one process per batch: the pool would start all of max_workers at once
+                with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                     batches = list(pool.map(_run_trial, jobs))
             else:
                 batches = [_run_trial(job) for job in jobs]

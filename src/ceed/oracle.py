@@ -20,6 +20,7 @@ from .model import (
     DispatchSolution,
     InfeasibleError,
     PenaltyFactors,
+    _as_power_vector,
     _prices,
     evaluate_dispatch,
 )
@@ -116,7 +117,7 @@ def kkt_residual(problem: DispatchProblem, h: Optional[PenaltyFactors], powers) 
     if problem.losses is not None:
         raise ValueError("kkt_residual handles lossless problems only")
     b_eff, c_eff = _effective_coeffs(problem, h)
-    p = np.asarray(powers, dtype=float)
+    p = _as_power_vector(problem, powers)
     marginal = b_eff + 2.0 * c_eff * p
     at_min, at_max = p <= problem.p_min_arr, p >= problem.p_max_arr
     free = marginal[~(at_min | at_max)]

@@ -22,13 +22,12 @@ def small_config(**kw):
 
 
 def test_config_rejects_narrow_genes_and_a_lone_individual():
-    with pytest.raises(ValueError):
-        GaConfig(bits_per_gene=3)
-    # decode is exact up to a double's 53-bit significand; wider genes fail when built, not when run
-    assert GaConfig(bits_per_gene=53).bits_per_gene == 53
-    for width in (54, 1100):
-        with pytest.raises(ValueError, match=rf"bits_per_gene must be in \[4, 53\].*got {width}"):
-            GaConfig(bits_per_gene=width)
+    # the gene width is a constant of the encoding, not a setting
+    assert GaConfig.bits_per_gene == 16 and GaConfig().bits_per_gene == 16
+    with pytest.raises(TypeError):
+        GaConfig(bits_per_gene=8)
+    with pytest.raises(TypeError):
+        replace(GaConfig(), bits_per_gene=8)
     # a lone individual would be all elite: the one elite needs a child beside it
     with pytest.raises(ValueError, match="individuals"):
         GaConfig(individuals=1)
@@ -37,18 +36,17 @@ def test_config_rejects_narrow_genes_and_a_lone_individual():
 
 def test_decode_endpoints():
     problem = make_problem([make_unit(1, 50.0, 300.0), make_unit(2, 80.0, 200.0)], demand=400.0)
-    cfg = GaConfig(bits_per_gene=8)
-    powers = decode(np.array([[0] * 16, [1] * 16], dtype=np.uint8), problem, cfg)
+    powers = decode(np.array([[0] * 32, [1] * 32], dtype=np.uint8), problem, GaConfig())
     assert powers.shape == (2, 2)
     assert powers[0] == pytest.approx([50.0, 80.0])
     assert powers[1] == pytest.approx([300.0, 200.0])
 
 
 def test_decode_interior_code_on_known_grid():
-    # bits=4 on [0, 300]: code 0b0001 = 1 of 15 steps -> exactly 20.0
-    problem = make_problem([make_unit(1, 0.0, 300.0)], demand=150.0)
-    cfg = GaConfig(bits_per_gene=4)
-    assert decode(np.array([[0, 0, 0, 1]], dtype=np.uint8), problem, cfg)[0] == pytest.approx([20.0])
+    # on [0, 65535] each of the 2^16 - 1 steps is 1 MW: code 1 -> exactly 1.0, code 0x8001 -> 32769.0
+    problem = make_problem([make_unit(1, 0.0, 65535.0)], demand=150.0)
+    codes = np.array([[0] * 15 + [1], [1] + [0] * 14 + [1]], dtype=np.uint8)
+    assert decode(codes, problem, GaConfig()).tolist() == [[1.0], [32769.0]]
 
 
 def _formula(bits, problem, width):
@@ -64,51 +62,45 @@ def _formula(bits, problem, width):
 
 
 def test_decode_matches_the_formula_across_problems_and_widths(rng):
-    # whole-byte widths read packed words, the others a dot with place values;
     # alternating problems, the bench's 500 x 96 and 100 x 640 batches and
     # three layouts of each must all give the formula bitwise
-    for width in (4, 8, 12, 16, 24, 32, 53):
-        config = GaConfig(bits_per_gene=width)
-        shapes = [(4, 3 * width), (4, 5 * width), (4, 3 * width)]
-        shapes += [(rows, length) for rows, length in ((500, 96), (100, 640)) if length % width == 0]
-        problems = {}
-        for rows, length in shapes:
-            units = length // width
-            problem = problems.setdefault(units, random_problem(rng, units))
-            bits = rng.integers(0, 2, size=(rows, length), dtype=np.uint8)
-            expected = np.array(_formula(bits, problem, width))
-            twice = np.ones((2 * rows, length), dtype=np.uint8)
-            twice[::2] = bits
-            for layout, batch in (("C", bits), ("row-strided", twice[::2]), ("Fortran", np.asfortranarray(bits))):
-                got = decode(batch, problem, config)
-                assert got.tobytes() == expected.tobytes(), (width, rows, length, layout)
+    width, config = GaConfig.bits_per_gene, GaConfig()
+    shapes = [(4, 3 * width), (4, 5 * width), (4, 3 * width), (500, 96), (100, 640)]
+    problems = {}
+    for rows, length in shapes:
+        units = length // width
+        problem = problems.setdefault(units, random_problem(rng, units))
+        bits = rng.integers(0, 2, size=(rows, length), dtype=np.uint8)
+        expected = np.array(_formula(bits, problem, width))
+        twice = np.ones((2 * rows, length), dtype=np.uint8)
+        twice[::2] = bits
+        for layout, batch in (("C", bits), ("row-strided", twice[::2]), ("Fortran", np.asfortranarray(bits))):
+            got = decode(batch, problem, config)
+            assert got.tobytes() == expected.tobytes(), (rows, length, layout)
 
 
-@pytest.mark.parametrize("width", (4, 16))
 @pytest.mark.parametrize("dtype", (np.float64, np.float32, np.complex128, object))
-def test_decode_refuses_bits_that_are_not_bool_or_integer(width, dtype):
-    # a float 0/1 array would reach a dot at width 4 and np.packbits at
-    # width 16; both widths refuse it before either path
+def test_decode_refuses_bits_that_are_not_bool_or_integer(dtype):
+    # a float 0/1 array would otherwise fail inside np.packbits
     problem = make_problem([make_unit(1, 50.0, 300.0)], demand=100.0)
-    bits = np.zeros((2, width), dtype=dtype)
+    bits = np.zeros((2, GaConfig.bits_per_gene), dtype=dtype)
     with pytest.raises(ValueError, match=rf"dtype {np.dtype(dtype)} are not bool or integer"):
-        decode(bits, problem, GaConfig(bits_per_gene=width))
+        decode(bits, problem, GaConfig())
 
 
-@pytest.mark.parametrize("width", (4, 16))
-def test_decode_takes_bool_and_any_integer_type(width):
+def test_decode_takes_bool_and_any_integer_type():
     problem = make_problem([make_unit(1, 0.0, 300.0)], demand=100.0)
-    ones = np.ones((1, width), dtype=np.uint8)
-    expected = decode(ones, problem, GaConfig(bits_per_gene=width))
+    ones = np.ones((1, GaConfig.bits_per_gene), dtype=np.uint8)
+    expected = decode(ones, problem, GaConfig())
     for dtype in (bool, np.int8, np.int64, np.uint32):
-        assert decode(ones.astype(dtype), problem, GaConfig(bits_per_gene=width)).tobytes() == expected.tobytes()
+        assert decode(ones.astype(dtype), problem, GaConfig()).tobytes() == expected.tobytes()
 
 
 def test_decode_rejects_length_mismatch():
     problem = make_problem([make_unit(1, 50.0, 300.0)], demand=100.0)
-    for bits in (np.zeros((1, 7), dtype=np.uint8), np.zeros(8, dtype=np.uint8)):
-        with pytest.raises(ValueError, match="rows of 1 units x 8 bits"):
-            decode(bits, problem, GaConfig(bits_per_gene=8))
+    for bits in (np.zeros((1, 15), dtype=np.uint8), np.zeros(16, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="rows of 1 units x 16 bits"):
+            decode(bits, problem, GaConfig())
 
 
 def test_roulette_odds_follow_worst_minus_objective():

@@ -1,5 +1,6 @@
 """Problem loading, experiment protocol, trace export and report formatting."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -225,6 +226,33 @@ def test_parallel_trials_match_serial(tmp_path):
     assert [t.index for t in parallel.trials] == [0, 1, 2]
     for ts, tp in zip(serial.trials, parallel.trials):
         assert ts.seed == tp.seed
+        assert ts.solution.powers == tp.solution.powers
+        assert ts.trace.tobytes() == tp.trace.tobytes()
+
+
+def test_pool_starts_one_process_per_batch(tmp_path, monkeypatch):
+    # a stand-in pool that runs its jobs in this process and records its size
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    path = write_problem(tmp_path)
+    (pooled,) = run_experiment(quick_spec(path, workers=8, trials=2))
+    assert sizes == [2]  # two batches of one trial, not eight processes
+    (serial,) = run_experiment(quick_spec(path, trials=2))
+    for ts, tp in zip(serial.trials, pooled.trials, strict=True):
+        assert (ts.index, ts.seed) == (tp.index, tp.seed)
         assert ts.solution.powers == tp.solution.powers
         assert ts.trace.tobytes() == tp.trace.tobytes()
 

@@ -14,6 +14,7 @@ import ceed.model
 from ceed.model import DispatchError, Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
 from ceed.oracle import LAMBDA_TOL, _close_balance, _effective_coeffs, grid_search, kkt_residual, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
+from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig, run_trials
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
@@ -125,6 +126,16 @@ def test_kkt_residual_of_pinned_units():
     assert kkt_residual(make_problem(units, demand=110.0, k2=0), None, [100.0, 10.0]) == 0.0
     with pytest.raises(ValueError, match="lossless"):
         kkt_residual(replace(problem, losses=LossMatrix([[1e-4, 0.0], [0.0, 1e-4]])), None, [55.0, 55.0])
+
+
+@pytest.mark.parametrize(
+    "powers", (500.0, [500.0], [[250.0] * 6] * 2, [250.0] * 5), ids=("scalar", "one-value", "2x6-batch", "five-values")
+)
+def test_kkt_residual_refuses_a_malformed_power_vector(six_unit_path, powers):
+    # the first three used to return a residual: 178.6, 178.6 and 91.3 for the batch
+    problem = load_problem(six_unit_path, 1500.0)
+    with pytest.raises(ValueError, match="expected 6 power values"):
+        kkt_residual(problem, penalty_factors_all(problem), powers)
 
 
 def test_grid_search_two_unit_closed_form():
