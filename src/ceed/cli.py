@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -126,7 +127,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     handlers = {"solve": _cmd_solve, "penalty": _cmd_penalty, "oracle": _cmd_oracle}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading: say nothing, and let the last flush write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

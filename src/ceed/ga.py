@@ -5,8 +5,9 @@ onto [p_min, p_max] up to rounding; the decoded vector is clamped to the
 limits and balance-repaired before evaluation.  A batch's genes are read
 in one flat pack of its bits as big-endian 16-bit words, each an exact
 integer.  An individual's fitness is the generation's worst objective
-minus its own, the odds of rescaling objectives onto [0, 1].  The operator rates are the
-fixed module constants P_CROSSOVER and P_MUTATION, and the best individual
+minus its own, the odds of rescaling objectives onto [0, 1].  The operator
+rates are the module constants P_CROSSOVER and P_MUTATION, which
+crossover_masks and flip_positions read themselves, and the best individual
 of each generation passes on unchanged, so every generation holds the best
 row seen so far.
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import ClassVar, Iterable, Iterator, Optional
 
@@ -41,6 +41,7 @@ from .repair import repair_batch
 
 P_CROSSOVER = 0.96  # chance that a parent pair exchanges suffixes
 P_MUTATION = 0.033  # chance that a child bit flips
+_FLIP_RATE = -math.log1p(-P_MUTATION)  # a flip gap is ceil(E / _FLIP_RATE) of a standard exponential E
 DRAW_BLOCK = 1 << 18  # most child bits of one trial drawn in one block
 DRAW_BATCH = 1 << 21  # most child bits of a batch drawn in one block, over all its trials
 
@@ -103,20 +104,18 @@ def roulette_select(objectives: np.ndarray, spins: np.ndarray) -> np.ndarray:
     return (wheel[:, None, :] > spins[:, :, None] * wheel[:, None, -1:]).argmax(axis=2)
 
 
-def crossover_masks(
-    coins: np.ndarray, cuts: np.ndarray, length: int, p: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def crossover_masks(coins: np.ndarray, cuts: np.ndarray, length: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per pair of parents, a 0/1 mask of the bits a single-point suffix exchange swaps.
 
     coins and cuts are uniforms of one shape, one of each per pair; the
-    mask adds an axis of `length` bits.  A pair whose coin is below p
-    exchanges its bits from 1 + floor(cut * (length - 1)) on; a pair that
-    does not cross swaps none.  The mask is uint8, the type of the bits it
-    is applied to, written into the bool array `out` when one is given.
+    mask adds an axis of `length` bits.  A pair whose coin is below
+    P_CROSSOVER exchanges its bits from 1 + floor(cut * (length - 1)) on; a
+    pair that does not cross swaps none.  The mask is uint8, the type of the
+    bits it is applied to, written into the bool array `out` when one is given.
     """
-    positions = _bit_positions(length)
+    positions = np.arange(length, dtype=np.min_scalar_type(length))
     # bit j lies at or past the cut 1 + floor(x) exactly when j > floor(x)
-    kept = np.where(coins < p, cuts * (length - 1), length).astype(positions.dtype)
+    kept = np.where(coins < P_CROSSOVER, cuts * (length - 1), length).astype(positions.dtype)
     return np.greater(positions, kept[..., None], out=out).view(np.uint8)
 
 
@@ -135,41 +134,26 @@ def crossover(parents: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return parents
 
 
-@lru_cache(maxsize=8)
-def _bit_positions(length: int) -> np.ndarray:
-    """0 ... length - 1 in the narrowest unsigned type that holds length (read-only, shared)."""
-    positions = np.arange(length, dtype=np.min_scalar_type(length))
-    positions.flags.writeable = False
-    return positions
-
-
-def flip_positions(rng: np.random.Generator, spans: Iterable[int], p: float) -> Iterator[np.ndarray]:
+def flip_positions(rng: np.random.Generator, spans: Iterable[int]) -> Iterator[np.ndarray]:
     """For each span in turn, the sorted positions in range(span) of its bits that flip.
 
-    Each bit flips with probability p.  The spans lie end to end and the
-    gaps between successive flips over all of them are geometric: the first
-    flip lands at gap - 1 and each later one a gap past the one before.
-    Gaps drawn past a span are kept for the next, so the flips do not depend
-    on how the bits are split into spans.  A gap is ceil(E / -log(1 - p)) of
-    a standard exponential E, the inversion that Generator.geometric itself
-    uses below p = 1/3, so it gives the same integers from the same stream
-    at a third of the cost.  The draw costs O(flips), not O(bits).  p = 0
-    flips nothing and p = 1 every bit.
+    Each bit flips with probability P_MUTATION.  The spans lie end to end
+    and the gaps between successive flips over all of them are geometric:
+    the first flip lands at gap - 1 and each later one a gap past the one
+    before.  Gaps drawn past a span are kept for the next, so the flips do
+    not depend on how the bits are split into spans.  A gap is
+    ceil(E / -log(1 - P_MUTATION)) of a standard exponential E, the
+    inversion that Generator.geometric itself uses below a rate of 1/3, so
+    it gives the same integers from the same stream at a third of the cost.
+    The draw costs O(flips), not O(bits).
     """
-    if p <= 0.0 or p >= 1.0:
-        yield from (np.arange(span if p >= 1.0 else 0, dtype=np.int64) for span in spans)
-        return
-    rate = -math.log1p(-p)
-    # no run holds 2^53 bits, so a gap capped there still passes its end,
-    # and a tiny p cannot overflow the division or the integer cast
-    cap = 2.0**53 * rate
     flips = np.full(1, -1, dtype=np.int64)  # the last flip before the span, then those drawn past it
     for span in spans:
-        expected = span * p
+        expected = span * P_MUTATION
         # enough gaps to pass the end of the span, nearly always in one call
         chunk = int(expected + 6.0 * math.sqrt(expected) + 8.0)
         while flips[-1] < span:
-            gaps = np.ceil(np.minimum(rng.standard_exponential(chunk), cap) / rate).astype(np.int64)
+            gaps = np.ceil(rng.standard_exponential(chunk) / _FLIP_RATE).astype(np.int64)
             flips = np.concatenate([flips, flips[-1] + gaps.cumsum()])
         cut = flips.searchsorted(span)
         yield flips[1:cut]
@@ -276,13 +260,13 @@ def _draws(
     uniforms = np.empty((trials, per_block, 4 * pairs))
     flips = np.empty((trials, per_block, individuals - 1, length), dtype=np.uint8)
     crossings = np.empty((trials, per_block, pairs, length), dtype=bool)
-    streams = [flip_positions(rng.spawn(1)[0], repeat(flips[0].size), P_MUTATION) for rng in rngs]
+    streams = [flip_positions(rng.spawn(1)[0], repeat(flips[0].size)) for rng in rngs]
     for first in range(0, breedings, per_block):
         flips.fill(0)
         for rng, stream, trial_uniforms, trial_flips in zip(rngs, streams, uniforms, flips):
             rng.random(out=trial_uniforms)
             trial_flips.reshape(-1)[next(stream)] = 1
         coins, cuts = uniforms[..., 2 * pairs : 3 * pairs], uniforms[..., 3 * pairs :]
-        masks = crossover_masks(coins, cuts, length, P_CROSSOVER, out=crossings)
+        masks = crossover_masks(coins, cuts, length, out=crossings)
         for g in range(min(per_block, breedings - first)):
             yield uniforms[:, g], masks[:, g], flips[:, g]

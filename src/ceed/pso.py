@@ -122,11 +122,10 @@ def velocity_update(
     pbest: np.ndarray,
     gbest: np.ndarray,
     w: float,
-    cf: float,
     c1r1: np.ndarray,
     c2r2: np.ndarray,
 ) -> np.ndarray:
-    """v <- cf * (w * v + c1r1 * (pbest - x) + c2r2 * (gbest - x)), in place; returns v.
+    """v <- CONSTRICTION * (w * v + c1r1 * (pbest - x) + c2r2 * (gbest - x)), in place; returns v.
 
     Kept separate so the kernel is testable in closed form.  The operations
     are those of the formula in its order, so the result is bitwise that of
@@ -139,7 +138,7 @@ def velocity_update(
     np.subtract(gbest, x, out=pull)
     pull *= c2r2
     v += pull
-    v *= cf
+    v *= CONSTRICTION
     return v
 
 
@@ -207,7 +206,6 @@ def step(
         state.pbest_pos.reshape(grid),
         state.gbest_pos[:, None],
         config.inertia(iteration),
-        CONSTRICTION,
         r[:, 0],
         r[:, 1],
     )

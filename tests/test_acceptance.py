@@ -9,7 +9,7 @@ penalty factors, and the table's arithmetic identities.
 
 import numpy as np
 
-from ceed.ga import GaConfig, crossover, crossover_masks, flip_positions, roulette_select
+from ceed.ga import P_MUTATION, GaConfig, crossover, crossover_masks, flip_positions, roulette_select
 from ceed.ga import run as ga_run
 from ceed.ga import run_trials as ga_run_trials
 from ceed.harness import ExperimentSpec, run_experiment
@@ -205,14 +205,14 @@ def test_criterion_6_invariant_suite(rng):
     a = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
     b = cross_rng.integers(0, 2, (200, 48), dtype=np.uint8)
     parents = np.stack([a, b], axis=1).reshape(1, 400, 48)
-    children = crossover(parents, crossover_masks(cross_rng.random((1, 200)), cross_rng.random((1, 200)), 48, 1.0))[0]
+    children = crossover(parents, crossover_masks(cross_rng.random((1, 200)), cross_rng.random((1, 200)), 48))[0]
     if not np.array_equal(children[0::2] + children[1::2], a + b):
         failures.append("crossover lost bits")
 
     # mutation flip count within 3 sigma of binomial(n, p_m)
     mut_rng = np.random.default_rng(79)
-    n, pm = 10_000, 0.033
-    flips = next(flip_positions(mut_rng, [n], pm)).size
+    n, pm = 10_000, P_MUTATION
+    flips = next(flip_positions(mut_rng, [n])).size
     sigma = np.sqrt(n * pm * (1 - pm))
     if abs(flips - n * pm) > 3 * sigma:
         failures.append(f"mutation flips {flips} outside binomial band")

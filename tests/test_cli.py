@@ -43,6 +43,28 @@ def test_python_m_ceed_runs_the_cli(six_unit_path):
     assert "h_nox = 3.1669" in done.stdout
 
 
+@pytest.mark.parametrize("command", [
+    ["penalty", "--demand", "1500"],
+    ["solve", "--demand", "1500", "--trials", "1", "--iterations", "5"],
+], ids=["penalty", "solve"])
+def test_a_reader_that_has_gone_exits_1_quietly(six_unit_path, command):
+    # stdout is a pipe whose read end is closed before the start, buffered or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ceed", command[0], "--problem", str(six_unit_path), *command[1:]],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env={**env, **unbuffered}, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_ERROR, ""), unbuffered
+
+
 def test_penalty_prints_a_demand_that_g_would_round(tmp_path, capsys):
     path = write_problem(tmp_path)
     assert main(["penalty", "--problem", str(path), "--demand", "330.0004"]) == EXIT_OK

@@ -146,19 +146,22 @@ def test_crossover_suffix_swap_and_bit_conservation():
     rng = np.random.default_rng(9)
     a = np.zeros((1, 4), dtype=np.uint8)
     b = np.ones((1, 4), dtype=np.uint8)
-    ca, cb = crossover(pairs_of(a, b), crossover_masks(rng.random((1, 1)), rng.random((1, 1)), 4, 1.0))[0]
+    # the last coin below P_CROSSOVER crosses
+    below = np.full((1, 1), np.nextafter(ga.P_CROSSOVER, 0.0))
+    ca, cb = crossover(pairs_of(a, b), crossover_masks(below, rng.random((1, 1)), 4))[0]
     assert ca.sum() + cb.sum() == 4  # bits conserved across the pair
-    assert not np.array_equal(ca, a[0])  # p_c = 1 always crosses
+    assert not np.array_equal(ca, a[0])  # a coin below P_CROSSOVER always crosses
     # one suffix swap: child a keeps a prefix of a and takes the suffix of b
     assert np.array_equal(ca, np.sort(ca)) and np.array_equal(cb, 1 - ca)
     # the cut 1 + floor(u * (bits - 1)) runs over 1 ... bits - 1 and no further
     zeros, ones = np.zeros((2, 4), dtype=np.uint8), np.ones((2, 4), dtype=np.uint8)
     cuts = np.array([[0.0, np.nextafter(1.0, 0.0)]])
-    edges = crossover(pairs_of(zeros, ones), crossover_masks(np.zeros((1, 2)), cuts, 4, 1.0))[0]
+    edges = crossover(pairs_of(zeros, ones), crossover_masks(np.zeros((1, 2)), cuts, 4))[0]
     assert edges[0].tolist() == [0, 1, 1, 1] and edges[2].tolist() == [0, 0, 0, 1]
     pa = rng.integers(0, 2, (50, 32), dtype=np.uint8)
     pb = rng.integers(0, 2, (50, 32), dtype=np.uint8)
-    children = crossover(pairs_of(pa, pb), crossover_masks(rng.random((1, 50)), rng.random((1, 50)), 32, 1.0))[0]
+    crossing = ga.P_CROSSOVER * rng.random((1, 50))  # uniform below P_CROSSOVER: every pair crosses
+    children = crossover(pairs_of(pa, pb), crossover_masks(crossing, rng.random((1, 50)), 32))[0]
     assert np.array_equal(children[0::2] + children[1::2], pa + pb)  # per-position multiset of every pair
 
 
@@ -166,15 +169,15 @@ def test_crossover_disabled_copies_parents():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 2, (4, 16), dtype=np.uint8)
     b = rng.integers(0, 2, (4, 16), dtype=np.uint8)
-    children = crossover(pairs_of(a, b), crossover_masks(rng.random((1, 4)), rng.random((1, 4)), 16, 0.0))[0]
+    # coins from P_CROSSOVER itself up to 1: no pair crosses
+    staying = np.array([[ga.P_CROSSOVER, 0.97, 0.99, np.nextafter(1.0, 0.0)]])
+    children = crossover(pairs_of(a, b), crossover_masks(staying, rng.random((1, 4)), 16))[0]
     assert np.array_equal(children[0::2], a) and np.array_equal(children[1::2], b)
 
 
 def test_mutation_extremes_and_rate():
     rng = np.random.default_rng(21)
-    assert next(flip_positions(rng, [256], 0.0)).size == 0
-    assert np.array_equal(next(flip_positions(rng, [256], 1.0)), np.arange(256))
-    flips = next(flip_positions(rng, [10_000], 0.033))
+    flips = next(flip_positions(rng, [10_000]))
     assert np.all(np.diff(flips) > 0) and 0 <= flips[0] and flips[-1] < 10_000
     assert 300 <= flips.size <= 360  # binomial(10000, 0.033) well within 3 sigma
 
@@ -182,10 +185,10 @@ def test_mutation_extremes_and_rate():
 def test_mutation_first_and_last_bit_flip_at_the_rate():
     # a geometric off-by-one would skip bit 0 or let a flip land one past the end
     rng = np.random.default_rng(22)
-    span, draws, pm = 16, 10_000, 0.033
+    span, draws, pm = 16, 10_000, ga.P_MUTATION
     first = last = 0
     for _ in range(draws):
-        flips = next(flip_positions(rng, [span], pm))
+        flips = next(flip_positions(rng, [span]))
         assert flips.size == 0 or (flips[0] >= 0 and flips[-1] < span)
         first += flips.size > 0 and flips[0] == 0
         last += flips.size > 0 and flips[-1] == span - 1
@@ -194,27 +197,13 @@ def test_mutation_first_and_last_bit_flip_at_the_rate():
     assert abs(last - draws * pm) <= 3 * sigma
 
 
-@pytest.mark.parametrize("p", [1e-20, 5e-324])
-def test_mutation_at_a_tiny_rate_stays_in_the_span(p):
-    # a gap of ~1e20 bits would wrap in the integer cast, and p = 5e-324 would
-    # overflow the division; both warn, and pytest turns warnings into errors
-    rng = np.random.default_rng(24)
-    for _ in range(100):
-        flips = next(flip_positions(rng, [1000], p))
-        assert np.all((0 <= flips) & (flips < 1000))
-
-
 @settings(deadline=None, derandomize=True, max_examples=60)
-@given(
-    cuts=st.lists(st.integers(0, 3000), max_size=6),
-    p=st.sampled_from([0.0, 1e-20, 0.001, 0.033, 0.3, 0.9, 1.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_property_split_spans_flip_the_bits_of_one_span(cuts, p, seed):
+@given(cuts=st.lists(st.integers(0, 3000), max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_property_split_spans_flip_the_bits_of_one_span(cuts, seed):
     # one flip stream over 3000 bits, drawn as one span or as consecutive ones
     bounds = [0, *sorted(cuts), 3000]
-    whole = next(flip_positions(np.random.default_rng(seed), [3000], p))
-    parts = flip_positions(np.random.default_rng(seed), np.diff(bounds).tolist(), p)
+    whole = next(flip_positions(np.random.default_rng(seed), [3000]))
+    parts = flip_positions(np.random.default_rng(seed), np.diff(bounds).tolist())
     joined = np.concatenate([start + part for start, part in zip(bounds, parts)])
     assert joined.tobytes() == whole.tobytes()
 
@@ -238,25 +227,32 @@ def test_breed_shape_dtype_and_elite(individuals):
     assert np.array_equal(nxt[0], population[np.argmin(objectives)])  # the elite survives bitwise
 
 
+def hand_built_generation(population, objectives, rng, coin, flip):
+    """breed one trial with every pair's coin set to `coin` and every child bit's flip to `flip`."""
+    individuals, length = population.shape
+    pairs = individuals // 2
+    uniforms = rng.random((1, 4 * pairs))
+    uniforms[:, 2 * pairs : 3 * pairs] = coin
+    masks = crossover_masks(uniforms[:, 2 * pairs : 3 * pairs], uniforms[:, 3 * pairs :], length)
+    flips = np.full((1, individuals - 1, length), flip, dtype=np.uint8)
+    return breed(population[None], objectives[None], uniforms, masks, flips)[0]
+
+
 @pytest.mark.parametrize("individuals", [10, 11, 12])
-def test_breed_conserves_bits_per_pair(individuals, monkeypatch):
-    # with p_c = 1 and p_m = 0 every child pair holds the bits of two parents
-    monkeypatch.setattr(ga, "P_CROSSOVER", 1.0)
-    monkeypatch.setattr(ga, "P_MUTATION", 0.0)
+def test_breed_conserves_bits_per_pair(individuals):
+    # when every pair crosses and no bit flips, every child pair holds the bits of two parents
     population, objectives, rng = generation_inputs(individuals, 40 + individuals)
-    nxt = one_generation(population, objectives, rng)
+    nxt = hand_built_generation(population, objectives, rng, coin=0.0, flip=0)
     children = nxt[1:]
     pair_sums = {(a + b).tobytes() for a in population for b in population}
     for k in range(0, len(children) - 1, 2):
         assert (children[k] + children[k + 1]).tobytes() in pair_sums
 
 
-def test_breed_flips_every_child_bit_at_rate_one(monkeypatch):
-    # with p_c = 0 and p_m = 1 each child is the complement of a parent
-    monkeypatch.setattr(ga, "P_CROSSOVER", 0.0)
-    monkeypatch.setattr(ga, "P_MUTATION", 1.0)
+def test_breed_flips_every_child_bit_at_rate_one():
+    # when no pair crosses and every child bit flips, each child is the complement of a parent
     population, objectives, rng = generation_inputs(9, 60)
-    nxt = one_generation(population, objectives, rng)
+    nxt = hand_built_generation(population, objectives, rng, coin=0.99, flip=1)
     assert np.array_equal(nxt[0], population[np.argmin(objectives)])
     complements = {(1 - row).tobytes() for row in population}
     assert all(child.tobytes() in complements for child in nxt[1:])
@@ -376,7 +372,7 @@ def test_property_batched_trials_equal_lone_runs(problem, trials, individuals, g
     rngs = [np.random.default_rng(seed + i) for i in range(trials)]
     for uniforms, masks, _ in ga._draws(rngs, max(generations - 1, 0), individuals, length):
         coins, cuts = uniforms[:, 2 * pairs : 3 * pairs], uniforms[:, 3 * pairs :]
-        assert np.array_equal(masks, crossover_masks(coins, cuts, length, ga.P_CROSSOVER))
+        assert np.array_equal(masks, crossover_masks(coins, cuts, length))
     h = penalty_factors_all(problem)
     batch = run_trials(problem, config, h, trials)
     assert len(batch) == trials

@@ -10,6 +10,8 @@ rewrites the affected groups and names them in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py ga         # only the GA cases
     PYTHONPATH=src python tests/test_golden.py --diff ga  # list what would move; write nothing
 
+--diff exits 1 when any case would move and 0 when none would.
+
 Mismatch policy: NumPy's SIMD reductions may sum in another order on another
 CPU or NumPy version, so the digests are compared exactly only where the
 running NumPy version and machine type are those recorded in the file.
@@ -176,8 +178,11 @@ def regenerate(groups) -> None:
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
 
 
-def diff(groups) -> None:
-    """Print each recorded case of the given groups that would move, with its relative total-cost move."""
+def diff(groups) -> int:
+    """Print each recorded case of the given groups that would move, with its relative total-cost move.
+
+    Returns how many would move.
+    """
     recorded = json.loads(GOLDEN.read_text())["cases"]
     moved = 0
     for group in groups:
@@ -195,16 +200,35 @@ def diff(groups) -> None:
                 continue
             moved += 1
     print(f"{moved} case(s) would move in {', '.join(groups)}")
+    return moved
 
 
-if __name__ == "__main__":
-    args = sys.argv[1:]
+def main(args) -> int:
+    """Regenerate the named groups (all by default), or with --diff in front list what would move; the exit status."""
     show = args[:1] == ["--diff"]
     chosen = args[show:] or list(GROUPS)
     unknown = sorted(set(chosen) - set(GROUPS))
     if unknown:
         sys.exit(f"unknown group(s) {unknown}; choose from {list(GROUPS)}")
     if show:
-        diff(chosen)
-    else:
-        regenerate(chosen)
+        return 1 if diff(chosen) else 0
+    regenerate(chosen)
+    return 0
+
+
+def test_diff_exits_1_when_a_case_would_move(tmp_path, monkeypatch, capsys):
+    golden = json.loads(GOLDEN.read_text())
+    if _same_build(golden):
+        assert main(["--diff", "oracle"]) == 0
+    case = golden["cases"]["oracle/lambda/six/1500"]
+    case["total_cost"] = _hex(float.fromhex(case["total_cost"]) * 2.0)
+    altered = tmp_path / "golden.json"
+    altered.write_text(json.dumps(golden))
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", altered)
+    assert main(["--diff", "oracle"]) == 1
+    assert "oracle/lambda/six/1500: total cost" in capsys.readouterr().out
+    assert json.loads(altered.read_text()) == golden  # --diff writes nothing
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

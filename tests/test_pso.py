@@ -69,14 +69,14 @@ def test_init_single_unit_lands_on_demand():
 
 
 def test_velocity_update_drift_closed_form():
-    # with w = cf = 1 and c1 * r1 = c2 * r2 = 0 the velocity is carried
-    # unchanged, so positions follow x + v0 exactly
+    # with w = 1 and c1 * r1 = c2 * r2 = 0 the velocity only contracts by
+    # CONSTRICTION, so positions follow x + CONSTRICTION * v0
     v0 = np.array([[3.0, -2.0]])
     x = np.array([[100.0, 200.0]])
     zero = np.zeros_like(x)
-    v = velocity_update(v0.copy(), x, x, x[0], 1.0, 1.0, zero, zero)
-    assert v == pytest.approx(v0)
-    assert (x + v)[0] == pytest.approx([103.0, 198.0])
+    v = velocity_update(v0.copy(), x, x, x[0], 1.0, zero, zero)
+    assert v == pytest.approx(pso.CONSTRICTION * v0)
+    assert (x + v)[0] == pytest.approx([100.0 + 3.0 * pso.CONSTRICTION, 200.0 - 2.0 * pso.CONSTRICTION])
 
 
 def test_velocity_update_writes_the_formula_into_v():
@@ -84,8 +84,8 @@ def test_velocity_update_writes_the_formula_into_v():
     rng = np.random.default_rng(5)
     v, x, pbest, c1r1, c2r2 = (rng.uniform(-50.0, 50.0, (3, 4, 5)) for _ in range(5))
     gbest = rng.uniform(-50.0, 50.0, (3, 1, 5))
-    expected = 0.7 * (0.6 * v + c1r1 * (pbest - x) + c2r2 * (gbest - x))
-    out = velocity_update(v, x, pbest, gbest, 0.6, 0.7, c1r1, c2r2)
+    expected = pso.CONSTRICTION * (0.6 * v + c1r1 * (pbest - x) + c2r2 * (gbest - x))
+    out = velocity_update(v, x, pbest, gbest, 0.6, c1r1, c2r2)
     assert out is v
     assert v.tobytes() == expected.tobytes()
 
