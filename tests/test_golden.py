@@ -12,18 +12,22 @@ rewrites the affected groups and names them in CHANGES.md:
 
 --diff exits 1 when any case would move and 0 when none would.
 
-Mismatch policy: NumPy's SIMD reductions may sum in another order on another
-CPU or NumPy version, so the digests are compared exactly only where the
-running NumPy version and machine type are those recorded in the file.
-Elsewhere each case's total cost is compared to GOLDEN_REL relative, and the
-test prints that it did so.
+Mismatch policy: NumPy's SIMD reductions and OpenBLAS's kernels may sum in
+another order on another CPU, NumPy version or BLAS core, so the digests are
+compared exactly only where the running NumPy version, machine type and
+OpenBLAS core (blas_core) are those recorded in the file.  Elsewhere each
+case's total cost is compared to GOLDEN_REL relative, and the test prints
+that it did so.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -44,6 +48,16 @@ from conftest import make_problem, random_problem
 GOLDEN = Path(__file__).with_name("golden.json")
 GROUPS = ("pso", "ga", "oracle")
 GOLDEN_REL = 1e-9  # total-cost tolerance where the NumPy build differs
+
+
+def blas_core():
+    """The kernel family NumPy's bundled OpenBLAS runs ('SkylakeX', 'Haswell', ...), or None if unreadable."""
+    for lib in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def _hex(x) -> str:
@@ -135,7 +149,7 @@ def compute(group: str) -> dict:
 
 
 def _same_build(golden: dict) -> bool:
-    return golden["numpy"] == np.__version__ and golden["machine"] == platform.machine()
+    return (golden["numpy"], golden["machine"], golden["blas_core"]) == (np.__version__, platform.machine(), blas_core())
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -147,15 +161,34 @@ def test_golden_digests(group):
     if _same_build(golden):
         moved = [name for name in expected if actual[name] != expected[name]]
         assert not moved, f"{len(moved)} golden cases moved: {moved}"
-        return
-    print(
-        f"golden: NumPy {np.__version__} on {platform.machine()} is not the recorded "
-        f"{golden['numpy']} on {golden['machine']}; comparing total cost to {GOLDEN_REL:g} relative"
+    else:
+        print(
+            f"golden: NumPy {np.__version__} on {platform.machine()} with BLAS core {blas_core()} is not the "
+            f"recorded {golden['numpy']} on {golden['machine']} with {golden['blas_core']}; "
+            f"comparing total cost to {GOLDEN_REL:g} relative"
+        )
+        for name, case in expected.items():
+            want = float.fromhex(case["total_cost"])
+            got = float.fromhex(actual[name]["total_cost"])
+            assert got == pytest.approx(want, rel=GOLDEN_REL), name
+
+
+def test_golden_digests_hold_under_another_blas_core():
+    # OPENBLAS_CORETYPE picks the kernel at load time, so only a child process
+    # can run one; Haswell is OpenBLAS's choice on AVX2 hosts without AVX-512
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    env["PYTHONPATH"] = os.pathsep.join(str(GOLDEN.parents[1] / part) for part in ("src", "tests"))
+    core = subprocess.run(
+        [sys.executable, "-c", "from test_golden import blas_core; print(blas_core())"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if core != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell runs the {core} core here")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_golden_digests"],
+        cwd=GOLDEN.parents[1], env=env, capture_output=True, text=True,
     )
-    for name, case in expected.items():
-        want = float.fromhex(case["total_cost"])
-        got = float.fromhex(actual[name]["total_cost"])
-        assert got == pytest.approx(want, rel=GOLDEN_REL), name
+    assert child.returncode == 0, child.stdout + child.stderr
 
 
 def regenerate(groups) -> None:
@@ -172,6 +205,7 @@ def regenerate(groups) -> None:
     golden = {
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "blas_core": blas_core(),
         "regenerate": "PYTHONPATH=src python tests/test_golden.py [group ...]",
         "cases": dict(sorted(cases.items())),
     }
