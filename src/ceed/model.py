@@ -354,8 +354,9 @@ def check_limits(
 class DispatchSolution:
     """An evaluated dispatch: powers plus every reported quantity.
 
-    total_cost is k1 * fuel_cost + k2 * emission_cost by construction, so
-    the identity holds exactly for every solution this module produces.
+    Exact: total_cost is the search objective the solvers ranked the powers
+    by (combined_objective_batch), and equals fuel_cost when k2 = 0.  Only to
+    rounding: total_cost = k1 * fuel_cost + k2 * emission_cost.
     """
 
     powers: tuple[float, ...]
@@ -379,20 +380,21 @@ def evaluate_dispatch(
 ) -> DispatchSolution:
     """The full solution record of one power vector, the package's one scalar evaluator.
 
-    emission_cost is sum_g h_g * E_g whenever h is given.  h may be omitted
-    only when k2 = 0, and the emission cost is then 0; otherwise it must
-    supply a finite, positive factor for every gas, computed at the
-    problem's own demand.
+    Every curve is summed on the objective's row kernel.  emission_cost is
+    sum_g h_g * E_g whenever h is given.  h may be omitted only when k2 = 0,
+    and the emission cost is then 0; otherwise it must supply a finite,
+    positive factor for every gas, computed at the problem's own demand.
     """
     p = _as_power_vector(problem, powers)
-    fc, *em = curve_values(problem, p).sum(axis=-1).tolist()
+    a, b, c = problem.coeff_stack.transpose(1, 0, 2)
+    fc, *em = (a.sum(axis=-1) + np.vecdot(p, b + c * p)).tolist()
     ec = float(sum(price * e for price, e in zip(_prices(problem, h), em)))
     return DispatchSolution(
         powers=tuple(p.tolist()),
         fuel_cost=fc,
         emissions=dict(zip(problem.gases, em)),
         emission_cost=ec,
-        total_cost=problem.k1 * fc + problem.k2 * ec,
+        total_cost=float(combined_objective_batch(problem, p[None], h)[0]),
         balance_residual=float(balance_residual(problem, p)),
         limit_violations=tuple(check_limits(problem, p)),
     )
@@ -410,9 +412,7 @@ def evaluate_dispatch(
 # is frozen with read-only prices checked when it is built, and the pair is
 # stored only after _prices has matched that h to this problem.  Any other h,
 # equal or not, goes through _prices and replaces the pair, so a rejected h
-# leaves the last valid one in place.  Summed in another order than
-# evaluate_dispatch, the objective agrees with total_cost to rounding, not
-# bitwise; tests/test_model.py holds the two together by a property.
+# leaves the last valid one in place.  evaluate_dispatch scores its row here too.
 
 # The memo's h before any fold: no h is this object.
 _NO_H = object()

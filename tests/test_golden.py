@@ -173,6 +173,16 @@ def test_golden_digests(group):
             assert got == pytest.approx(want, rel=GOLDEN_REL), name
 
 
+@pytest.mark.parametrize("solver", ("pso", "ga"))
+def test_every_golden_trace_ends_at_its_total_cost(monkeypatch, solver):
+    def ends(solution, trace):
+        return {"total_cost": solution.total_cost, "trace_end": trace[-1]}
+
+    monkeypatch.setattr(sys.modules[__name__], "trial_digest", ends)
+    cases = _solver_cases(solver)
+    assert [name for name, case in cases.items() if case["total_cost"] != case["trace_end"]] == []
+
+
 def test_golden_digests_hold_under_another_blas_core():
     # OPENBLAS_CORETYPE picks the kernel at load time, so only a child process
     # can run one; Haswell is OpenBLAS's choice on AVX2 hosts without AVX-512

@@ -227,14 +227,17 @@ def test_emission_cost_is_weighted_sum(rng):
     assert evaluate_dispatch(problem, p, h).emission_cost == pytest.approx(expected, rel=1e-12)
 
 
-def test_total_cost_identity_holds_by_construction(rng):
-    for k1, k2 in ((1, 1), (1, 0), (0, 1)):
-        problem = random_problem(rng, 4)
-        problem = make_problem(problem.units, problem.demand, k1=k1, k2=k2)
-        p = rng.uniform(problem.p_min_arr, problem.p_max_arr)
-        h = PenaltyFactors({g: rng.uniform(0.1, 6.0) for g in problem.gases}, problem.demand)
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(problem=weighted_problems(max_units=8), seed=st.integers(0, 2**32 - 1))
+def test_property_total_cost_identity(problem, seed):
+    # TC = k1 FC + k2 EC holds to rounding; with k2 = 0, TC is FC bit for bit
+    rng = np.random.default_rng(seed)
+    h = PenaltyFactors({g: rng.uniform(0.1, 6.0) for g in problem.gases}, problem.demand)
+    for p in rng.uniform(problem.p_min_arr, problem.p_max_arr, (15, problem.n_units)):
         sol = evaluate_dispatch(problem, p, h)
-        assert sol.total_cost == k1 * sol.fuel_cost + k2 * sol.emission_cost
+        assert sol.total_cost == pytest.approx(problem.k1 * sol.fuel_cost + problem.k2 * sol.emission_cost, rel=1e-12)
+        if not problem.k2:
+            assert sol.total_cost == sol.fuel_cost == evaluate_dispatch(problem, p).total_cost
 
 
 def test_evaluate_dispatch_reports_residual_and_violations(rng):
@@ -255,7 +258,7 @@ def test_property_batch_objective_matches_evaluate_dispatch(problem, rows, seed)
     P = np.random.default_rng(seed).uniform(problem.p_min_arr, problem.p_max_arr, (rows, problem.n_units))
     batch = combined_objective_batch(problem, P, h)
     for i in range(rows):
-        assert batch[i] == pytest.approx(evaluate_dispatch(problem, P[i], h).total_cost, rel=1e-12)
+        assert batch[i] == evaluate_dispatch(problem, P[i], h).total_cost
 
 
 def test_objective_fold_never_goes_stale(six_unit_path):

@@ -148,15 +148,24 @@ def test_grid_search_two_unit_closed_form():
 
 
 def test_oracles_do_not_use_the_solvers_objective(rng, monkeypatch):
+    # only the final scoring of the oracles' answer shares the solvers' fold;
+    # a skewed fold moves that score and nothing the oracles search with
     problem = random_problem(rng, 3)
     h = penalty_factors_all(problem)
+    fold = ceed.model._fold
 
-    def solvers_fold(*args):
-        raise AssertionError("an oracle folded the solvers' objective")
+    def skewed_fold(problem, h, rows):
+        sum_a, b, c = fold(problem, h, rows)
+        return sum_a + 1.0, 2.0 * b, c
 
-    expected = grid_search(problem, h), lambda_solve(problem, h)
-    monkeypatch.setattr(ceed.model, "_fold", solvers_fold)
-    assert (grid_search(problem, h), lambda_solve(problem, h)) == expected
+    grid, lam = grid_search(problem, h), lambda_solve(problem, h)
+    lam_tc = lam.solution(problem, h).total_cost
+    monkeypatch.setattr(ceed.model, "_fold", skewed_fold)
+    skewed_grid, skewed_lam = grid_search(problem, h), lambda_solve(problem, h)
+    assert skewed_grid.powers == grid.powers
+    assert (skewed_lam.lambda_, skewed_lam.powers) == (lam.lambda_, lam.powers)
+    assert skewed_grid.total_cost != grid.total_cost
+    assert skewed_lam.solution(problem, h).total_cost != lam_tc
 
 
 def test_grid_search_refuses_large_problems(rng):
@@ -226,5 +235,5 @@ def test_lambda_solution_record_matches_objective(rng):
     res = lambda_solve(problem, h)
     sol = res.solution(problem, h)
     objective = combined_objective_batch(problem, np.array([res.powers]), h)[0]
-    assert sol.total_cost == pytest.approx(objective, rel=1e-12)
+    assert sol.total_cost == objective
     assert sol.feasible
