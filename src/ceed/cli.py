@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
     solve.add_argument("--k1", type=int, choices=(0, 1), default=1)
     solve.add_argument("--k2", type=int, choices=(0, 1), default=1)
-    solve.add_argument("--workers", type=int, default=0,
-                       help="parallel trial workers; 0 runs serially")
     solve.add_argument("--out", default=None, help="directory for traces and the report")
 
     penalty = sub.add_parser("penalty", help="print the per-gas penalty factors")
@@ -70,7 +68,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         k2=args.k2,
         pso_config=None if args.iterations is None else pso.PsoConfig(iterations=args.iterations),
         ga_config=None if args.iterations is None else ga.GaConfig(generations=args.iterations),
-        workers=args.workers,
     )
     # a zero budget leaves every trace empty, and export_trace refuses those
     if args.out is not None and args.iterations == 0:

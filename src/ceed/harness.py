@@ -5,13 +5,14 @@ reduce the results in index order, so a report's deterministic section is
 byte-identical across repeats of the same spec; wall-clock figures live in
 a separate timing section because they never reproduce exactly.  The trials
 of a (solver, demand) pair run as one batch through the solver's
-run_trials, or as one contiguous batch per worker with `workers`; a trial's
+run_trials (split over `workers` processes only on request), and a trial's
 result does not depend on its batch.  run_experiment writes no files: a
 caller writes reports with format_report and traces with export_trace.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,7 +42,7 @@ class ExperimentSpec:
     k2: int = 1
     pso_config: Optional[pso.PsoConfig] = None
     ga_config: Optional[ga.GaConfig] = None
-    workers: int = 0  # 0 = run trials serially
+    workers: int = 0  # 0 = serial; kept for bench/layers.py::workers2_speedup and its tier-1 test
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "demands", tuple(float(d) for d in self.demands))
@@ -49,15 +50,18 @@ class ExperimentSpec:
             raise ValueError("an experiment needs at least one demand")
         if len(set(self.demands)) < len(self.demands):
             raise ValueError(f"demands must differ (a repeat reruns the same seeds), got {list(self.demands)}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        for name, least in (("trials", 1), ("base_seed", 0), ("workers", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.solver not in (*SOLVER_NAMES, "both"):
             raise ValueError(f"solver must be pso, ga or both, got {self.solver!r}")
-        for config in (self.pso_config, self.ga_config):
+        for name, kind in (("pso_config", pso.PsoConfig), ("ga_config", ga.GaConfig)):
+            config = getattr(self, name)
+            if config is not None and not isinstance(config, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {type(config).__name__}")
             if config is not None and config.seed != 0:
                 raise ValueError(
                     f"solver configs must leave seed at 0, got {config.seed}; "
@@ -74,7 +78,8 @@ class Trial:
     """One seeded solver run.
 
     Trials run in batches, so `seconds` is the wall time of the trial's
-    batch divided by the number of trials in it.
+    batch divided by the number of trials in it; bench/run.py's per-trial
+    time metrics read it.
     """
 
     index: int
@@ -116,7 +121,7 @@ def _run_trial(args) -> tuple[Trial, ...]:
 
 
 def _batches(trials: int, workers: int) -> list[tuple[int, int]]:
-    """(first index, count) per batch: every trial in one, or one contiguous batch per worker."""
+    """(first index, count) per batch: every trial in one, or one per worker (workers2_speedup)."""
     n = min(max(workers, 1), trials)
     bounds = [trials * k // n for k in range(n + 1)]
     return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
@@ -135,7 +140,7 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
                 (problem, solver, replace(configs[solver], seed=spec.base_seed + first), h, first, count)
                 for first, count in _batches(spec.trials, spec.workers)
             ]
-            if spec.workers > 0:
+            if spec.workers > 0:  # only bench/layers.py::workers2_speedup asks for the pool
                 # imported here: the pool module takes about as long to load as `import ceed`
                 from concurrent.futures import ProcessPoolExecutor
 
@@ -184,7 +189,5 @@ def format_report(report: TrialReport) -> str:
         f"median={median(costs):.2f} mean={mean(costs):.2f} worst={costs[-1]:.2f}"
     )
     lines.append("  -- timing (machine-dependent) --")
-    secs = [t.seconds for t in report.trials]
-    lines.append(f"  batch wall clock (s): {sum(secs):.3f}, summed over batches")
-    lines.append(f"  share per trial (s): mean={mean(secs):.4f} min={min(secs):.4f} max={max(secs):.4f}")
+    lines.append(f"  batch wall clock (s): {sum(t.seconds for t in report.trials):.3f}, summed over batches")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    BALANCE_TOL,
     DispatchError,
     DispatchProblem,
     DispatchSolution,
@@ -25,7 +26,6 @@ from .model import (
     evaluate_dispatch,
 )
 
-LAMBDA_TOL = 1e-6  # MW, on the balance residual
 LAMBDA_MAX_STEPS = 200
 
 
@@ -59,9 +59,9 @@ def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -
 
     Each unit follows p_i(lambda) = clamp((lambda - b_i) / (2 c_i)) with the
     scalarized coefficients, so total output is continuous and nondecreasing
-    in lambda and plain bisection closes the balance to LAMBDA_TOL MW, or raises
-    DispatchError naming the residual it reached.  Requires strictly positive
-    effective quadratic coefficients.
+    in lambda and plain bisection closes the balance to BALANCE_TOL MW (the
+    feasibility tolerance), or raises DispatchError naming the residual it
+    reached.  Requires strictly positive effective quadratic coefficients.
     """
     if problem.losses is not None:
         raise ValueError("lambda_solve handles lossless problems only")
@@ -82,13 +82,13 @@ def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -
     lam_hi = float(np.max(b_eff + 2.0 * c_eff * hi_p))
     p = powers_at(lam_hi)
     residual = p.sum() - demand
-    if residual < -LAMBDA_TOL:
+    if residual < -BALANCE_TOL:
         raise InfeasibleError(f"demand {demand} MW above reachable total {p.sum():g} MW")
     for steps in range(1, LAMBDA_MAX_STEPS + 1):
         lam = 0.5 * (lam_lo + lam_hi)
         p = powers_at(lam)
         residual = p.sum() - demand
-        if abs(residual) <= LAMBDA_TOL:
+        if abs(residual) <= BALANCE_TOL:
             break
         if residual > 0:
             lam_hi = lam
@@ -142,7 +142,7 @@ def grid_search(
     n = problem.n_units
     if n > 3:
         raise ValueError(f"grid_search supports at most 3 units, got {n}")
-    if resolution <= 0:
+    if not 0 < resolution < np.inf:  # nan fails np.arange, and inf searches only the limits
         raise ValueError("resolution must be positive")
     lo, hi = problem.p_min_arr, problem.p_max_arr
 

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from ceed import GaConfig, PsoConfig
+from ceed import GaConfig, PsoConfig, ga, pso
 from ceed.cli import EXIT_OK, main
 from ceed.harness import ExperimentSpec, export_trace, format_report, run_experiment
 from ceed.model import DispatchError, InfeasibleError
+from ceed.penalty import penalty_factors_all
 from ceed.problem_file import ProblemFileError, format_demand, load_problem
 
 
@@ -159,9 +160,27 @@ def test_spec_validation():
         ExperimentSpec(problem_path="x", demands=(100.0,), pso_config=PsoConfig(seed=3))
     with pytest.raises(ValueError, match="base_seed"):
         ExperimentSpec(problem_path="x", demands=(100.0,), ga_config=GaConfig(seed=3))
+    # a count or seed that is not an integer (a bool included) would fail or mislead inside the first batch
+    for field in ("trials", "base_seed", "workers"):
+        for value in (1.5, True, "3"):
+            with pytest.raises(ValueError, match=rf"{field} must be an integer, got {value!r}"):
+                ExperimentSpec(problem_path="x", demands=(100.0,), **{field: value})
+    assert ExperimentSpec(problem_path="x", demands=(100.0,), trials=np.int64(3)).trials == 3
+    # a config of the other solver would fail on its first missing attribute
+    with pytest.raises(TypeError, match="pso_config must be a PsoConfig, got GaConfig"):
+        ExperimentSpec(problem_path="x", demands=(100.0,), pso_config=GaConfig())
+    with pytest.raises(TypeError, match="ga_config must be a GaConfig, got PsoConfig"):
+        ExperimentSpec(problem_path="x", demands=(100.0,), ga_config=PsoConfig())
     # a repeat would rerun the same seeds into the same trace files
     with pytest.raises(ValueError, match=r"demands must differ .*\[100\.0, 200\.0, 100\.0\]"):
         ExperimentSpec(problem_path="x", demands=(100, 200.0, 100.0))
+
+
+@pytest.mark.parametrize("solver", [pso, ga], ids=["pso", "ga"])
+def test_run_trials_refuses_zero_trials(tmp_path, solver):
+    problem = load_problem(write_problem(tmp_path), demand=330.0)
+    with pytest.raises(ValueError, match=r"trials must be >= 1, got 0"):
+        solver.run_trials(problem, None, penalty_factors_all(problem), 0)
 
 
 def quick_spec(path, **kw):

@@ -11,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 
 import ceed.model
-from ceed.model import DispatchError, Gas, LossMatrix, combined_objective_batch, evaluate_dispatch, transmission_loss
-from ceed.oracle import LAMBDA_TOL, _close_balance, _effective_coeffs, grid_search, kkt_residual, lambda_solve
+from ceed.model import (
+    BALANCE_TOL,
+    DispatchError,
+    Gas,
+    LossMatrix,
+    combined_objective_batch,
+    evaluate_dispatch,
+    transmission_loss,
+)
+from ceed.oracle import _close_balance, _effective_coeffs, grid_search, kkt_residual, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig, run_trials
@@ -27,8 +35,9 @@ def cost_only_unit(uid, p_min, p_max, b, c):
 def test_single_unit_is_forced_to_demand():
     problem = make_problem([make_unit(1, 50.0, 300.0)], demand=120.0, k2=0)
     res = lambda_solve(problem)
-    assert res.powers[0] == pytest.approx(120.0, abs=LAMBDA_TOL)
-    assert abs(res.residual) <= LAMBDA_TOL
+    assert res.powers[0] == pytest.approx(120.0, abs=BALANCE_TOL)
+    assert abs(res.residual) <= BALANCE_TOL
+    assert res.solution(problem).feasible  # the oracle stops at the package's own tolerance
 
 
 def test_two_unit_closed_form_interior():
@@ -59,7 +68,7 @@ def test_lambda_solve_rejects_nonconvex_units():
 
 def test_lambda_solve_raises_when_the_bisection_cannot_close():
     # near-linear units 1 and 2 make output so steep in lambda that one ulp of
-    # it moves p by more than LAMBDA_TOL, so the steps run out short of demand
+    # it moves p by more than BALANCE_TOL, so the steps run out short of demand
     units = [cost_only_unit(1, 10.0, 500.0, 20.0, 1e-13), cost_only_unit(2, 10.0, 500.0, 20.0, 1e-13),
              cost_only_unit(3, 10.0, 500.0, 25.0, 0.01)]
     with pytest.raises(DispatchError, match=r"did not close the balance: residual -0\.00773 MW"):
@@ -80,7 +89,7 @@ def test_kkt_interior_units_share_incremental_cost(rng):
         h = penalty_factors_all(problem)
         res = lambda_solve(problem, h)
         _, c_eff = _effective_coeffs(problem, h)
-        slack = 2.0 * LAMBDA_TOL * float(np.max(c_eff))
+        slack = 2.0 * BALANCE_TOL * float(np.max(c_eff))
         assert 0.0 <= kkt_residual(problem, h, res.powers) <= 2.0 * max(slack, 1e-6)
 
 
@@ -172,8 +181,10 @@ def test_grid_search_refuses_large_problems(rng):
     problem = random_problem(rng, 4)
     with pytest.raises(ValueError, match="at most 3"):
         grid_search(problem)
-    with pytest.raises(ValueError, match="resolution"):
-        grid_search(random_problem(rng, 2), resolution=0.0)
+    # nan would fail inside np.arange, and inf would search only each leading unit's limits
+    for resolution in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            grid_search(random_problem(rng, 2), resolution=resolution)
 
 
 def test_lossy_grid_search_matches_best_of_five_pso_trials(rng):
