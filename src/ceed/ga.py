@@ -36,7 +36,9 @@ from typing import ClassVar, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .model import DispatchProblem, DispatchSolution, PenaltyFactors, combined_objective_batch, evaluate_dispatch
+from .model import (
+    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch
+)
 from .repair import repair_batch
 
 P_CROSSOVER = 0.96  # chance that a parent pair exchanges suffixes
@@ -54,11 +56,9 @@ class GaConfig:
     bits_per_gene: ClassVar[int] = 16  # a constant of the encoding, not a setting
 
     def __post_init__(self) -> None:
-        # the elite needs a child beside it
-        if self.individuals < 2:
-            raise ValueError(f"individuals must be >= 2, got {self.individuals}")
-        if self.generations < 0:
-            raise ValueError(f"generations must be >= 0, got {self.generations}")
+        check_integer("individuals", self.individuals, 2)  # the elite needs a child beside it
+        check_integer("generations", self.generations, 0)
+        check_integer("seed", self.seed, 0)
 
 
 def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.ndarray:
@@ -200,8 +200,7 @@ def run_trials(
     the leader is the best row ever seen and the trace never rises.
     """
     config = config or GaConfig()
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_integer("trials", trials, 1)
     rngs = [np.random.default_rng(config.seed + i) for i in range(trials)]
     length = problem.n_units * config.bits_per_gene
     populations = np.stack(

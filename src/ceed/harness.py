@@ -5,14 +5,13 @@ reduce the results in index order, so a report's deterministic section is
 byte-identical across repeats of the same spec; wall-clock figures live in
 a separate timing section because they never reproduce exactly.  The trials
 of a (solver, demand) pair run as one batch through the solver's
-run_trials (split over `workers` processes only on request), and a trial's
+run_trials, the pairs in turn or in `workers` processes, and a trial's
 result does not depend on its batch.  run_experiment writes no files: a
 caller writes reports with format_report and traces with export_trace.
 """
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import ga, pso
-from .model import DispatchSolution, PenaltyFactors
+from .model import DispatchSolution, PenaltyFactors, check_integer
 from .penalty import penalty_factors_all
 from .problem_file import format_demand, load_problem
 
@@ -51,11 +50,7 @@ class ExperimentSpec:
         if len(set(self.demands)) < len(self.demands):
             raise ValueError(f"demands must differ (a repeat reruns the same seeds), got {list(self.demands)}")
         for name, least in (("trials", 1), ("base_seed", 0), ("workers", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            check_integer(name, getattr(self, name), least)
         if self.solver not in (*SOLVER_NAMES, "both"):
             raise ValueError(f"solver must be pso, ga or both, got {self.solver!r}")
         for name, kind in (("pso_config", pso.PsoConfig), ("ga_config", ga.GaConfig)):
@@ -77,9 +72,9 @@ class ExperimentSpec:
 class Trial:
     """One seeded solver run.
 
-    Trials run in batches, so `seconds` is the wall time of the trial's
-    batch divided by the number of trials in it; bench/run.py's per-trial
-    time metrics read it.
+    The trials of a (solver, demand) pair run as one batch, so `seconds` is
+    the batch's wall time divided by its number of trials; bench/run.py's
+    per-trial time metrics read it.
     """
 
     index: int
@@ -107,24 +102,18 @@ class TrialReport:
         return [t.solution.total_cost for t in self.trials]
 
 
-def _run_trial(args) -> tuple[Trial, ...]:
-    """One batch: `count` trials from index `first`, run together and timed together."""
-    problem, solver, config, h, first, count = args
+def _run_trial(args) -> TrialReport:
+    """One (solver, demand) pair: its trials run as one batch and timed together."""
+    solver, demand, problem, h, config, count = args
     runner = pso.run_trials if solver == "pso" else ga.run_trials
     start = time.perf_counter()
     results = runner(problem, config, h, count)
     share = (time.perf_counter() - start) / count
-    return tuple(
-        Trial(index=first + i, seed=config.seed + i, solution=solution, seconds=share, trace=trace)
+    trials = tuple(
+        Trial(index=i, seed=config.seed + i, solution=solution, seconds=share, trace=trace)
         for i, (solution, trace) in enumerate(results)
     )
-
-
-def _batches(trials: int, workers: int) -> list[tuple[int, int]]:
-    """(first index, count) per batch: every trial in one, or one per worker (workers2_speedup)."""
-    n = min(max(workers, 1), trials)
-    bounds = [trials * k // n for k in range(n + 1)]
-    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    return TrialReport(solver=solver, demand=demand, h=h, trials=trials)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
@@ -133,25 +122,19 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialReport]:
     problems = [replace(load_problem(spec.problem_path, d), k1=spec.k1, k2=spec.k2) for d in spec.demands]
     factors = [penalty_factors_all(problem) if spec.k2 else None for problem in problems]
     configs = {"pso": spec.pso_config or pso.PsoConfig(), "ga": spec.ga_config or ga.GaConfig()}
-    reports = []
-    for demand, problem, h in zip(spec.demands, problems, factors):
-        for solver in spec.solver_names:
-            jobs = [
-                (problem, solver, replace(configs[solver], seed=spec.base_seed + first), h, first, count)
-                for first, count in _batches(spec.trials, spec.workers)
-            ]
-            if spec.workers > 0:  # only bench/layers.py::workers2_speedup asks for the pool
-                # imported here: the pool module takes about as long to load as `import ceed`
-                from concurrent.futures import ProcessPoolExecutor
+    jobs = [
+        (solver, demand, problem, h, replace(configs[solver], seed=spec.base_seed), spec.trials)
+        for demand, problem, h in zip(spec.demands, problems, factors)
+        for solver in spec.solver_names
+    ]
+    if spec.workers == 0:
+        return [_run_trial(job) for job in jobs]
+    # imported here: the pool module takes about as long to load as `import ceed`
+    from concurrent.futures import ProcessPoolExecutor
 
-                # one process per batch: the pool would start all of max_workers at once
-                with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                    batches = list(pool.map(_run_trial, jobs))
-            else:
-                batches = [_run_trial(job) for job in jobs]
-            trials = tuple(trial for batch in batches for trial in batch)
-            reports.append(TrialReport(solver=solver, demand=demand, h=h, trials=trials))
-    return reports
+    # at most one process per pair: the pool may start all of max_workers at once
+    with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs))) as pool:
+        return list(pool.map(_run_trial, jobs))
 
 
 def export_trace(trace: Sequence[float], path: Union[str, Path]) -> None:
@@ -189,5 +172,5 @@ def format_report(report: TrialReport) -> str:
         f"median={median(costs):.2f} mean={mean(costs):.2f} worst={costs[-1]:.2f}"
     )
     lines.append("  -- timing (machine-dependent) --")
-    lines.append(f"  batch wall clock (s): {sum(t.seconds for t in report.trials):.3f}, summed over batches")
+    lines.append(f"  batch wall clock (s): {sum(t.seconds for t in report.trials):.3f}")
     return "\n".join(lines) + "\n"

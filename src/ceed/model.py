@@ -35,6 +35,14 @@ class InfeasibleError(DispatchError):
     """Demand cannot be met within the unit limits."""
 
 
+def check_integer(name: str, value, least: Optional[int] = None) -> None:
+    """Refuse a value that is not an integer of any type (a bool included) or is below `least`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class Gas(enum.Enum):
     """Emission species tracked by the model."""
 
@@ -67,8 +75,7 @@ class GeneratorUnit:
     def __post_init__(self) -> None:
         # ids break penalty-walk ties and name units: anything but an integer is
         # rejected, never rounded, and an integer of any type is kept as an int
-        if not isinstance(self.id, numbers.Integral) or isinstance(self.id, bool):
-            raise ValueError(f"'id' must be an integer, got {self.id!r}")
+        check_integer("'id'", self.id)
         object.__setattr__(self, "id", int(self.id))
         coeffs = [c for curve in (self.cost, *self.emissions.values()) for c in curve]
         if not all(math.isfinite(v) for v in (self.p_min, self.p_max, *coeffs)):

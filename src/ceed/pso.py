@@ -8,29 +8,25 @@ constriction multiplier:
 which degenerates to the standard constriction update at w = 1.  The
 coefficients are the paper's constants, not settings: w(t) falls from W_MAX
 to W_MIN, C1 = C2 = 2.05, and CONSTRICTION is derived from phi = C1 + C2 by
-the Clerc-Kennedy formula (0.72984).  Every
-candidate position is clamped to the unit limits and projected onto the
-power balance before evaluation, so the objective never needs a penalty
-term for constraint violations.
+the Clerc-Kennedy formula (0.72984).  Every candidate position is clamped to
+the unit limits and projected onto the power balance before evaluation, so
+the objective never needs a penalty term for constraint violations.
 
-run_trials steps the swarms of several seeded trials as one set of rows:
+run_trials steps the swarms of several seeded trials at once, on arrays of
+shape (trials, particles, units), and no operation mixes two trials' rows:
 each trial draws from its own Generator and keeps its own gbest, so its
 result is bitwise that of a lone run with its seed.  Each iteration takes a
-trial's r1, then its r2.  A trial draws them for several iterations in one
-call, at most DRAW_BLOCK entries per trial and DRAW_BATCH for the whole
-batch; Generator.random consumes its stream in order, so the block length
-leaves every draw as it would be one iteration at a time and is a speed
-setting only.  A block holds C1 * r1 and C2 * r2, scaled once when it is
-drawn: the same products the velocity law would form.
+trial's r1, then its r2, from blocks of whole iterations drawn ahead
+(_draws); Generator.random consumes its stream in order, so the block
+length is a speed setting only.
 
 An iteration does only per-iteration work.  init_swarm computes the velocity
-bounds and each trial's first row once; step writes the velocity law into
-the swarm's own velocities in the formula's order, so the result is bitwise
-that of the formula evaluated into new arrays, and copies improved rows into
-pbest in place.
+bounds once; step writes the velocity law into the swarm's own velocities
+in the formula's order, so the result is bitwise that of the formula
+evaluated into new arrays, and copies improved rows into pbest in place.
 
 init_swarm and step keep one invariant: each trial's gbest_obj is the
-minimum of its rows' pbest_obj, and gbest_pos is the pbest row of a
+minimum of its particles' pbest_obj, and gbest_pos is the pbest row of a
 particle that holds it: the first minimum, unless a later pbest only tied
 it, which gbest's strict test does not take.  An iteration that improves no
 particle's pbest therefore cannot move gbest either, and step stops right
@@ -42,11 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import DispatchProblem, DispatchSolution, PenaltyFactors, combined_objective_batch, evaluate_dispatch
+from .model import (
+    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch
+)
 from .repair import repair_batch
 
 
@@ -71,10 +69,9 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.particles < 1:
-            raise ValueError(f"particles must be >= 1, got {self.particles}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        check_integer("particles", self.particles, 1)
+        check_integer("iterations", self.iterations, 0)
+        check_integer("seed", self.seed, 0)
 
     def inertia(self, iteration: int) -> float:
         """w(t), decreasing linearly from W_MAX to W_MIN over the run."""
@@ -88,15 +85,12 @@ class PsoConfig:
 class PsoState:
     """The swarms of one or more trials as struct-of-arrays.
 
-    Rows index particles trial by trial (trial i owns the i-th block of
-    `particles` rows) and columns index units; each trial has its own gbest
-    and its own seeded Generator.  positions, velocities, pbest_pos and
-    gbest_pos are separate arrays: step writes velocities and pbest in place
-    and replaces positions and gbest.  What no iteration changes is computed
-    once by init_swarm: the velocity bounds and each trial's first row.
-    Invariant: gbest_obj[i] is the minimum of trial i's pbest_obj, and
-    gbest_pos[i] is the pbest_pos row that holds it, so a step that improves
-    no pbest changes nothing and stops after the comparison.
+    positions, velocities and pbest_pos are (trials, particles, units), the
+    layout of GA's populations, and each trial has its own gbest.  The
+    arrays are separate: step writes velocities and pbest in place and
+    replaces positions and gbest.  Invariant: gbest_obj[i] is the minimum of
+    pbest_obj[i], and gbest_pos[i] is the pbest_pos row that holds it, so a
+    step that improves no pbest changes nothing and stops after the comparison.
     """
 
     positions: np.ndarray
@@ -105,15 +99,9 @@ class PsoState:
     pbest_obj: np.ndarray
     gbest_pos: np.ndarray  # (trials, units)
     gbest_obj: np.ndarray  # (trials,)
-    rngs: tuple[np.random.Generator, ...] = field(repr=False)
-    v_max: np.ndarray = field(repr=False)  # V_MAX_FRACTION * (p_max - p_min) per row: one flat clamp loop
-    v_min: np.ndarray = field(repr=False)  # -v_max, per row
-    offsets: np.ndarray = field(repr=False)  # first row of each trial
-    # C1 * r1 and C2 * r2 drawn ahead, (trials, iterations, 2, particles,
-    # units) within DRAW_BLOCK per trial and DRAW_BATCH in all, refilled in
-    # place, and how many of those iterations step has used
-    draws: np.ndarray = field(default_factory=lambda: np.empty((0, 0)), repr=False)
-    used: int = 0
+    v_max: np.ndarray = field(repr=False)  # V_MAX_FRACTION * (p_max - p_min), per particle: one flat clamp loop
+    v_min: np.ndarray = field(repr=False)  # -v_max
+    draws: Iterator[tuple[np.ndarray, np.ndarray]] = field(repr=False)  # _draws, one pair per step
 
 
 def velocity_update(
@@ -142,9 +130,32 @@ def velocity_update(
     return v
 
 
-def _leaders(objs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Row of each trial's lowest objective, the first one on ties."""
-    return objs.reshape(len(offsets), -1).argmin(axis=1) + offsets
+def _leaders(objs: np.ndarray) -> np.ndarray:
+    """Each trial's particle of lowest objective, the first one on ties."""
+    return objs.argmin(axis=1)
+
+
+def _draws(
+    rngs: list[np.random.Generator], iterations: int, swarm: tuple[int, int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each trial's C1 * r1 and C2 * r2 per iteration, as two (trials, particles, units) arrays.
+
+    A block holds whole iterations, as few blocks of even length over the
+    first `iterations` as keep a trial's part to DRAW_BLOCK uniforms and the
+    batch's to DRAW_BATCH; each trial fills its part in one call, and the
+    block is scaled once.  The stream never ends, so a state can be stepped
+    past its budget.  Each yielded pair is valid until the next is asked for.
+    """
+    trials, span = len(rngs), 2 * math.prod(swarm)  # uniforms of one trial's iteration
+    most = max(1, min(DRAW_BLOCK, DRAW_BATCH // trials) // span)  # iterations a block may hold
+    per_block = max(1, -(-iterations // max(1, -(-iterations // most))))  # over the fewest blocks, evened out
+    block = np.empty((trials, per_block, 2, *swarm))
+    while True:
+        for rng, trial_block in zip(rngs, block):
+            rng.random(out=trial_block)
+        block *= _COEFFS
+        for g in range(per_block):
+            yield block[:, g, 0], block[:, g, 1]
 
 
 def init_swarm(
@@ -154,27 +165,25 @@ def init_swarm(
 
     Trial i draws from its own Generator, seeded with config.seed + i.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rngs = tuple(np.random.default_rng(config.seed + i) for i in range(trials))
+    check_integer("trials", trials, 1)
+    rngs = [np.random.default_rng(config.seed + i) for i in range(trials)]
     lo, hi = problem.p_min_arr, problem.p_max_arr
-    shape = (config.particles, problem.n_units)
-    positions = repair_batch(problem, np.concatenate([rng.uniform(lo, hi, size=shape) for rng in rngs]))
-    objs = combined_objective_batch(problem, positions, h)
-    offsets = config.particles * np.arange(trials)
-    leaders = _leaders(objs, offsets)
-    v_max = np.repeat(V_MAX_FRACTION * (hi - lo)[None], len(positions), axis=0)
+    swarm = (config.particles, problem.n_units)
+    rows = repair_batch(problem, np.concatenate([rng.uniform(lo, hi, size=swarm) for rng in rngs]))
+    objs = combined_objective_batch(problem, rows, h).reshape(trials, -1)
+    positions = rows.reshape(trials, *swarm)
+    leaders = np.arange(trials), _leaders(objs)
+    v_max = np.tile(V_MAX_FRACTION * (hi - lo), (trials, config.particles, 1))
     return PsoState(
         positions=positions,
         velocities=np.zeros_like(positions),
         pbest_pos=positions.copy(),
-        pbest_obj=objs.copy(),
+        pbest_obj=objs,
         gbest_pos=positions[leaders],
         gbest_obj=objs[leaders],
-        rngs=rngs,
         v_max=v_max,
         v_min=-v_max,
-        offsets=offsets,
+        draws=_draws(rngs, config.iterations, swarm),
     )
 
 
@@ -186,41 +195,24 @@ def step(
     iteration: int = 0,
 ) -> PsoState:
     """Advance every trial's swarm one iteration in place and return the state."""
-    trials = len(state.offsets)
-    grid = (trials, len(state.positions) // trials, problem.n_units)
-    if state.used == state.draws.shape[1]:
-        ahead = min(DRAW_BLOCK * trials, DRAW_BATCH) // (2 * state.positions.size)
-        ahead = max(1, min(ahead, config.iterations - iteration))
-        if ahead != state.draws.shape[1]:
-            state.draws = np.empty((trials, ahead, 2, *grid[1:]))
-        for rng, block in zip(state.rngs, state.draws):
-            rng.random(out=block)
-        state.draws *= _COEFFS
-        state.used = 0
-    r = state.draws[:, state.used]
-    state.used += 1
+    c1r1, c2r2 = next(state.draws)
     v = state.velocities
     velocity_update(
-        v.reshape(grid),
-        state.positions.reshape(grid),
-        state.pbest_pos.reshape(grid),
-        state.gbest_pos[:, None],
-        config.inertia(iteration),
-        r[:, 0],
-        r[:, 1],
+        v, state.positions, state.pbest_pos, state.gbest_pos[:, None], config.inertia(iteration), c1r1, c2r2
     )
     np.minimum(np.maximum(v, state.v_min, out=v), state.v_max, out=v)
     # repair_batch clamps x onto the limits in a new array, so the sum can
     # overwrite the positions it replaces
     x = np.add(state.positions, v, out=state.positions)
-    state.positions = repair_batch(problem, x)
-    objs = combined_objective_batch(problem, state.positions, h)
+    rows = repair_batch(problem, x.reshape(-1, problem.n_units))
+    state.positions = rows.reshape(x.shape)
+    objs = combined_objective_batch(problem, rows, h).reshape(state.pbest_obj.shape)
     improved = objs < state.pbest_obj
     if not np.count_nonzero(improved):
         return state  # no pbest moved, so by the gbest invariant nothing else can
     np.copyto(state.pbest_obj, objs, where=improved)
-    np.copyto(state.pbest_pos, state.positions, where=improved[:, None])
-    leaders = _leaders(state.pbest_obj, state.offsets)
+    np.copyto(state.pbest_pos, state.positions, where=improved[..., None])
+    leaders = np.arange(len(objs)), _leaders(state.pbest_obj)
     better = state.pbest_obj[leaders] < state.gbest_obj
     if np.count_nonzero(better):
         state.gbest_obj = np.where(better, state.pbest_obj[leaders], state.gbest_obj)

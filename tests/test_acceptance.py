@@ -187,7 +187,7 @@ def test_criterion_6_invariant_suite(rng):
     state = init_swarm(problem, cfg, h)
     for t in range(cfg.iterations):
         step(state, problem, cfg, h, t)
-        for p in state.positions:
+        for p in state.positions[0]:
             if check_limits(problem, p) or abs(balance_residual(problem, p)) > BALANCE_TOL:
                 failures.append(f"infeasible iterate at t={t}")
                 break

@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,11 +178,36 @@ def test_spec_validation():
         ExperimentSpec(problem_path="x", demands=(100, 200.0, 100.0))
 
 
+@pytest.mark.parametrize(
+    "config, field, least",
+    [
+        (PsoConfig, "particles", 1),
+        (PsoConfig, "iterations", 0),
+        (PsoConfig, "seed", 0),
+        (GaConfig, "individuals", 2),
+        (GaConfig, "generations", 0),
+        (GaConfig, "seed", 0),
+    ],
+)
+@pytest.mark.parametrize("value", [1.5, float("nan"), 10.0, True, "3", "least - 1"])
+def test_solver_configs_name_a_bad_count_or_seed(config, field, least, value):
+    # NumPy would refuse these only inside the run, naming no field, or take a bool as 0 or 1
+    if value == "least - 1":
+        message, value = rf"^{field} must be >= {least}, got {least - 1}$", least - 1
+    else:
+        message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        config(**{field: value})
+    assert getattr(config(**{field: np.int64(least)}), field) == least
+
+
 @pytest.mark.parametrize("solver", [pso, ga], ids=["pso", "ga"])
 def test_run_trials_refuses_zero_trials(tmp_path, solver):
     problem = load_problem(write_problem(tmp_path), demand=330.0)
     with pytest.raises(ValueError, match=r"trials must be >= 1, got 0"):
         solver.run_trials(problem, None, penalty_factors_all(problem), 0)
+    with pytest.raises(ValueError, match=r"trials must be an integer, got 1\.5"):
+        solver.run_trials(problem, None, penalty_factors_all(problem), 1.5)
 
 
 def quick_spec(path, **kw):
@@ -203,7 +230,7 @@ def test_single_trial_report_is_that_trial(tmp_path):
     assert len(report.trials) == 1
     assert report.best_trial is report.trials[0]
     # a batch of one: the trial's share is the whole batch wall time
-    assert f"batch wall clock (s): {report.trials[0].seconds:.3f}," in format_report(report)
+    assert f"batch wall clock (s): {report.trials[0].seconds:.3f}\n" in format_report(report)
 
 
 def test_experiment_is_deterministic_up_to_timing(tmp_path):
@@ -236,17 +263,23 @@ def test_both_solvers_and_demands_produce_one_report_each(tmp_path):
     ]
 
 
+def assert_same_reports(serial, pooled):
+    assert [(r.solver, r.demand) for r in pooled] == [(r.solver, r.demand) for r in serial]
+    for rs, rp in zip(serial, pooled, strict=True):
+        for ts, tp in zip(rs.trials, rp.trials, strict=True):
+            assert (ts.index, ts.seed) == (tp.index, tp.seed)
+            assert ts.solution.powers == tp.solution.powers
+            assert ts.trace.tobytes() == tp.trace.tobytes()
+
+
 def test_parallel_trials_match_serial(tmp_path):
     path = write_problem(tmp_path)
-    (serial,) = run_experiment(quick_spec(path))
-    (parallel,) = run_experiment(quick_spec(path, workers=2))
-    # serial trials are one batch and share its wall time evenly
-    assert len({t.seconds for t in serial.trials}) == 1
-    assert [t.index for t in parallel.trials] == [0, 1, 2]
-    for ts, tp in zip(serial.trials, parallel.trials):
-        assert ts.seed == tp.seed
-        assert ts.solution.powers == tp.solution.powers
-        assert ts.trace.tobytes() == tp.trace.tobytes()
+    spec = quick_spec(path, solver="both", demands=(300.0, 400.0))
+    serial = run_experiment(spec)
+    pooled = run_experiment(replace(spec, workers=2))
+    # a pair's trials are one batch and share its wall time evenly
+    assert all(len({t.seconds for t in report.trials}) == 1 for report in serial)
+    assert_same_reports(serial, pooled)
 
 
 def test_pool_starts_one_process_per_batch(tmp_path, monkeypatch):
@@ -267,13 +300,13 @@ def test_pool_starts_one_process_per_batch(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     path = write_problem(tmp_path)
-    (pooled,) = run_experiment(quick_spec(path, workers=8, trials=2))
-    assert sizes == [2]  # two batches of one trial, not eight processes
-    (serial,) = run_experiment(quick_spec(path, trials=2))
-    for ts, tp in zip(serial.trials, pooled.trials, strict=True):
-        assert (ts.index, ts.seed) == (tp.index, tp.seed)
-        assert ts.solution.powers == tp.solution.powers
-        assert ts.trace.tobytes() == tp.trace.tobytes()
+    # each (solver, demand) pair is one batch: 4 pairs start 4 processes and 1 pair 1, not eight
+    for solver, demands, processes in (("both", (300.0, 400.0), 4), ("pso", (330.0,), 1)):
+        sizes.clear()
+        spec = quick_spec(path, solver=solver, demands=demands, trials=2)
+        pooled = run_experiment(replace(spec, workers=8))
+        assert sizes == [processes]
+        assert_same_reports(run_experiment(spec), pooled)
 
 
 def test_report_identities_hold(tmp_path):

@@ -53,8 +53,8 @@ def test_init_swarm_positions_are_feasible():
     problem = make_problem(units, demand=1500.0)
     h = penalty_factors_all(problem)
     state = init_swarm(problem, small_config(particles=10), h)
-    assert state.positions.shape == (10, 6)
-    for p in state.positions:
+    assert state.positions.shape == (1, 10, 6)
+    for p in state.positions[0]:
         assert check_limits(problem, p) == []
         assert abs(balance_residual(problem, p)) <= BALANCE_TOL
     assert np.array_equal(state.pbest_pos, state.positions)
@@ -65,7 +65,7 @@ def test_init_single_unit_lands_on_demand():
     problem = make_problem([make_unit(1, 50.0, 300.0)], demand=120.0)
     h = penalty_factors_all(problem)
     state = init_swarm(problem, small_config(), h)
-    assert state.positions == pytest.approx(np.full((8, 1), 120.0), abs=BALANCE_TOL)
+    assert state.positions == pytest.approx(np.full((1, 8, 1), 120.0), abs=BALANCE_TOL)
 
 
 def test_velocity_update_drift_closed_form():
@@ -147,12 +147,31 @@ def test_every_iterate_stays_feasible(rng):
     cfg = small_config(iterations=40)
     for trials in (1, 3):
         state = init_swarm(problem, cfg, h, trials)
-        assert state.positions.shape == (trials * cfg.particles, 5)
+        assert state.positions.shape == (trials, cfg.particles, 5)
         for t in range(cfg.iterations):
             step(state, problem, cfg, h, t)
-            for p in state.positions:
+            for p in state.positions.reshape(-1, 5):
                 assert check_limits(problem, p) == []
                 assert abs(balance_residual(problem, p)) <= BALANCE_TOL
+
+
+def test_a_state_steps_past_its_budget(rng):
+    # bench/layers.py times step thousands of times on one state, far past
+    # config.iterations: the draws go on, every iterate stays feasible, and
+    # the steps within the budget are those of run_trials
+    problem = random_problem(rng, 4)
+    h = penalty_factors_all(problem)
+    cfg = small_config(iterations=20)
+    state = init_swarm(problem, cfg, h, 2)
+    gbest = []
+    for t in range(3 * cfg.iterations):
+        step(state, problem, cfg, h, t if t < cfg.iterations else 0)
+        gbest.append(state.gbest_obj)
+        for p in state.positions.reshape(-1, 4):
+            assert check_limits(problem, p) == []
+            assert abs(balance_residual(problem, p)) <= BALANCE_TOL
+    traces = np.array([trace for _, trace in run_trials(problem, cfg, h, 2)])
+    assert np.array(gbest[: cfg.iterations]).T.tobytes() == traces.tobytes()
 
 
 def test_gbest_never_worsens_within_a_run(rng):
@@ -194,10 +213,8 @@ def _assert_gbest_invariant(state):
     # each trial's gbest is the minimum of its pbests, at the pbest row of a
     # particle holding it: the first minimum, unless a later pbest tied it,
     # which gbest's strict test does not take
-    objs = state.pbest_obj.reshape(len(state.offsets), -1)
-    assert state.gbest_obj.tobytes() == objs.min(axis=1).tobytes()
-    rows = state.pbest_pos.reshape(*objs.shape, -1)
-    for lowest, pos, trial_objs, trial_rows in zip(state.gbest_obj, state.gbest_pos, objs, rows):
+    assert state.gbest_obj.tobytes() == state.pbest_obj.min(axis=1).tobytes()
+    for lowest, pos, trial_objs, trial_rows in zip(state.gbest_obj, state.gbest_pos, state.pbest_obj, state.pbest_pos):
         holders = trial_rows[trial_objs == lowest]
         assert any(row.tobytes() == pos.tobytes() for row in holders)
 
@@ -323,24 +340,24 @@ def test_a_50_trial_batch_does_not_depend_on_the_draw_cap(monkeypatch, six_unit_
     assert _batch_digest(problem, h, 50) == bounded
 
 
-def test_a_50_trial_batch_draws_each_trial_in_few_calls(six_unit_path):
-    problem = load_problem(six_unit_path, 1500.0)
-    config, trials = PsoConfig(iterations=500), 50
-    h = penalty_factors_all(problem)
-    state = init_swarm(problem, config, h, trials)
+def test_a_50_trial_batch_draws_each_trial_in_few_calls():
+    # the paper's swarm of 10 six-unit particles, 50 trials of 500 iterations
+    config, trials, swarm = PsoConfig(iterations=500), 50, (10, 6)
     calls = [0] * trials
 
-    def counted(i, rng):
+    def counted(i):
+        rng = np.random.default_rng(i)
+
         def random(**kwargs):
             calls[i] += 1
             return rng.random(**kwargs)
 
         return SimpleNamespace(random=random)
 
-    state.rngs = tuple(counted(i, rng) for i, rng in enumerate(state.rngs))
-    for t in range(config.iterations):
-        step(state, problem, config, h, t)
-    ahead = min(pso.DRAW_BLOCK * trials, pso.DRAW_BATCH) // (2 * state.positions.size)
+    draws = pso._draws([counted(i) for i in range(trials)], config.iterations, swarm)
+    for _ in range(config.iterations):
+        next(draws)
+    ahead = min(pso.DRAW_BLOCK, pso.DRAW_BATCH // trials) // (2 * math.prod(swarm))
     assert ahead >= 20  # 250 calls a trial at the old cap
     assert calls == [math.ceil(config.iterations / ahead)] * trials
 
