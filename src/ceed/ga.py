@@ -37,7 +37,8 @@ from typing import ClassVar, Iterable, Iterator, Optional
 import numpy as np
 
 from .model import (
-    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch
+    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch,
+    frozen_scalar,
 )
 from .repair import repair_batch
 
@@ -59,6 +60,10 @@ class GaConfig:
         check_integer("individuals", self.individuals, 2)  # the elite needs a child beside it
         check_integer("generations", self.generations, 0)
         check_integer("seed", self.seed, 0)
+
+
+# 2^16 - 1, the largest gene: decode's divisor, an array as in repair.py
+_GENE_MAX = frozen_scalar(2.0**GaConfig.bits_per_gene - 1.0)
 
 
 def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.ndarray:
@@ -83,7 +88,7 @@ def decode(bits: np.ndarray, problem: DispatchProblem, config: GaConfig) -> np.n
     rows = arr.shape[0]
     u = np.packbits(arr, axis=None).view(">u2").astype(np.float64).reshape(rows, n)
     lo, hi = problem.limit_rows(rows)
-    return lo + u * (hi - lo) / (2.0**width - 1.0)
+    return lo + u * (hi - lo) / _GENE_MAX
 
 
 def roulette_select(objectives: np.ndarray, spins: np.ndarray) -> np.ndarray:

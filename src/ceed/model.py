@@ -218,6 +218,16 @@ class DispatchProblem:
         return lo[:rows], hi[:rows]
 
     @cached_property
+    def demand_arr(self) -> np.ndarray:
+        """The demand as a read-only 0-d array: the residual's operand on every step."""
+        return frozen_scalar(self.demand)
+
+    @cached_property
+    def demand_2x_4x(self) -> tuple[np.ndarray, np.ndarray]:
+        """2 demand and 4 demand as read-only 0-d arrays, the lossy first scale's operands; exact scalings."""
+        return frozen_scalar(2.0 * self.demand), frozen_scalar(4.0 * self.demand)
+
+    @cached_property
     def ones(self) -> np.ndarray:
         """N ones: np.vecdot(rows, ones) sums each row through the row-wise dot kernel."""
         return _frozen(np.ones(self.n_units))
@@ -235,7 +245,7 @@ class DispatchProblem:
         return _frozen(np.array(curves, dtype=float).swapaxes(1, 2).copy())
 
     @cached_property
-    def _fold_memo(self) -> tuple[object, Optional[tuple[float, np.ndarray, np.ndarray]]]:
+    def _fold_memo(self) -> tuple[object, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         """combined_objective_batch's memo: the last h and its folded (sum of a, b, c), b and c tiled."""
         return _NO_H, None
 
@@ -253,6 +263,14 @@ class DispatchProblem:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def frozen_scalar(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, a ufunc operand without the Python-float surcharge.
+
+    Read-only because it is shared: no out= can overwrite it.
+    """
+    return _frozen(np.array(value, dtype=np.float64))
 
 
 def _tiled(tile: np.ndarray, rows: int) -> np.ndarray:
@@ -339,7 +357,7 @@ def balance_residual(problem: DispatchProblem, powers: np.ndarray) -> Union[floa
     p = np.asarray(powers, dtype=float)
     if p.shape[-1:] != (problem.n_units,):
         raise ValueError(f"expected {problem.n_units} power values per row, got shape {p.shape}")
-    r = np.vecdot(p, problem.ones) - problem.demand
+    r = np.vecdot(p, problem.ones) - problem.demand_arr
     return r if problem.losses is None else r - problem.losses.loss(p)
 
 
@@ -420,12 +438,17 @@ def evaluate_dispatch(
 # stored only after _prices has matched that h to this problem.  Any other h,
 # equal or not, goes through _prices and replaces the pair, so a rejected h
 # leaves the last valid one in place.  evaluate_dispatch scores its row here too.
+# sum(a) is held as a read-only 0-d array, not a float: every per-step operand
+# is an array (see repair.py), since a Python float or NumPy scalar operand
+# costs a ufunc call 0.25-0.4 us more (NumPy 2.4, 10 x 6), about half the call.
 
 # The memo's h before any fold: no h is this object.
 _NO_H = object()
 
 
-def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors], rows: int) -> tuple[float, np.ndarray, np.ndarray]:
+def _fold(
+    problem: DispatchProblem, h: Optional[PenaltyFactors], rows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sum of a, b, c) of k1 * cost + k2 * sum_g h_g * emission_g, b and c tiled to >= rows rows; memoized."""
     last, fold = problem._fold_memo
     if last is not h:
@@ -435,7 +458,7 @@ def _fold(problem: DispatchProblem, h: Optional[PenaltyFactors], rows: int) -> t
         if problem.k2:
             weights[1:] = prices
         a, b, c = (weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1)
-        fold = (a.sum(), b[None], c[None])
+        fold = (frozen_scalar(a.sum()), b[None], c[None])
     elif len(fold[1]) >= rows:
         return fold
     # one pair, replaced whole: a run uses one h, and a sweep over prices must not grow the memo

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .model import (
-    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch
+    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch,
+    frozen_scalar,
 )
 from .repair import repair_batch
 
@@ -58,6 +59,7 @@ DRAW_BATCH = 1 << 17  # most uniforms a batch draws ahead, over all its trials (
 _PHI = C1 + C2  # > 4, so the swarm contracts
 # Clerc-Kennedy chi = 2 / |2 - phi - sqrt(phi^2 - 4 phi)|
 CONSTRICTION = 2.0 / abs(2.0 - _PHI - math.sqrt(_PHI * _PHI - 4.0 * _PHI))
+_CHI = frozen_scalar(CONSTRICTION)  # the operand velocity_update scales by: an array, as in repair.py
 # C1 and C2 against the (r1, r2) axis of a draw block, applied once per block
 _COEFFS = np.array([C1, C2])[:, None, None]
 
@@ -102,6 +104,7 @@ class PsoState:
     v_max: np.ndarray = field(repr=False)  # V_MAX_FRACTION * (p_max - p_min), per particle: one flat clamp loop
     v_min: np.ndarray = field(repr=False)  # -v_max
     draws: Iterator[tuple[np.ndarray, np.ndarray]] = field(repr=False)  # _draws, one pair per step
+    inertia: np.ndarray = field(default_factory=lambda: np.empty(()), repr=False)  # step's w(t), a 0-d array
 
 
 def velocity_update(
@@ -109,7 +112,7 @@ def velocity_update(
     x: np.ndarray,
     pbest: np.ndarray,
     gbest: np.ndarray,
-    w: float,
+    w: Union[float, np.ndarray],
     c1r1: np.ndarray,
     c2r2: np.ndarray,
 ) -> np.ndarray:
@@ -126,7 +129,7 @@ def velocity_update(
     np.subtract(gbest, x, out=pull)
     pull *= c2r2
     v += pull
-    v *= CONSTRICTION
+    v *= _CHI
     return v
 
 
@@ -196,10 +199,9 @@ def step(
 ) -> PsoState:
     """Advance every trial's swarm one iteration in place and return the state."""
     c1r1, c2r2 = next(state.draws)
-    v = state.velocities
-    velocity_update(
-        v, state.positions, state.pbest_pos, state.gbest_pos[:, None], config.inertia(iteration), c1r1, c2r2
-    )
+    v, w = state.velocities, state.inertia
+    w[()] = config.inertia(iteration)  # same bits as the float, without its per-call surcharge
+    velocity_update(v, state.positions, state.pbest_pos, state.gbest_pos[:, None], w, c1r1, c2r2)
     np.minimum(np.maximum(v, state.v_min, out=v), state.v_max, out=v)
     # repair_batch clamps x onto the limits in a new array, so the sum can
     # overwrite the positions it replaces

@@ -123,6 +123,72 @@ def test_criterion_4_solver_quality_on_benchmark(six_unit_path):
     )
 
 
+def meet_column(problem, targets, seed, steps=50):
+    """A dispatch within the limits whose FC and emissions are `targets` and whose sum is the demand.
+
+    Damped Gauss-Newton on the relative errors of the 1 + G curve sums and
+    the balance (five equations in six unknowns here), each step the
+    least-norm solution of the linearized equations, halved until the
+    largest error falls.  The powers are p_min + (p_max - p_min)(1 + sin
+    theta) / 2, so every iterate lies within the limits; theta starts
+    uniform in [-1, 1] from the seed.
+    """
+    a, b, c = problem.coeff_stack.transpose(1, 0, 2)
+    lo, half = problem.p_min_arr, 0.5 * (problem.p_max_arr - problem.p_min_arr)
+    targets = np.append(targets, problem.demand)
+
+    def power(theta):
+        return lo + half * (1.0 + np.sin(theta))
+
+    def errors(p):
+        return np.append(a.sum(axis=-1) + (b + c * p) @ p, p.sum()) / targets - 1.0
+
+    theta = np.random.default_rng(seed).uniform(-1.0, 1.0, problem.n_units)
+    f = errors(power(theta))
+    for _ in range(steps):
+        p = power(theta)
+        jacobian = np.vstack([b + 2.0 * c * p, np.ones_like(p)]) / targets[:, None] * (half * np.cos(theta))
+        step = np.linalg.lstsq(jacobian, -f, rcond=None)[0]
+        for scale in 0.5 ** np.arange(40):
+            g = errors(power(theta + scale * step))
+            if np.abs(g).max() < np.abs(f).max():
+                theta, f = theta + scale * step, g
+                break
+        else:
+            break  # at the rounding floor
+    return power(theta)
+
+
+def test_each_published_column_is_a_feasible_dispatch(six_unit_path):
+    # the table's FC and three emissions are met together by a balanced
+    # dispatch within the limits: the published points are points of this model
+    worst = 0.0
+    for col in range(4):
+        problem = load_problem(six_unit_path, COLUMN_DEMAND[col])
+        targets = np.array([TABLE_FC[col], *(TABLE_E[gas][col] for gas in problem.gases)])
+        solution = evaluate_dispatch(problem, meet_column(problem, targets, seed=col), penalty_factors_all(problem))
+        assert solution.feasible, col
+        got = np.array([solution.fuel_cost, *(solution.emissions[gas] for gas in problem.gases)])
+        worst = max(worst, np.abs(got / targets - 1.0).max(), abs(solution.balance_residual) / problem.demand)
+    assert worst <= 1e-8, worst
+
+
+def test_published_costs_lie_above_the_optimum_and_the_package_at_or_below_them(six_unit_path):
+    # so criterion 4's two-sided bound holds because the package beats the
+    # table: it is 0.40-0.59% above the lambda optimum (README, Testing)
+    spec = ExperimentSpec(problem_path=str(six_unit_path), demands=(1500.0, 2000.0), solver="both", trials=50)
+    best = {(r.solver, r.demand): min(r.total_costs) for r in run_experiment(spec)}
+    above = []
+    for col in range(4):
+        problem = load_problem(six_unit_path, COLUMN_DEMAND[col])
+        h = penalty_factors_all(problem)
+        optimum = lambda_solve(problem, h).solution(problem, h).total_cost
+        assert optimum < TABLE_TC[col], col
+        assert best[COLUMN_SOLVER[col], COLUMN_DEMAND[col]] <= TABLE_TC[col], col
+        above.append(TABLE_TC[col] / optimum - 1.0)
+    assert 0.40 <= round(100 * min(above), 2) and round(100 * max(above), 2) <= 0.59, above
+
+
 def test_ga_worst_trial_ends_near_the_oracle(six_unit_path):
     # the CLI protocol's 50 GA trials at 2000 MW, where repair moves most rows
     problem = load_problem(six_unit_path, 2000.0)

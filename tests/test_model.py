@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ceed import model, pso
+from ceed import ga, model, pso, repair
 from ceed.ga import GaConfig, decode
 from ceed.model import (
     BALANCE_TOL,
@@ -344,6 +344,35 @@ def test_tiles_serve_every_batch_height(six_unit_path):
     for tile in (lo, hi, problem.limit_rows(3)[1], b, c):
         with pytest.raises(ValueError, match="read-only"):
             tile[0, 0] = 1.0
+
+
+def test_per_step_constants_are_read_only_0d_copies_of_their_literals(six_unit_path):
+    # the solvers' per-step ufunc operands are 0-d arrays; each shared one must
+    # hold its literal's bits and refuse a write, through out= as through an index
+    problem = load_problem(six_unit_path, 1777.7)
+    h = penalty_factors_all(problem)
+    sum_a, _, _ = model._fold(problem, h, 10)
+    weights = np.array([problem.k1, *(h[gas] for gas in problem.gases)])
+    a = (weights @ problem.coeff_stack.reshape(len(weights), -1)).reshape(3, -1)[0]
+    twice, four_times = problem.demand_2x_4x
+    constants = {
+        "repair._ZERO": (repair._ZERO, 0.0),
+        "repair._HALF": (repair._HALF, 0.5),
+        "repair._ONE": (repair._ONE, 1.0),
+        "repair._TOL": (repair._TOL, BALANCE_TOL),
+        "pso._CHI": (pso._CHI, pso.CONSTRICTION),
+        "ga._GENE_MAX": (ga._GENE_MAX, 2.0**16 - 1.0),
+        "demand_arr": (problem.demand_arr, 1777.7),
+        "2 demand": (twice, 2.0 * 1777.7),
+        "4 demand": (four_times, 4.0 * 1777.7),
+        "fold sum_a": (sum_a, a.sum()),
+    }
+    for name, (constant, literal) in constants.items():
+        assert isinstance(constant, np.ndarray) and constant.shape == () and constant.dtype == np.float64, name
+        assert constant.tobytes() == np.float64(literal).tobytes(), name
+        assert not constant.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(constant, 1.0, out=constant)
 
 
 # --- validation at construction ---------------------------------------------

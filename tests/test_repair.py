@@ -298,6 +298,106 @@ def test_lossy_share_of_a_row_does_not_depend_on_its_batch(six_unit_path):
     assert np.array_equal(_share(problem, stack(d), stack(p), stack(r)), stack(alone))
 
 
+# The step's two selects as repair_batch wrote them before they became copyto
+# calls: the new forms must give the same bits on every share, NaN, -0.0 and
+# the infinities included.
+
+
+def where_limits(r, lo, hi):
+    return np.where(r[:, None] < 0.0, hi, lo)
+
+
+def where_share(t, landed):
+    return np.where(landed, 0.0, np.where(t >= 0.0, np.fmin(t, 1.0), 1.0))
+
+
+def lossy_pair(demand, b, p_min=0.0, p_max=100.0):
+    units = [make_unit(1, p_min, p_max), make_unit(2, p_min, p_max)]
+    return make_problem(units, demand, losses=LossMatrix(np.diag([b, b])))
+
+
+# Hand-built rows within the limits, as the step receives them.  With B = 2^-5
+# every figure of row [10, 20] is exact: it loses 15.625 MW, lands at
+# 14.375 MW with r = +0.0 past the loss peak, and takes the share
+# 0 / negative = -0.0.
+SELECT_CASES = {
+    # at demand sum(p_min) a landed row at p_min has no room: 0 / 0
+    "lossless-at-p_min": (make_problem(step_problem().units, 60.0), [[10.0, 20.0, 30.0], [100.0, 150.0, 200.0]]),
+    "lossless": (step_problem(), [[100.0, 200.0, 200.0], *STEP_P]),
+    # negative shares, a row with no root (NaN), and a row at p_max short of demand: r / 0
+    "lossy-past-the-peak": (
+        lossy_pair(14.375, 2.0**-5),
+        [[10.0, 20.0], [20.0, 10.0], [16.0, 20.0], [30.0, 2.0], [100.0, 100.0], [5.0, 5.0]],
+    ),
+    # demand beyond net capacity: shares past 1
+    "lossy-short": (lossy_pair(290.0, 5e-4, 10.0, 150.0), [[100.0, 120.0], [140.0, 150.0], [150.0, 150.0]]),
+}
+
+
+def step_operands(name):
+    """A case's r, landed rows, limits and share t, as the step sees them; d by the old select."""
+    problem, rows = SELECT_CASES[name]
+    p = np.array(rows)
+    lo, hi = problem.limit_rows(len(p))
+    r = balance_residual(problem, p)
+    d = p - where_limits(r, lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _share(problem, d, p, r)
+    return r, np.abs(r) <= BALANCE_TOL, lo, hi, t
+
+
+def test_step_select_cases_cover_every_kind_of_share():
+    operands = [step_operands(name) for name in SELECT_CASES]
+    landed, t = (np.concatenate([ops[i] for ops in operands]) for i in (1, 4))
+    assert all(ops[1].any() and not ops[1].all() for ops in operands[:3])  # landed rows beside moving ones
+    assert np.isnan(t[landed]).any() and np.isnan(t[~landed]).any()  # 0 / 0, and no root
+    assert np.isneginf(t).any()  # r / 0
+    assert (t < 0.0).any() and (t > 1.0).any() and ((t > 0.0) & (t < 1.0)).any()
+    assert (np.signbit(t) & (t == 0.0)).any() and (~np.signbit(t) & (t == 0.0)).any()
+
+
+@pytest.mark.parametrize("name", list(SELECT_CASES))
+def test_step_selects_give_the_nested_where_bits(name):
+    r, landed, lo, hi, t = step_operands(name)
+    c = ceed.repair._limits_toward(r, lo, hi)
+    assert c.tobytes() == where_limits(r, lo, hi).tobytes()
+    assert c.flags.writeable and not np.shares_memory(c, lo)
+    expected = where_share(t, landed)
+    got = ceed.repair._step_share(t, landed)
+    assert got is t and got.tobytes() == expected.tobytes()
+
+
+def test_step_share_gives_the_nested_where_bits_on_every_special_value():
+    t = np.array([np.nan, np.inf, -np.inf, -2.5, -5e-324, -0.0, 0.0, 5e-324, 0.25, 1.0, 1.0 + 2**-52, 3.0])
+    for landed in (np.zeros(len(t), bool), np.arange(len(t)) % 2 == 0, np.ones(len(t), bool)):
+        expected = where_share(t, landed)
+        assert ceed.repair._step_share(t.copy(), landed).tobytes() == expected.tobytes()
+    r = np.array([np.nan, -np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, np.inf])
+    lo, hi = np.zeros((len(r), 2)), np.ones((len(r), 2))
+    assert ceed.repair._limits_toward(r, lo, hi).tobytes() == where_limits(r, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("name", list(SELECT_CASES))
+def test_repair_with_the_nested_where_selects_gives_the_same_outcome(monkeypatch, name):
+    # rows that end off the balance raise; their residuals after the step still compare
+    problem, rows = SELECT_CASES[name]
+    P = np.array(rows)
+    seen = counting_residuals(monkeypatch)
+
+    def outcome():
+        seen.clear()
+        try:
+            result = repair_batch(problem, P).tobytes()
+        except InfeasibleError as exc:
+            result = str(exc)
+        return result, [r.tobytes() for r in seen]
+
+    new = outcome()
+    monkeypatch.setattr(ceed.repair, "_limits_toward", where_limits)
+    monkeypatch.setattr(ceed.repair, "_step_share", where_share)
+    assert outcome() == new and len(new[1]) == 2
+
+
 # --- properties over random feasible problems --------------------------------
 
 
