@@ -36,6 +36,7 @@ _LAZY = {
     "export_trace": "harness",
     "format_report": "harness",
     "run_experiment": "harness",
+    "run_trials": "harness",
     "LambdaResult": "oracle",
     "grid_search": "oracle",
     "lambda_solve": "oracle",
@@ -81,6 +82,7 @@ __all__ = [
     "format_report",
     "load_problem",
     "run_experiment",
+    "run_trials",
     "check_limits",
     "evaluate_dispatch",
     "grid_search",

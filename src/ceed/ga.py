@@ -11,34 +11,35 @@ crossover_masks and flip_positions read themselves, and the best individual
 of each generation passes on unchanged, so every generation holds the best
 row seen so far.
 
-breed makes the next generation of every trial at once, on arrays of
-shape (trials, individuals, bits), and no operation mixes two trials'
-rows.  Each trial draws from two streams of its own: its seeded Generator
-gives its first population and then its uniforms, laid out generation by
-generation as the two roulette spins of every pair of parents, then a
-crossover coin and a cut uniform per pair; a Generator spawned from it
-gives the positions of its flipped child bits, one renewal process of
-geometric gaps over the whole run (flip_positions), set in a 0/1 mask that
-breed XORs into the children.  Both are drawn ahead in blocks of whole
-generations, bounded per trial and per batch (DRAW_BLOCK, DRAW_BATCH); a
-block also yields the crossover masks of all its generations, built in one
-step from their coins and cuts (crossover_masks).  Neither stream depends
-on where a block ends, so the block length is a speed setting only: a
-trial draws the same in any batch as alone.
+breed makes the next generation of every trial at once, on arrays of shape
+(trials, individuals, bits), and no operation mixes two trials' rows, so
+harness.run_trials, which steps a GaState, gives each trial bitwise the
+result of a lone run with its seed.  Each trial draws from two streams of
+its own: its seeded Generator gives its first population and then its
+uniforms, laid out generation by generation as the two roulette spins of
+every pair of parents, then a crossover coin and a cut uniform per pair; a
+Generator spawned from it gives the positions of its flipped child bits,
+one renewal process of geometric gaps over the whole run (flip_positions),
+set in a 0/1 mask that breed XORs into the children.  Both are drawn ahead
+in blocks of whole generations, bounded per trial and per batch
+(DRAW_BLOCK, DRAW_BATCH); a block also yields the crossover masks of all
+its generations, built in one step from their coins and cuts
+(crossover_masks).  Neither stream depends on where a block ends, so the
+block length is a speed setting only: a trial draws the same in any batch
+as alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import ClassVar, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .model import (
-    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch,
-    frozen_scalar,
+    DispatchProblem, PenaltyFactors, block_steps, check_integer, combined_objective_batch, frozen_scalar,
 )
 from .repair import repair_batch
 
@@ -191,43 +192,41 @@ def breed(
     return nxt[:, :n]
 
 
-def run_trials(
-    problem: DispatchProblem, config: Optional[GaConfig], h: Optional[PenaltyFactors], trials: int
-) -> list[tuple[DispatchSolution, np.ndarray]]:
-    """GA runs with seeds config.seed + i, evaluated together generation by generation.
+@dataclass
+class GaState:
+    """The populations of one or more trials, their repaired powers and objectives, and their draws."""
 
-    Entry i is the last generation's leader and the per-generation best
-    trace of trial i, bitwise equal to run() with seed config.seed + i:
-    each trial draws from its own two streams, and the breeding, decode,
-    repair and objective calls take every trial's population at once
-    without mixing their rows.  The elite re-evaluates to the same
-    objective, as repair and the objective treat each row on its own, so
-    the leader is the best row ever seen and the trace never rises.
-    """
-    config = config or GaConfig()
+    populations: np.ndarray  # (trials, individuals, bits)
+    powers: np.ndarray  # (trials, individuals, units)
+    objectives: np.ndarray  # (trials, individuals); the elite keeps its objective, so no minimum ever rises
+    draws: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)  # _draws, one per breeding
+
+
+def init_population(
+    problem: DispatchProblem, config: GaConfig, h: Optional[PenaltyFactors] = None, trials: int = 1
+) -> GaState:
+    """Uniform random bitstrings, evaluated; trial i draws from its own Generator, seeded config.seed + i."""
     check_integer("trials", trials, 1)
     rngs = [np.random.default_rng(config.seed + i) for i in range(trials)]
     length = problem.n_units * config.bits_per_gene
-    populations = np.stack(
-        [rng.integers(0, 2, size=(config.individuals, length), dtype=np.uint8) for rng in rngs]
-    )
-    powers, objectives = _evaluate(populations, problem, config, h)
+    populations = np.stack([rng.integers(0, 2, (config.individuals, length), dtype=np.uint8) for rng in rngs])
     draws = _draws(rngs, max(config.generations - 1, 0), config.individuals, length)
-    trace = np.empty((trials, config.generations))
-    for generation in range(config.generations):
-        if generation:
-            populations = breed(populations, objectives, *next(draws))
-            powers, objectives = _evaluate(populations, problem, config, h)
-        trace[:, generation] = objectives.min(axis=1)
-    best = powers[np.arange(trials), objectives.argmin(axis=1)]
-    return [(evaluate_dispatch(problem, p, h), tr) for p, tr in zip(best, trace)]
+    return GaState(populations, *_evaluate(populations, problem, config, h), draws)
 
 
-def run(
-    problem: DispatchProblem, config: Optional[GaConfig] = None, h: Optional[PenaltyFactors] = None
-) -> tuple[DispatchSolution, np.ndarray]:
-    """Full GA run; returns the best dispatch found and the per-generation best trace."""
-    return run_trials(problem, config, h, 1)[0]
+def step(
+    state: GaState, problem: DispatchProblem, config: GaConfig, h: Optional[PenaltyFactors] = None, generation: int = 0
+) -> np.ndarray:
+    """Breed and evaluate every trial's next generation, none at generation 0; returns each trial's best objective."""
+    if generation:
+        state.populations = breed(state.populations, state.objectives, *next(state.draws))
+        state.powers, state.objectives = _evaluate(state.populations, problem, config, h)
+    return state.objectives.min(axis=1)
+
+
+def leaders(state: GaState) -> np.ndarray:
+    """Each trial's individual of lowest objective, the first one on ties, as powers: (trials, units)."""
+    return state.powers[np.arange(len(state.powers)), state.objectives.argmin(axis=1)]
 
 
 def _evaluate(
@@ -259,8 +258,7 @@ def _draws(
     """
     trials, pairs = len(rngs), individuals // 2
     span = (individuals - 1) * length  # child bits of one trial's generation
-    most = max(1, min(DRAW_BLOCK, DRAW_BATCH // trials) // span)  # generations a block may hold
-    per_block = max(1, -(-breedings // max(1, -(-breedings // most))))  # over the fewest blocks, evened out
+    per_block = block_steps(breedings, trials, span, DRAW_BLOCK, DRAW_BATCH)
     uniforms = np.empty((trials, per_block, 4 * pairs))
     flips = np.empty((trials, per_block, individuals - 1, length), dtype=np.uint8)
     crossings = np.empty((trials, per_block, pairs, length), dtype=bool)

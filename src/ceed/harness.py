@@ -4,10 +4,10 @@ Experiments run each solver `trials` times with seeds base_seed + index and
 reduce the results in index order, so a report's deterministic section is
 byte-identical across repeats of the same spec; wall-clock figures live in
 a separate timing section because they never reproduce exactly.  The trials
-of a (solver, demand) pair run as one batch through the solver's
-run_trials, the pairs in turn or in `workers` processes, and a trial's
-result does not depend on its batch.  run_experiment writes no files: a
-caller writes reports with format_report and traces with export_trace.
+of a (solver, demand) pair run as one batch through run_trials, the step
+loop of both solvers, the pairs in turn or in `workers` processes, and a
+trial's result does not depend on its batch.  run_experiment writes no
+files: a caller writes reports with format_report and traces with export_trace.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import ga, pso
-from .model import DispatchSolution, PenaltyFactors, check_integer
+from .model import DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, evaluate_dispatch
 from .penalty import penalty_factors_all
 from .problem_file import format_demand, load_problem
 
@@ -72,9 +72,9 @@ class ExperimentSpec:
 class Trial:
     """One seeded solver run.
 
-    The trials of a (solver, demand) pair run as one batch, so `seconds` is
-    the batch's wall time divided by its number of trials; bench/run.py's
-    per-trial time metrics read it.
+    The trials of a (solver, demand) pair run as one run_trials batch, so
+    `seconds` is the batch's wall time divided by its number of trials;
+    bench/run.py's per-trial time metrics read it.
     """
 
     index: int
@@ -102,12 +102,30 @@ class TrialReport:
         return [t.solution.total_cost for t in self.trials]
 
 
+def run_trials(
+    problem: DispatchProblem, config: Union[pso.PsoConfig, ga.GaConfig], h: Optional[PenaltyFactors], trials: int
+) -> list[tuple[DispatchSolution, np.ndarray]]:
+    """Runs of the config's solver with seeds config.seed + i, stepped together as one batch.
+
+    Entry i is trial i's best dispatch and its per-step trace of the best
+    objective so far, bitwise those of a lone run with seed config.seed + i.
+    The solver's step is looked up on its module at every call.
+    """
+    if isinstance(config, pso.PsoConfig):
+        solver, state, steps = pso, pso.init_swarm(problem, config, h, trials), config.iterations
+    else:
+        solver, state, steps = ga, ga.init_population(problem, config, h, trials), config.generations
+    trace = np.empty((trials, steps))
+    for t in range(steps):
+        trace[:, t] = solver.step(state, problem, config, h, t)
+    return [(evaluate_dispatch(problem, best, h), tr) for best, tr in zip(solver.leaders(state), trace)]
+
+
 def _run_trial(args) -> TrialReport:
     """One (solver, demand) pair: its trials run as one batch and timed together."""
     solver, demand, problem, h, config, count = args
-    runner = pso.run_trials if solver == "pso" else ga.run_trials
     start = time.perf_counter()
-    results = runner(problem, config, h, count)
+    results = run_trials(problem, config, h, count)
     share = (time.perf_counter() - start) / count
     trials = tuple(
         Trial(index=i, seed=config.seed + i, solution=solution, seconds=share, trace=trace)

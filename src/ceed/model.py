@@ -43,6 +43,16 @@ def check_integer(name: str, value, least: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def block_steps(steps: int, trials: int, span: int, per_trial: int, per_batch: int) -> int:
+    """Whole steps per draw block for a batch of `trials` trials that each draw `span` numbers a step.
+
+    As few blocks of even length over `steps` as keep each trial's part to
+    per_trial numbers and the batch's to per_batch, at least one step each.
+    """
+    most = max(1, min(per_trial, per_batch // trials) // span)  # steps a block may hold
+    return max(1, -(-steps // max(1, -(-steps // most))))  # over the fewest blocks, evened out
+
+
 class Gas(enum.Enum):
     """Emission species tracked by the model."""
 
@@ -129,6 +139,10 @@ class LossMatrix:
     def size(self) -> int:
         return self._b.shape[0]
 
+    def __reduce__(self):
+        # to the constructor, which copies b read-only; b is symmetric, so it is rebuilt bit for bit
+        return LossMatrix, (self._b,)
+
     def loss(self, powers: np.ndarray) -> np.ndarray:
         """p'Bp of one power vector, or of every row of a batch, MW.
 
@@ -187,6 +201,10 @@ class DispatchProblem:
             raise InfeasibleError(
                 f"demand {self.demand} MW outside dispatchable range [{lo}, {hi}] MW"
             )
+
+    def __reduce__(self):
+        # by the fields only: NumPy unpickles arrays writable, so the copy rebuilds its caches read-only
+        return DispatchProblem, (self.units, self.demand, self.gases, self.losses, self.k1, self.k2)
 
     @property
     def n_units(self) -> int:

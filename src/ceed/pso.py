@@ -12,13 +12,14 @@ the Clerc-Kennedy formula (0.72984).  Every candidate position is clamped to
 the unit limits and projected onto the power balance before evaluation, so
 the objective never needs a penalty term for constraint violations.
 
-run_trials steps the swarms of several seeded trials at once, on arrays of
-shape (trials, particles, units), and no operation mixes two trials' rows:
-each trial draws from its own Generator and keeps its own gbest, so its
-result is bitwise that of a lone run with its seed.  Each iteration takes a
-trial's r1, then its r2, from blocks of whole iterations drawn ahead
-(_draws); Generator.random consumes its stream in order, so the block
-length is a speed setting only.
+init_swarm and step hold the swarms of several seeded trials at once, on
+arrays of shape (trials, particles, units), and no operation mixes two
+trials' rows: each trial draws from its own Generator and keeps its own
+gbest, so harness.run_trials, which steps them, gives each trial bitwise
+the result of a lone run with its seed.  Each iteration takes a trial's r1,
+then its r2, from blocks of whole iterations drawn ahead (_draws);
+Generator.random consumes its stream in order, so the block length is a
+speed setting only.
 
 An iteration does only per-iteration work.  init_swarm computes the velocity
 bounds once; step writes the velocity law into the swarm's own velocities
@@ -43,8 +44,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .model import (
-    DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, combined_objective_batch, evaluate_dispatch,
-    frozen_scalar,
+    DispatchProblem, PenaltyFactors, block_steps, check_integer, combined_objective_batch, frozen_scalar,
 )
 from .repair import repair_batch
 
@@ -150,8 +150,7 @@ def _draws(
     past its budget.  Each yielded pair is valid until the next is asked for.
     """
     trials, span = len(rngs), 2 * math.prod(swarm)  # uniforms of one trial's iteration
-    most = max(1, min(DRAW_BLOCK, DRAW_BATCH // trials) // span)  # iterations a block may hold
-    per_block = max(1, -(-iterations // max(1, -(-iterations // most))))  # over the fewest blocks, evened out
+    per_block = block_steps(iterations, trials, span, DRAW_BLOCK, DRAW_BATCH)
     block = np.empty((trials, per_block, 2, *swarm))
     while True:
         for rng, trial_block in zip(rngs, block):
@@ -196,8 +195,8 @@ def step(
     config: PsoConfig,
     h: Optional[PenaltyFactors] = None,
     iteration: int = 0,
-) -> PsoState:
-    """Advance every trial's swarm one iteration in place and return the state."""
+) -> np.ndarray:
+    """Advance every trial's swarm one iteration in place; returns each trial's gbest_obj."""
     c1r1, c2r2 = next(state.draws)
     v, w = state.velocities, state.inertia
     w[()] = config.inertia(iteration)  # same bits as the float, without its per-call surcharge
@@ -211,7 +210,7 @@ def step(
     objs = combined_objective_batch(problem, rows, h).reshape(state.pbest_obj.shape)
     improved = objs < state.pbest_obj
     if not np.count_nonzero(improved):
-        return state  # no pbest moved, so by the gbest invariant nothing else can
+        return state.gbest_obj  # no pbest moved, so by the gbest invariant nothing else can
     np.copyto(state.pbest_obj, objs, where=improved)
     np.copyto(state.pbest_pos, state.positions, where=improved[..., None])
     leaders = np.arange(len(objs)), _leaders(state.pbest_obj)
@@ -219,29 +218,9 @@ def step(
     if np.count_nonzero(better):
         state.gbest_obj = np.where(better, state.pbest_obj[leaders], state.gbest_obj)
         state.gbest_pos = np.where(better[:, None], state.pbest_pos[leaders], state.gbest_pos)
-    return state
+    return state.gbest_obj
 
 
-def run_trials(
-    problem: DispatchProblem, config: Optional[PsoConfig], h: Optional[PenaltyFactors], trials: int
-) -> list[tuple[DispatchSolution, np.ndarray]]:
-    """PSO runs with seeds config.seed + i, stepped together as one swarm batch.
-
-    Entry i is the best dispatch and the per-iteration gbest trace of trial
-    i, bitwise equal to run() with seed config.seed + i: trials share no
-    draws and no rows, only the array calls.
-    """
-    config = config or PsoConfig()
-    state = init_swarm(problem, config, h, trials)
-    trace = np.empty((trials, config.iterations))
-    for t in range(config.iterations):
-        step(state, problem, config, h, t)
-        trace[:, t] = state.gbest_obj
-    return [(evaluate_dispatch(problem, best, h), tr) for best, tr in zip(state.gbest_pos, trace)]
-
-
-def run(
-    problem: DispatchProblem, config: Optional[PsoConfig] = None, h: Optional[PenaltyFactors] = None
-) -> tuple[DispatchSolution, np.ndarray]:
-    """Full PSO run; returns the best dispatch and the per-iteration gbest trace."""
-    return run_trials(problem, config, h, 1)[0]
+def leaders(state: PsoState) -> np.ndarray:
+    """Each trial's best position so far, gbest_pos: (trials, units)."""
+    return state.gbest_pos

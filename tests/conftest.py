@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ceed.harness import run_trials
 from ceed.model import ALL_GASES, DispatchProblem, Gas, GeneratorUnit
 
 
@@ -70,3 +71,8 @@ def rng():
 def six_unit_path():
     """Filesystem path of the shipped six-unit benchmark file."""
     return Path(str(resources.files("ceed").joinpath("data/ieee30_6unit.json")))
+
+
+def run_one(problem, config, h=None):
+    """One seeded run of the config's solver: its best dispatch and its trace."""
+    return run_trials(problem, config, h, 1)[0]

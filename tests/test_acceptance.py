@@ -10,9 +10,7 @@ penalty factors, and the table's arithmetic identities.
 import numpy as np
 
 from ceed.ga import P_MUTATION, GaConfig, crossover, crossover_masks, flip_positions, roulette_select
-from ceed.ga import run as ga_run
-from ceed.ga import run_trials as ga_run_trials
-from ceed.harness import ExperimentSpec, run_experiment
+from ceed.harness import ExperimentSpec, run_experiment, run_trials
 from ceed.model import (
     BALANCE_TOL,
     Gas,
@@ -26,9 +24,8 @@ from ceed.oracle import grid_search, lambda_solve
 from ceed.penalty import penalty_factors_all
 from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig, init_swarm, step
-from ceed.pso import run as pso_run
 
-from conftest import make_problem, make_unit, random_problem
+from conftest import make_problem, make_unit, random_problem, run_one
 
 # -- pinned tolerances --------------------------------------------------------
 TC_IDENTITY_ABS = 0.02  # $/h, criterion 1
@@ -194,7 +191,7 @@ def test_ga_worst_trial_ends_near_the_oracle(six_unit_path):
     problem = load_problem(six_unit_path, 2000.0)
     h = penalty_factors_all(problem)
     optimum = lambda_solve(problem, h).solution(problem, h).total_cost
-    worst = max(sol.total_cost for sol, _ in ga_run_trials(problem, GaConfig(seed=0), h, 50))
+    worst = max(sol.total_cost for sol, _ in run_trials(problem, GaConfig(seed=0), h, 50))
     assert worst / optimum - 1.0 <= GA_WORST_REL, f"worst GA trial {worst:.2f} $/h against the optimum {optimum:.2f}"
 
 
@@ -206,8 +203,8 @@ def test_criterion_5_oracle_equivalence():
         problem = random_problem(rng, 2 if k % 2 == 0 else 3)
         h = penalty_factors_all(problem)
         reference = lambda_solve(problem, h).solution(problem, h)
-        pso_sol, _ = pso_run(problem, PsoConfig(iterations=200, seed=k), h)
-        ga_sol, _ = ga_run(problem, GaConfig(generations=300, seed=k), h)
+        pso_sol, _ = run_one(problem, PsoConfig(iterations=200, seed=k), h)
+        ga_sol, _ = run_one(problem, GaConfig(generations=300, seed=k), h)
         for sol in (pso_sol, ga_sol):
             worst_solver = max(
                 worst_solver, abs(sol.total_cost / reference.total_cost - 1.0)
@@ -237,10 +234,10 @@ def test_criterion_6_invariant_suite(rng):
     # trace monotonicity and determinism, both solvers
     problem = random_problem(rng, 4)
     h = penalty_factors_all(problem)
-    p1, tr_p1 = pso_run(problem, PsoConfig(iterations=80, seed=3), h)
-    p2, tr_p2 = pso_run(problem, PsoConfig(iterations=80, seed=3), h)
-    g1, tr_g1 = ga_run(problem, GaConfig(generations=80, seed=3), h)
-    g2, tr_g2 = ga_run(problem, GaConfig(generations=80, seed=3), h)
+    p1, tr_p1 = run_one(problem, PsoConfig(iterations=80, seed=3), h)
+    p2, tr_p2 = run_one(problem, PsoConfig(iterations=80, seed=3), h)
+    g1, tr_g1 = run_one(problem, GaConfig(generations=80, seed=3), h)
+    g2, tr_g2 = run_one(problem, GaConfig(generations=80, seed=3), h)
     if np.any(np.diff(tr_p1) > 1e-12) or np.any(np.diff(tr_g1) > 1e-12):
         failures.append("trace not monotone")
     if p1.powers != p2.powers or not np.array_equal(tr_p1, tr_p2):
@@ -293,8 +290,8 @@ def test_criterion_7_degenerate_suite():
     single = make_problem([make_unit(1, 40.0, 260.0)], demand=190.0)
     h = penalty_factors_all(single)
     for name, sol in (
-        ("pso", pso_run(single, PsoConfig(iterations=10, seed=1), h)[0]),
-        ("ga", ga_run(single, GaConfig(generations=10, seed=1), h)[0]),
+        ("pso", run_one(single, PsoConfig(iterations=10, seed=1), h)[0]),
+        ("ga", run_one(single, GaConfig(generations=10, seed=1), h)[0]),
     ):
         if abs(sol.powers[0] - 190.0) > BALANCE_TOL:
             failures.append(f"{name} missed the forced dispatch")

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ceed.harness import run_trials
 from ceed.model import BALANCE_TOL, balance_residual, check_limits
-from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
 from ceed import ga
-from ceed.ga import GaConfig, breed, crossover, crossover_masks, decode, flip_positions, roulette_select, run, run_trials
+from ceed.ga import GaConfig, breed, crossover, crossover_masks, decode, flip_positions, roulette_select
 
-from conftest import make_problem, make_unit, random_problem, weighted_problems
+from conftest import make_problem, make_unit, random_problem, run_one, weighted_problems
 
 
 def small_config(**kw):
@@ -298,25 +298,6 @@ def test_run_trials_do_not_depend_on_the_draw_block(monkeypatch, rng, trials):
     assert len(blocks) == 1
 
 
-def test_run_is_deterministic(rng):
-    problem = random_problem(rng, 4)
-    h = penalty_factors_all(problem)
-    s1, t1 = run(problem, small_config(), h)
-    s2, t2 = run(problem, small_config(), h)
-    assert s1.powers == s2.powers
-    assert np.array_equal(t1, t2)
-
-
-def test_run_trace_monotone_under_elitism(rng):
-    problem = random_problem(rng, 4)
-    h = penalty_factors_all(problem)
-    solution, trace = run(problem, small_config(generations=120), h)
-    assert trace.shape == (120,)
-    assert np.all(np.diff(trace) <= 1e-12)
-    assert solution.total_cost == trace[-1]
-    assert solution.feasible
-
-
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(st.data())
 def test_property_trace_never_rises(data):
@@ -326,7 +307,7 @@ def test_property_trace_never_rises(data):
         generations=data.draw(st.integers(1, 15)),
         seed=data.draw(st.integers(0, 2**32 - 1)),
     )
-    solution, trace = run(problem, config, penalty_factors_all(problem))
+    solution, trace = run_one(problem, config, penalty_factors_all(problem))
     assert np.all(np.diff(trace) <= 0.0)
     # the answer is the last generation's leader, which holds the best row seen
     assert solution.total_cost == trace[-1]
@@ -377,46 +358,16 @@ def test_property_batched_trials_equal_lone_runs(problem, trials, individuals, g
     batch = run_trials(problem, config, h, trials)
     assert len(batch) == trials
     for i, (solution, trace) in enumerate(batch):
-        lone, lone_trace = run(problem, replace(config, seed=seed + i), h)
+        lone, lone_trace = run_one(problem, replace(config, seed=seed + i), h)
         assert solution.powers == lone.powers
         assert solution.total_cost == lone.total_cost
         assert trace.tobytes() == lone_trace.tobytes()
-
-
-def test_zero_generations_return_best_of_initial_population(rng):
-    problem = random_problem(rng, 4)
-    h = penalty_factors_all(problem)
-    solution, trace = run(problem, small_config(generations=0), h)
-    assert trace.shape == (0,)
-    assert solution.feasible
-    # a one-generation run evaluates the same seeded population and nothing else
-    first, first_trace = run(problem, small_config(generations=1), h)
-    assert solution.powers == first.powers
-    assert solution.total_cost == first_trace[0]
 
 
 def test_every_reported_solution_is_feasible(rng):
     for _ in range(5):
         problem = random_problem(rng, int(rng.integers(2, 6)))
         h = penalty_factors_all(problem)
-        solution, _ = run(problem, small_config(generations=30), h)
+        solution, _ = run_one(problem, small_config(generations=30), h)
         assert check_limits(problem, solution.powers) == []
         assert abs(balance_residual(problem, solution.powers)) <= BALANCE_TOL
-
-
-def test_single_unit_run_is_forced():
-    problem = make_problem([make_unit(1, 50.0, 300.0)], demand=220.0)
-    h = penalty_factors_all(problem)
-    solution, _ = run(problem, small_config(generations=5), h)
-    assert solution.powers[0] == pytest.approx(220.0, abs=BALANCE_TOL)
-
-
-def test_two_unit_run_matches_lambda_oracle():
-    units = [
-        make_unit(1, 20.0, 250.0, cost=(120.0, 4.0, 0.010)),
-        make_unit(2, 30.0, 300.0, cost=(90.0, 6.5, 0.006)),
-    ]
-    problem = make_problem(units, demand=330.0, k2=0)
-    solution, _ = run(problem, GaConfig(individuals=16, generations=400, seed=13))
-    reference = lambda_solve(problem).solution(problem)
-    assert solution.total_cost <= reference.total_cost * (1.0 + 5e-4)

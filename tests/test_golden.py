@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ceed import ga, pso
 from ceed.ga import GaConfig
+from ceed.harness import run_trials
 from ceed.model import LossMatrix
 from ceed.oracle import grid_search, lambda_solve
 from ceed.penalty import penalty_factors_all
@@ -98,28 +98,28 @@ def _lossy_six_unit(seed):
     return make_problem(base.units, 1500.0, gases=base.gases, losses=LossMatrix(b))
 
 
-def _trial_cases(name, runner, problem, config, trials):
+def _trial_cases(name, problem, config, trials):
     h = penalty_factors_all(problem)
-    results = runner(problem, config, h, trials)
+    results = run_trials(problem, config, h, trials)
     return {f"{name}/seed{config.seed + i}": trial_digest(*result) for i, result in enumerate(results)}
 
 
 def _solver_cases(solver: str) -> dict:
-    module, make_config = (pso, PsoConfig) if solver == "pso" else (ga, GaConfig)
+    make_config = PsoConfig if solver == "pso" else GaConfig
     steps = "iterations" if solver == "pso" else "generations"
     size = "particles" if solver == "pso" else "individuals"
     cases = {}
     for demand in (1500.0, 2000.0):
-        cases.update(_trial_cases(f"{solver}/six/{demand:g}", module.run_trials, _six_unit(demand), make_config(), 10))
+        cases.update(_trial_cases(f"{solver}/six/{demand:g}", _six_unit(demand), make_config(), 10))
     for seed in (1, 2):
         cases.update(
             _trial_cases(
-                f"{solver}/lossy{seed}", module.run_trials, _lossy_six_unit(seed), make_config(**{steps: 200}), 4
+                f"{solver}/lossy{seed}", _lossy_six_unit(seed), make_config(**{steps: 200}), 4
             )
         )
     large = random_problem(np.random.default_rng(40), 40)
     cases.update(
-        _trial_cases(f"{solver}/random40", module.run_trials, large, make_config(**{steps: 50, size: 100}), 1)
+        _trial_cases(f"{solver}/random40", large, make_config(**{steps: 50, size: 100}), 1)
     )
     return cases
 

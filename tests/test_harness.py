@@ -10,10 +10,13 @@ import pytest
 
 from ceed import GaConfig, PsoConfig, ga, pso
 from ceed.cli import EXIT_OK, main
-from ceed.harness import ExperimentSpec, export_trace, format_report, run_experiment
-from ceed.model import DispatchError, InfeasibleError
+from ceed.harness import ExperimentSpec, export_trace, format_report, run_experiment, run_trials
+from ceed.model import BALANCE_TOL, DispatchError, InfeasibleError, evaluate_dispatch
+from ceed.oracle import lambda_solve
 from ceed.penalty import penalty_factors_all
 from ceed.problem_file import ProblemFileError, format_demand, load_problem
+
+from conftest import make_problem, make_unit, random_problem, run_one
 
 
 def read_trace(path):
@@ -201,13 +204,86 @@ def test_solver_configs_name_a_bad_count_or_seed(config, field, least, value):
     assert getattr(config(**{field: np.int64(least)}), field) == least
 
 
-@pytest.mark.parametrize("solver", [pso, ga], ids=["pso", "ga"])
-def test_run_trials_refuses_zero_trials(tmp_path, solver):
+@pytest.mark.parametrize("config", [PsoConfig(), GaConfig()], ids=["pso", "ga"])
+def test_run_trials_refuses_zero_trials(tmp_path, config):
     problem = load_problem(write_problem(tmp_path), demand=330.0)
     with pytest.raises(ValueError, match=r"trials must be >= 1, got 0"):
-        solver.run_trials(problem, None, penalty_factors_all(problem), 0)
+        run_trials(problem, config, penalty_factors_all(problem), 0)
     with pytest.raises(ValueError, match=r"trials must be an integer, got 1\.5"):
-        solver.run_trials(problem, None, penalty_factors_all(problem), 1.5)
+        run_trials(problem, config, penalty_factors_all(problem), 1.5)
+
+
+# run_trials on either solver: a small config of each, with a step budget of `steps`
+SOLVERS = ["pso", "ga"]
+
+
+def small_config(solver, steps, **kw):
+    if solver == "pso":
+        return PsoConfig(**{"particles": 8, "iterations": steps, "seed": 7, **kw})
+    return GaConfig(**{"individuals": 10, "generations": steps, "seed": 11, **kw})
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_run_is_deterministic(rng, solver):
+    problem = random_problem(rng, 5)
+    h = penalty_factors_all(problem)
+    (s1, t1), (s2, t2) = (run_one(problem, small_config(solver, 60), h) for _ in range(2))
+    assert s1.powers == s2.powers
+    assert np.array_equal(t1, t2)
+
+
+@pytest.mark.parametrize("solver, steps", [("pso", 80), ("ga", 120)], ids=SOLVERS)
+def test_run_trace_is_monotone_and_sized(rng, solver, steps):
+    problem = random_problem(rng, 4)
+    h = penalty_factors_all(problem)
+    solution, trace = run_one(problem, small_config(solver, steps), h)
+    assert trace.shape == (steps,)
+    assert np.all(np.diff(trace) <= 1e-12)
+    assert solution.total_cost == trace[-1]
+    assert solution.feasible
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_zero_budget_returns_the_best_of_the_initial_population(rng, solver):
+    problem = random_problem(rng, 4)
+    h = penalty_factors_all(problem)
+    config = small_config(solver, 0)
+    solution, trace = run_one(problem, config, h)
+    assert trace.shape == (0,)
+    assert solution.feasible
+    if solver == "pso":
+        module, state = pso, pso.init_swarm(problem, config, h)
+        lowest = state.pbest_obj.min()
+    else:
+        module, state = ga, ga.init_population(problem, config, h)
+        lowest = state.objectives.min()
+    assert solution.powers == tuple(module.leaders(state)[0])
+    assert solution.total_cost == lowest
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_single_unit_run_is_forced(solver):
+    problem = make_problem([make_unit(1, 50.0, 300.0)], demand=175.0)
+    h = penalty_factors_all(problem)
+    solution, _ = run_one(problem, small_config(solver, 5), h)
+    assert solution.powers[0] == pytest.approx(175.0, abs=BALANCE_TOL)
+    assert solution.total_cost == pytest.approx(evaluate_dispatch(problem, [175.0], h).total_cost)
+
+
+@pytest.mark.parametrize(
+    "config, rel",
+    [(PsoConfig(particles=12, iterations=300, seed=3), 1e-4), (GaConfig(individuals=16, generations=400, seed=13), 5e-4)],
+    ids=SOLVERS,
+)
+def test_two_unit_run_matches_lambda_oracle(config, rel):
+    units = [
+        make_unit(1, 20.0, 250.0, cost=(120.0, 4.0, 0.010)),
+        make_unit(2, 30.0, 300.0, cost=(90.0, 6.5, 0.006)),
+    ]
+    problem = make_problem(units, demand=330.0, k2=0)
+    solution, _ = run_one(problem, config)
+    reference = lambda_solve(problem).solution(problem)
+    assert solution.total_cost <= reference.total_cost * (1.0 + rel)
 
 
 def quick_spec(path, **kw):

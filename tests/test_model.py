@@ -5,7 +5,10 @@ properties (additivity, scalarization identities, loss-matrix behavior),
 then construction-time validation.
 """
 
+import pickle
 import re
+from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ceed import ga, model, pso, repair
 from ceed.ga import GaConfig, decode
+from ceed.harness import run_trials
 from ceed.model import (
     BALANCE_TOL,
     DispatchProblem,
@@ -375,6 +379,40 @@ def test_per_step_constants_are_read_only_0d_copies_of_their_literals(six_unit_p
             np.add(constant, 1.0, out=constant)
 
 
+def _read_every_cache(problem, h):
+    """Fill each cache of the problem: every cached property, a 10-row tile and the objective's fold."""
+    for name, attr in vars(DispatchProblem).items():
+        if isinstance(attr, cached_property):
+            getattr(problem, name)
+    rows = repair_batch(problem, np.tile(problem.p_max_arr, (10, 1)))
+    return rows, combined_objective_batch(problem, rows, h)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for item in value for a in _arrays(item)] if isinstance(value, tuple) else []
+
+
+def test_a_pickled_problem_rebuilds_its_caches_read_only(six_unit_path):
+    # run_experiment pickles each problem to its pool workers once its caches
+    # are filled, and NumPy unpickles every array writable: a copy carries
+    # the fields only, and the loss matrix goes through its constructor
+    base = load_problem(six_unit_path, 1500.0)
+    problem = replace(base, losses=LossMatrix(np.diag(np.full(base.n_units, 1e-5))))
+    h = penalty_factors_all(problem)
+    rows, objectives = _read_every_cache(problem, h)
+    copy = pickle.loads(pickle.dumps(problem))
+    assert set(vars(copy)) == {f.name for f in fields(DispatchProblem)}
+    assert copy.losses.b.tobytes() == problem.losses.b.tobytes()
+    copy_rows, copy_objectives = _read_every_cache(copy, h)
+    assert copy_rows.tobytes() == rows.tobytes() and copy_objectives.tobytes() == objectives.tobytes()
+    arrays = [copy.losses.b, *copy.limit_rows(10), *_arrays(tuple(vars(copy).values()))]
+    assert len(arrays) > 10
+    for array in arrays:
+        assert not array.flags.writeable
+
+
 # --- validation at construction ---------------------------------------------
 
 
@@ -490,7 +528,7 @@ def test_every_price_reader_rejects_a_bad_plain_price(six_unit_path):
         lambda h: combined_objective_batch(problem, rows, h),
         lambda h: evaluate_dispatch(problem, rows[0], h),
         lambda h: lambda_solve(problem, h),
-        lambda h: pso.run(problem, PsoConfig(particles=2, iterations=1), h),
+        lambda h: run_trials(problem, PsoConfig(particles=2, iterations=1), h, 1),
     )
     for v in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="penalty factor for sox"):

@@ -23,7 +23,8 @@ from ceed.model import (
 from ceed.oracle import _close_balance, _effective_coeffs, grid_search, kkt_residual, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.problem_file import load_problem
-from ceed.pso import PsoConfig, run_trials
+from ceed.harness import run_trials
+from ceed.pso import PsoConfig
 
 from conftest import make_problem, make_unit, random_problem, weighted_problems
 

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ceed import pso
-from ceed.model import BALANCE_TOL, balance_residual, check_limits, evaluate_dispatch
-from ceed.oracle import lambda_solve
+from ceed.harness import run_trials
+from ceed.model import BALANCE_TOL, balance_residual, check_limits
 from ceed.penalty import penalty_factors_all
 from ceed.problem_file import load_problem
-from ceed.pso import PsoConfig, init_swarm, run, run_trials, step, velocity_update
+from ceed.pso import PsoConfig, init_swarm, step, velocity_update
 
-from conftest import make_problem, make_unit, random_problem, weighted_problems
+from conftest import make_problem, make_unit, random_problem, run_one, weighted_problems
 
 
 def small_config(**kw):
@@ -165,8 +165,7 @@ def test_a_state_steps_past_its_budget(rng):
     state = init_swarm(problem, cfg, h, 2)
     gbest = []
     for t in range(3 * cfg.iterations):
-        step(state, problem, cfg, h, t if t < cfg.iterations else 0)
-        gbest.append(state.gbest_obj)
+        gbest.append(step(state, problem, cfg, h, t if t < cfg.iterations else 0))
         for p in state.positions.reshape(-1, 4):
             assert check_limits(problem, p) == []
             assert abs(balance_residual(problem, p)) <= BALANCE_TOL
@@ -186,27 +185,6 @@ def test_gbest_never_worsens_within_a_run(rng):
             step(state, problem, cfg, h, t)
             assert np.all(state.gbest_obj <= last + 1e-12)
             last = state.gbest_obj
-
-
-def test_run_trace_is_monotone_and_sized(rng):
-    problem = random_problem(rng, 4)
-    h = penalty_factors_all(problem)
-    solution, trace = run(problem, small_config(iterations=80), h)
-    assert trace.shape == (80,)
-    assert np.all(np.diff(trace) <= 1e-12)
-    assert solution.total_cost == trace[-1]
-    assert solution.feasible
-
-
-def test_zero_iterations_return_best_of_initial_swarm(rng):
-    problem = random_problem(rng, 4)
-    h = penalty_factors_all(problem)
-    solution, trace = run(problem, small_config(iterations=0), h)
-    assert trace.shape == (0,)
-    assert solution.feasible
-    initial = init_swarm(problem, small_config(iterations=0), h)
-    assert solution.powers == tuple(initial.gbest_pos[0])
-    assert initial.gbest_obj[0] == initial.pbest_obj.min()
 
 
 def _assert_gbest_invariant(state):
@@ -279,7 +257,7 @@ def test_most_paper_protocol_steps_skip_the_gbest_bookkeeping(monkeypatch, six_u
 )
 def test_property_trace_never_rises(problem, particles, iterations, seed):
     config = PsoConfig(particles=particles, iterations=iterations, seed=seed)
-    _, trace = run(problem, config, penalty_factors_all(problem))
+    _, trace = run_one(problem, config, penalty_factors_all(problem))
     assert np.all(np.diff(trace) <= 0.0)
 
 
@@ -316,7 +294,7 @@ def test_property_batched_trials_equal_lone_runs(problem, trials, particles, ite
     batch = run_trials(problem, config, h, trials)
     assert len(batch) == trials
     for i, (solution, trace) in enumerate(batch):
-        lone, lone_trace = run(problem, replace(config, seed=seed + i), h)
+        lone, lone_trace = run_one(problem, replace(config, seed=seed + i), h)
         assert solution.powers == lone.powers
         assert solution.total_cost == lone.total_cost
         assert trace.tobytes() == lone_trace.tobytes()
@@ -362,37 +340,9 @@ def test_a_50_trial_batch_draws_each_trial_in_few_calls():
     assert calls == [math.ceil(config.iterations / ahead)] * trials
 
 
-def test_run_is_deterministic(rng):
-    problem = random_problem(rng, 5)
-    h = penalty_factors_all(problem)
-    s1, t1 = run(problem, small_config(), h)
-    s2, t2 = run(problem, small_config(), h)
-    assert s1.powers == s2.powers
-    assert np.array_equal(t1, t2)
-
-
 def test_seed_changes_the_search(rng):
     problem = random_problem(rng, 5)
     h = penalty_factors_all(problem)
-    _, t1 = run(problem, small_config(seed=1, iterations=20), h)
-    _, t2 = run(problem, small_config(seed=2, iterations=20), h)
+    _, t1 = run_one(problem, small_config(seed=1, iterations=20), h)
+    _, t2 = run_one(problem, small_config(seed=2, iterations=20), h)
     assert not np.array_equal(t1, t2)
-
-
-def test_single_unit_run_is_forced():
-    problem = make_problem([make_unit(1, 50.0, 300.0)], demand=175.0)
-    h = penalty_factors_all(problem)
-    solution, _ = run(problem, small_config(iterations=5), h)
-    assert solution.powers[0] == pytest.approx(175.0, abs=BALANCE_TOL)
-    assert solution.total_cost == pytest.approx(evaluate_dispatch(problem, [175.0], h).total_cost)
-
-
-def test_two_unit_run_matches_lambda_oracle():
-    units = [
-        make_unit(1, 20.0, 250.0, cost=(120.0, 4.0, 0.010)),
-        make_unit(2, 30.0, 300.0, cost=(90.0, 6.5, 0.006)),
-    ]
-    problem = make_problem(units, demand=330.0, k2=0)
-    solution, _ = run(problem, PsoConfig(particles=12, iterations=300, seed=3))
-    reference = lambda_solve(problem).solution(problem)
-    assert solution.total_cost <= reference.total_cost * (1.0 + 1e-4)
