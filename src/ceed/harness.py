@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import ga, pso
-from .model import DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, evaluate_dispatch
+from .model import DispatchProblem, DispatchSolution, PenaltyFactors, check_integer, check_real, evaluate_dispatch
 from .penalty import penalty_factors_all
 from .problem_file import format_demand, load_problem
 
@@ -44,7 +44,7 @@ class ExperimentSpec:
     workers: int = 0  # 0 = serial; kept for bench/layers.py::workers2_speedup and its tier-1 test
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "demands", tuple(float(d) for d in self.demands))
+        object.__setattr__(self, "demands", tuple(check_real("demand", d) for d in self.demands))
         if not self.demands:
             raise ValueError("an experiment needs at least one demand")
         if len(set(self.demands)) < len(self.demands):
@@ -113,8 +113,10 @@ def run_trials(
     """
     if isinstance(config, pso.PsoConfig):
         solver, state, steps = pso, pso.init_swarm(problem, config, h, trials), config.iterations
-    else:
+    elif isinstance(config, ga.GaConfig):
         solver, state, steps = ga, ga.init_population(problem, config, h, trials), config.generations
+    else:
+        raise TypeError(f"config must be a PsoConfig or a GaConfig, got {type(config).__name__}")
     trace = np.empty((trials, steps))
     for t in range(steps):
         trace[:, t] = solver.step(state, problem, config, h, t)

@@ -43,6 +43,16 @@ def check_integer(name: str, value, least: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def check_real(name: str, value, positive: bool = False) -> float:
+    """value as a float, refused unless a finite real number (no bool, string or bytes), > 0 if `positive`."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    number = float(value)
+    if not (0.0 < number < math.inf if positive else math.isfinite(number)):
+        raise ValueError(f"{name} must be {'> 0 and finite' if positive else 'finite'}, got {number}")
+    return number
+
+
 def block_steps(steps: int, trials: int, span: int, per_trial: int, per_batch: int) -> int:
     """Whole steps per draw block for a batch of `trials` trials that each draw `span` numbers a step.
 
@@ -114,6 +124,8 @@ class LossMatrix:
     """
 
     def __init__(self, b: Sequence[Sequence[float]]):
+        if np.asarray(b).dtype.kind not in "iuf":  # dtype=float alone would read digit strings and bools
+            raise ValueError(f"loss matrix entries must be numbers, got {np.asarray(b).dtype} entries")
         arr = np.array(b, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"loss matrix must be square, got shape {arr.shape}")
@@ -185,12 +197,13 @@ class DispatchProblem:
             for gas in gases:
                 if gas not in unit.emissions:
                     raise ValueError(f"unit {unit.id} has no {gas.value} coefficients")
+        for name in ("k1", "k2"):
+            check_integer(name, getattr(self, name))
         if self.k1 not in (0, 1) or self.k2 not in (0, 1):
             raise ValueError(f"k1 and k2 must be 0 or 1, got k1={self.k1} k2={self.k2}")
         if self.k1 + self.k2 < 1:
             raise ValueError("at least one of k1, k2 must be 1")
-        if not math.isfinite(self.demand):
-            raise ValueError(f"demand must be finite, got {self.demand}")
+        object.__setattr__(self, "demand", check_real("demand", self.demand))
         if self.losses is not None and self.losses.size != len(units):
             raise ValueError(
                 f"loss matrix is {self.losses.size}x{self.losses.size} "
@@ -299,20 +312,19 @@ def _tiled(tile: np.ndarray, rows: int) -> np.ndarray:
 class PenaltyFactors:
     """$/kg price per gas, valid only for the demand it was built for.
 
-    ceed.penalty.penalty_factors_all builds it for a problem.  Every price
-    is checked finite and > 0 here, once; the values are then a read-only
-    view, so what every reader prices with is what was checked.
+    ceed.penalty.penalty_factors_all builds it for a problem.  Each price and
+    the demand are checked here, once, by check_real; the prices are then a
+    read-only view, so what every reader prices with is what was checked.
     """
 
     values: Mapping[Gas, float]
     demand: float
 
     def __post_init__(self) -> None:
-        values = {gas: float(price) for gas, price in self.values.items()}
-        for gas, price in values.items():
-            if not 0.0 < price < math.inf:
-                raise ValueError(f"penalty factor for {gas.value} must be > 0 and finite, got {price}")
+        prices = self.values.items()
+        values = {gas: check_real(f"penalty factor for {gas}", price, positive=True) for gas, price in prices}
         object.__setattr__(self, "values", MappingProxyType(values))
+        object.__setattr__(self, "demand", check_real("demand", self.demand))
 
     def __getitem__(self, gas: Gas) -> float:
         return self.values[gas]

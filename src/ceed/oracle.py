@@ -23,6 +23,7 @@ from .model import (
     PenaltyFactors,
     _as_power_vector,
     _prices,
+    check_real,
     evaluate_dispatch,
 )
 
@@ -80,10 +81,6 @@ def lambda_solve(problem: DispatchProblem, h: Optional[PenaltyFactors] = None) -
 
     lam_lo = float(np.min(b_eff + 2.0 * c_eff * lo_p))
     lam_hi = float(np.max(b_eff + 2.0 * c_eff * hi_p))
-    p = powers_at(lam_hi)
-    residual = p.sum() - demand
-    if residual < -BALANCE_TOL:
-        raise InfeasibleError(f"demand {demand} MW above reachable total {p.sum():g} MW")
     for steps in range(1, LAMBDA_MAX_STEPS + 1):
         lam = 0.5 * (lam_lo + lam_hi)
         p = powers_at(lam)
@@ -142,8 +139,7 @@ def grid_search(
     n = problem.n_units
     if n > 3:
         raise ValueError(f"grid_search supports at most 3 units, got {n}")
-    if not 0 < resolution < np.inf:  # nan fails np.arange, and inf searches only the limits
-        raise ValueError("resolution must be positive")
+    resolution = check_real("resolution", resolution, positive=True)  # inf would search only the limits
     lo, hi = problem.p_min_arr, problem.p_max_arr
 
     def axis(i: int) -> np.ndarray:

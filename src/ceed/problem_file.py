@@ -9,11 +9,10 @@ experiment runner in harness.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Optional, Union
 
-from .model import ALL_GASES, DispatchError, DispatchProblem, Gas, GeneratorUnit, LossMatrix
+from .model import ALL_GASES, DispatchError, DispatchProblem, Gas, GeneratorUnit, LossMatrix, check_real
 
 
 class ProblemFileError(DispatchError, ValueError):
@@ -39,14 +38,6 @@ def _floats(value, key: str, depth: int = 0):
     raise TypeError(f"could not convert {value!r} to a number in {key!r}")
 
 
-def _finite(value, key: str) -> float:
-    """A JSON number as a float, refused when it is Infinity or NaN, which json.loads accepts."""
-    number = _floats(value, key)
-    if not math.isfinite(number):
-        raise ValueError(f"{key} must be finite, got {number}")
-    return number
-
-
 def _kind(value, kind: type, key: str, what: str):
     if type(value) is not kind:
         raise TypeError(f"{key!r} must be {what}, got {value!r}")
@@ -66,8 +57,8 @@ _FILE_KEYS = {
     "units": lambda v, key: _kind(v, list, key, "a list of unit objects"),
     "name": lambda v, key: _kind(v, str, key, "a string"),
     "gases": lambda v, key: tuple(_gas(g, key) for g in _kind(v, list, key, "a list of gas names")),
-    # finite here: a passed demand overrides it before the model sees it
-    "demand": _finite,
+    # finite here, though json.loads reads Infinity and NaN: a passed demand overrides it before the model sees it
+    "demand": lambda v, key: check_real(key, _floats(v, key)),
     "b_matrix": lambda v, key: None if v is None else _floats(v, key, 2),
 }
 _UNIT_KEYS = {
@@ -105,15 +96,13 @@ def load_problem(path: Union[str, Path], demand: Optional[float] = None) -> Disp
     """Read a problem file, whose keys are those of _FILE_KEYS and its units' those of _UNIT_KEYS.
 
     A demand passed here overrides the file's, which is checked all the same;
-    a passed demand that is not finite raises a plain ValueError.  Any other
-    file, or one with values the model rejects, raises ProblemFileError naming
-    it; a demand beyond the units raises InfeasibleError.  A file holds no
-    objective weights: callers set k1 and k2 with dataclasses.replace.
+    a passed demand that is not a finite real raises a plain ValueError.  Any
+    other file, or one with values the model rejects, raises ProblemFileError
+    naming it; a demand beyond the units raises InfeasibleError.  A file holds
+    no objective weights: callers set k1 and k2 with dataclasses.replace.
     """
     if demand is not None:
-        demand = float(demand)
-        if not math.isfinite(demand):
-            raise ValueError(f"demand must be finite, got {demand}")
+        demand = check_real("demand", demand)
     where = path = Path(path)
     try:
         file = _read(json.loads(path.read_text(), object_pairs_hook=_unique_keys), _FILE_KEYS, {"units"})

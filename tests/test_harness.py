@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +212,14 @@ def test_run_trials_refuses_zero_trials(tmp_path, config):
         run_trials(problem, config, penalty_factors_all(problem), 0)
     with pytest.raises(ValueError, match=r"trials must be an integer, got 1\.5"):
         run_trials(problem, config, penalty_factors_all(problem), 1.5)
+
+
+def test_run_trials_refuses_a_foreign_config(tmp_path):
+    # without the check, a GA-shaped stand-in fails deep inside GA on a missing bits_per_gene
+    problem = load_problem(write_problem(tmp_path), demand=330.0)
+    config = SimpleNamespace(individuals=10, generations=3, seed=0)
+    with pytest.raises(TypeError, match="^config must be a PsoConfig or a GaConfig, got SimpleNamespace$"):
+        run_trials(problem, config, penalty_factors_all(problem), 1)
 
 
 # run_trials on either solver: a small config of each, with a step budget of `steps`

@@ -5,6 +5,7 @@ properties (additivity, scalarization identities, loss-matrix behavior),
 then construction-time validation.
 """
 
+import json
 import pickle
 import re
 from dataclasses import fields, replace
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from ceed import ga, model, pso, repair
 from ceed.ga import GaConfig, decode
-from ceed.harness import run_trials
+from ceed.harness import ExperimentSpec, run_trials
 from ceed.model import (
     BALANCE_TOL,
     DispatchProblem,
@@ -30,7 +31,7 @@ from ceed.model import (
     evaluate_dispatch,
     transmission_loss,
 )
-from ceed.oracle import lambda_solve
+from ceed.oracle import grid_search, lambda_solve
 from ceed.penalty import PenaltyFactors, penalty_factors_all
 from ceed.problem_file import load_problem
 from ceed.pso import PsoConfig
@@ -450,6 +451,57 @@ def test_non_finite_inputs_are_rejected(build):
         build()
 
 
+def test_loss_matrix_entries_must_be_numbers():
+    # np.array(b, dtype=float) would read each of these as a number
+    for b in ([["1e-4", "0"], ["0", "1e-4"]], [[1e-4, "0"], ["0", 1e-4]], [[True, False], [False, True]],
+              np.eye(2, dtype=bool), [[1e-4, None], [None, 1e-4]]):
+        with pytest.raises(ValueError, match="loss matrix entries must be numbers"):
+            LossMatrix(b)
+    for b in ([[1, 0], [0, 1]], np.eye(2, dtype=np.uint8), np.eye(2, dtype=np.float32)):
+        kept = LossMatrix(b).b
+        assert kept.dtype == np.float64 and (kept == np.eye(2)).all()
+
+
+def _file_with_demand(path, tmp_path, value):
+    """A copy of the problem file at path whose demand is value as JSON writes it."""
+    doc = json.loads(path.read_text())
+    if isinstance(value, np.generic):
+        value = value.item()
+    doc["demand"] = value.decode() if isinstance(value, bytes) else value
+    out = tmp_path / "demand.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+# Every entry point that takes a caller's real number, as (name in its error, build from the number)
+REAL_INPUTS = {
+    "load_problem": ("demand", lambda v, path, tmp: load_problem(path, v)),
+    "file_demand": ("demand", lambda v, path, tmp: load_problem(_file_with_demand(path, tmp, v))),
+    "ExperimentSpec": ("demand", lambda v, path, tmp: ExperimentSpec(str(path), demands=(v,))),
+    "DispatchProblem": ("demand", lambda v, path, tmp: replace(load_problem(path, 1500.0), demand=v)),
+    "PenaltyFactors_price": ("penalty factor for nox", lambda v, path, tmp: PenaltyFactors({Gas.NOX: v}, 1500.0)),
+    "PenaltyFactors_demand": ("demand", lambda v, path, tmp: PenaltyFactors({Gas.NOX: 3.1}, v)),
+    "grid_search": ("resolution", lambda v, path, tmp: grid_search(
+        make_problem([make_unit(1, 10.0, 100.0), make_unit(2, 10.0, 100.0)], 150.0, k2=0), resolution=v)),
+}
+REFUSED_REALS = ["1500", b"1500", True, np.True_, np.nan, np.inf]
+ACCEPTED_REALS = [1500, np.int64(1500), np.float64(1500.0)]
+
+
+@pytest.mark.parametrize("value", REFUSED_REALS + ACCEPTED_REALS, ids=repr)
+@pytest.mark.parametrize("entry", REAL_INPUTS)
+def test_every_real_input_must_be_a_finite_real(entry, value, six_unit_path, tmp_path):
+    # digit strings, bytes and bools are refused as problem_file refuses them; integers and
+    # NumPy reals are held as the float they equal, so they build what 1500.0 builds
+    name, build = REAL_INPUTS[entry]
+    if any(value is v for v in ACCEPTED_REALS):
+        built, expected = build(value, six_unit_path, tmp_path), build(1500.0, six_unit_path, tmp_path)
+        assert built == expected and repr(built) == repr(expected)
+    else:
+        with pytest.raises(ValueError, match=name):
+            build(value, six_unit_path, tmp_path)
+
+
 def test_problem_rejects_demand_outside_capacity():
     units = [make_unit(1, 50.0, 300.0), make_unit(2, 50.0, 300.0)]
     with pytest.raises(InfeasibleError):
@@ -466,6 +518,11 @@ def test_problem_rejects_bad_weights():
         make_problem(units, demand=100.0, k1=2, k2=0)
     with pytest.raises(ValueError, match="at least one"):
         make_problem(units, demand=100.0, k1=0, k2=0)
+    # True == 1 and 1.0 == 1 would pass the {0, 1} test
+    for name, value in (("k1", True), ("k1", 1.0), ("k2", np.False_), ("k2", 0.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            make_problem(units, demand=100.0, **{"k1": 1, "k2": 0, name: value})
+    assert make_problem(units, demand=100.0, k1=np.int64(1), k2=np.int8(0)).k1 == 1
 
 
 def test_problem_rejects_missing_gas_coefficients():

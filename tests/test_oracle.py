@@ -96,6 +96,17 @@ def test_kkt_interior_units_share_incremental_cost(rng):
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(problem=weighted_problems(max_units=6))
+def test_property_lambda_solve_at_full_capacity_runs_every_unit_at_p_max(problem):
+    # the largest demand a problem admits: lambda's upper bracket pins every unit at p_max,
+    # so the bisection closes the balance there and no capacity check is needed before it
+    full = replace(problem, demand=sum(u.p_max for u in problem.units))
+    res = lambda_solve(full, penalty_factors_all(full))
+    assert abs(res.residual) <= BALANCE_TOL
+    np.testing.assert_allclose(res.powers, full.p_max_arr, rtol=0, atol=2 * BALANCE_TOL)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(problem=weighted_problems(max_units=6))
 def test_property_kkt_residual_vanishes_at_the_lambda_dispatch(problem):
     # the free units' powers are (lambda - b) / 2c, so their incremental
     # costs agree with lambda to rounding
@@ -184,7 +195,7 @@ def test_grid_search_refuses_large_problems(rng):
         grid_search(problem)
     # nan would fail inside np.arange, and inf would search only each leading unit's limits
     for resolution in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="resolution must be positive"):
+        with pytest.raises(ValueError, match="resolution must be > 0"):
             grid_search(random_problem(rng, 2), resolution=resolution)
 
 
